@@ -34,7 +34,6 @@ from .rules import (
     neutrality_counts,
     range_min_prob,
     register_rule,
-    zoo_make,
     zoo_rules,
 )
 from .metrics import (

@@ -2,7 +2,6 @@
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
 
 import numpy as np
 
@@ -56,10 +55,6 @@ def pair_bit(m, a, b):
 # m = 3 pair helpers: a ranking splits into (pair bit, position of the third
 # alternative), the latter being 0 = above both, 1 = between, 2 = below both.
 
-def pair_bit3(a, b):
-    return pair_bit(3, a, b)
-
-
 @lru_cache(maxsize=None)
 def third_digit3(a, b):
     """third_digit3(a, b)[k] = position code of the remaining alternative in ranking k."""
@@ -69,9 +64,9 @@ def third_digit3(a, b):
 
 @lru_cache(maxsize=None)
 def order_of_bit_digit3(a, b):
-    """Inverse of (pair_bit3, third_digit3): [bit, digit] -> m=3 ranking index."""
+    """Inverse of (pair_bit(3, a, b), third_digit3): [bit, digit] -> m=3 ranking index."""
     out = np.empty((2, 3), dtype=np.int64)
-    bits, digs = pair_bit3(a, b), third_digit3(a, b)
+    bits, digs = pair_bit(3, a, b), third_digit3(a, b)
     for k in range(6):
         out[bits[k], digs[k]] = k
     return _frozen(out)
@@ -106,7 +101,3 @@ def digits_index(digits, base):
         idx *= base
         idx += digits[v]
     return idx
-
-
-def fact(m):
-    return factorial(m)

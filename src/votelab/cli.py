@@ -21,16 +21,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import fileio, metrics, reports, rules, sampling, suites, welfare
+from .welfare import PAIRS3
 
-PAIRS3 = ((0, 1), (0, 2), (1, 2))
-
-_SCF_PARAM = {"dictatorship": "voter", "anti_dictatorship": "voter",
-              "constant": "alt", "random_table": "seed"}
-_SCF_NAMES = ("dictatorship", "anti_dictatorship", "constant", "plurality",
-              "borda", "pairwise_majority_fallback", "random_table")
 _GSWF_NAMES = ("dictator_swf", "anti_dictator_swf", "majority", "random_odd",
                "random_iia")
 
@@ -55,18 +48,21 @@ def load_scf(src: str, m: int, n: int | None):
         table = fileio.read_scf(src)
         if n is not None and n != table.n:
             raise ValueError(f"--n {n} disagrees with table file (n={table.n})")
-        return table, table.n
+        return table, rules.resolve_n(table)
     name, arg = _parse_named(src)
-    if name not in _SCF_NAMES:
-        raise ValueError(f"unknown rule {name!r}; names: {', '.join(_SCF_NAMES)}")
+    # the nameable rules: registered ones taking at most one parameter
+    required = {k: v for k, v in rules._REQUIRED.items() if len(v) <= 1}
+    if name not in required:
+        raise ValueError(f"unknown rule {name!r}; names: {', '.join(required)}")
     params = {}
     if arg is not None:
-        if name not in _SCF_PARAM:
+        if not required[name]:
             raise ValueError(f"rule {name!r} takes no argument")
-        params[_SCF_PARAM[name]] = arg
+        params[required[name][0]] = arg
     if n is None:
         raise ValueError("--n is required for rule names")
-    return rules.ScfRule(name, m, **params), n
+    rule = rules.ScfRule(name, m, **params)
+    return rule, rules.resolve_n(rule, n)
 
 
 def load_gswf(src: str, n: int | None):
@@ -101,24 +97,10 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _flag_row(metric: str, flag: bool, mode: str, checks: int | None, seed):
-    if mode == "exact":
-        return metrics.exact_report(metric, (), int(flag), 1)
-    return metrics.sampled_report(metric, (), int(flag), 1, 0.0, checks, seed)
-
-
-def _diag_row(metric, counts, total, used, seed, pick) -> metrics.MetricReport:
-    i = pick(counts)
-    num = int(counts[i])
-    if used == "exact":
-        return metrics.exact_report(metric, (i,), num, total)
-    half = sampling.wilson_half_width(num, total)
-    return metrics.sampled_report(metric, (i,), num, total, half, total, seed)
-
-
 def cmd_metrics(args) -> int:
     scf, n = load_scf(args.scf, args.m, args.n)
     mode = "exact" if args.exact else ("sampled" if args.samples else "auto")
+    mode = sampling.pick_mode(mode, n, scf.m, args.samples, args.seed)
     kw = dict(mode=mode, samples=args.samples, seed=args.seed, workers=args.workers)
     rows = [metrics.manipulation_power(scf, i, n, **kw) for i in range(n)]
     rows.append(metrics.manipulation_power_total(scf, n, **kw))
@@ -126,27 +108,23 @@ def cmd_metrics(args) -> int:
         rows += [metrics.mab(scf, a, b, n, **kw) for a, b in PAIRS3]
         rows += [metrics.nab(scf, a, b, n, **kw) for a, b in PAIRS3]
 
-    argmin = lambda c: int(np.asarray(c).argmin())
     for metric, which in (("dist_dictatorship", "top"),
                           ("dist_antidictatorship", "bottom"),
                           ("range_min", "elected")):
-        counts, total, used = rules._diag_counts(scf, which, n, mode,
-                                                 args.samples, args.seed,
-                                                 args.workers)
-        rows.append(_diag_row(metric, counts, total, used, args.seed, argmin))
+        counts, trials, _ = rules._diag_counts(scf, which, n, **kw)
+        i = int(counts.argmin())
+        rows.append(metrics.count_report(metric, (i,), counts[i], trials, mode, args.seed))
 
     for metric, rate, fn in (("neutral", "neutrality", rules.neutrality_counts),
                              ("anonymous", "anonymity", rules.anonymity_counts)):
         bad, checks = fn(scf, n, **kw)
-        used = "exact" if mode == "exact" or (mode == "auto"
-                and rules.exact_feasible(n, scf.m)) else "sampled"
-        rows.append(_flag_row(f"is_{metric}", bad == 0, used, checks, args.seed))
-        if used == "exact":
-            rows.append(metrics.exact_report(f"{rate}_violations", (), bad, checks))
+        if mode == "exact":
+            rows.append(metrics.exact_report(f"is_{metric}", (), int(bad == 0), 1))
         else:
-            half = sampling.wilson_half_width(bad, checks)
-            rows.append(metrics.sampled_report(f"{rate}_violations", (), bad,
-                                               checks, half, checks, args.seed))
+            rows.append(metrics.sampled_report(f"is_{metric}", (), int(bad == 0), 1,
+                                               0.0, checks, args.seed))
+        rows.append(metrics.count_report(f"{rate}_violations", (), bad, checks,
+                                         mode, args.seed))
 
     text = (reports.reports_to_json(rows) if args.format == "json"
             else reports.reports_to_csv(rows))
@@ -159,7 +137,7 @@ def cmd_reduce(args) -> int:
     if scf.m != 3:
         raise ValueError("the pairwise reduction is defined for m = 3")
     chain = welfare.check_reduction_chain(scf, tie_voter=args.tie_voter, n=n)
-    G = welfare.gswf_from_scf(scf, tie_voter=args.tie_voter, n=n)
+    G = chain.G
     if args.gswf_out:
         fileio.write_gswf(G, args.gswf_out)
 

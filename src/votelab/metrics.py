@@ -3,7 +3,7 @@ preference, exact or sampled.
 
 Exact values are integer counts over full enumerations and reduce to exact
 rationals.  Sampled values are deterministic for a given seed regardless of
-worker count (see sampling.run_chunks).
+worker count (see sampling.count).
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from math import factorial
 import numpy as np
 
 from . import _tables, sampling
-from .orders import profile_chunks, split_pair
-from .rules import BudgetError, exact_feasible, resolve_n, _pick_mode
+from .orders import split_pair
+from .rules import resolve_n
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,14 @@ def sampled_report(metric, indices, num, den, ci95, samples, seed) -> MetricRepo
                         seed=None if seed is None else int(seed))
 
 
+def count_report(metric, indices, count, trials, mode, seed) -> MetricReport:
+    """A proportion count/trials: the exact fraction, or the Wilson estimate."""
+    if mode == "exact":
+        return exact_report(metric, indices, count, trials)
+    half = sampling.wilson_half_width(int(count), int(trials))
+    return sampled_report(metric, indices, count, trials, half, trials, seed)
+
+
 @dataclass(frozen=True, eq=False)
 class ColumnStats:
     """Per-column counts of completions electing each side of a pair.
@@ -121,17 +129,41 @@ def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
         raise ValueError("column statistics require m = 3")
     if a == b:
         raise ValueError("need two distinct alternatives")
-    if not exact_feasible(n, 3):
-        raise BudgetError(f"column enumeration at n={n} exceeds the budget")
     size = 1 << n
-    ca = np.zeros(size, np.int64)
-    cb = np.zeros(size, np.int64)
-    for _, _, digits in profile_chunks(n):
+
+    def tally(digits):
         winners = np.asarray(scf.winners_from_digits(digits))
         z, _ = split_pair(digits, a, b)
-        ca += np.bincount(z[winners == a], minlength=size)
-        cb += np.bincount(z[winners == b], minlength=size)
-    return ColumnStats(a, b, n, ca, cb)
+        return np.concatenate([np.bincount(z[winners == a], minlength=size),
+                               np.bincount(z[winners == b], minlength=size)])
+
+    counts, _, _ = sampling.count(tally, 2 * size, n, 3, mode="exact")
+    return ColumnStats(a, b, n, counts[:size], counts[size:])
+
+
+def _gains(scf, voters, m):
+    """Tally of strict improvements from a fresh ballot for each listed voter.
+
+    ``tally(digits, ballots)`` returns the sum and the sum of squares over
+    profiles of the per-profile number of improving (voter, ballot) pairs;
+    ``ballots[k]`` is voter ``voters[k]``'s fresh ballot per profile, and
+    without ``ballots`` every one of the m! ballots is tried.
+    """
+    pref = _tables.prefers(m)
+    every = range(factorial(m))
+
+    def tally(digits, ballots=None):
+        winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
+        per_profile = np.zeros(digits.shape[1], np.int64)
+        for k, i in enumerate(voters):
+            swapped = digits.copy()
+            for ballot in (every if ballots is None else (ballots[k],)):
+                swapped[i] = ballot
+                moved = np.asarray(scf.winners_from_digits(swapped), dtype=np.int64)
+                per_profile += pref[digits[i], moved, winners]
+        return [per_profile.sum(), (per_profile ** 2).sum()]
+
+    return tally
 
 
 def manipulation_power(scf, i: int, n=None, *, mode="auto", samples=None,
@@ -142,34 +174,18 @@ def manipulation_power(scf, i: int, n=None, *, mode="auto", samples=None,
     m = scf.m
     if not 0 <= i < n:
         raise ValueError(f"voter {i} out of range for n={n}")
-    mode = _pick_mode(mode, n, m, samples, seed)
-    pref = _tables.prefers(m)
     nord = factorial(m)
 
-    if mode == "exact":
-        count = 0
-        for _, _, digits in profile_chunks(n, m):
-            winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
-            true = digits[i].copy()
-            swapped = digits.copy()
-            for r in range(nord):
-                swapped[i] = r
-                moved = np.asarray(scf.winners_from_digits(swapped), dtype=np.int64)
-                count += int(pref[true, moved, winners].sum())
-        return exact_report("M_i", (i,), count, nord ** n * nord)
+    def draw(rng, size):
+        return (rng.integers(0, nord, size=(n, size)),
+                rng.integers(0, nord, size=(1, size)))
 
-    def counter(rng, size):
-        digits = rng.integers(0, nord, size=(n, size))
-        ballot = rng.integers(0, nord, size=size)
-        winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
-        swapped = digits.copy()
-        swapped[i] = ballot
-        moved = np.asarray(scf.winners_from_digits(swapped), dtype=np.int64)
-        return np.array([pref[digits[i], moved, winners].sum()], dtype=np.int64)
-
-    count = int(sampling.run_chunks(counter, 1, samples, seed, workers=workers)[0])
-    half = sampling.wilson_half_width(count, samples)
-    return sampled_report("M_i", (i,), count, samples, half, samples, seed)
+    (count, _), trials, mode = sampling.count(
+        _gains(scf, (i,), m), 2, n, m, mode=mode, samples=samples, seed=seed,
+        workers=workers, draw=draw)
+    # exact mode tries all m! ballots at each profile
+    return count_report("M_i", (i,), count, trials * nord if mode == "exact" else trials,
+                        mode, seed)
 
 
 def manipulation_power_total(scf, n=None, *, mode="auto", samples=None,
@@ -177,31 +193,19 @@ def manipulation_power_total(scf, n=None, *, mode="auto", samples=None,
     """Sum over voters of manipulation_power."""
     n = resolve_n(scf, n)
     m = scf.m
-    mode = _pick_mode(mode, n, m, samples, seed)
     nord = factorial(m)
 
+    def draw(rng, size):
+        return (rng.integers(0, nord, size=(n, size)),
+                rng.integers(0, nord, size=(n, size)))
+
+    (total, total_sq), trials, mode = sampling.count(
+        _gains(scf, range(n), m), 2, n, m, mode=mode, samples=samples, seed=seed,
+        workers=workers, draw=draw)
     if mode == "exact":
-        total = sum((manipulation_power(scf, i, n).fraction for i in range(n)),
-                    Fraction(0))
-        return exact_report("M_total", (), total.numerator, total.denominator)
-
-    pref = _tables.prefers(m)
-
-    def counter(rng, size):
-        digits = rng.integers(0, nord, size=(n, size))
-        ballots = rng.integers(0, nord, size=(n, size))
-        winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
-        per_sample = np.zeros(size, np.int64)
-        for i in range(n):
-            swapped = digits.copy()
-            swapped[i] = ballots[i]
-            moved = np.asarray(scf.winners_from_digits(swapped), dtype=np.int64)
-            per_sample += pref[digits[i], moved, winners]
-        return np.array([per_sample.sum(), (per_sample ** 2).sum()], dtype=np.int64)
-
-    total, total_sq = sampling.run_chunks(counter, 2, samples, seed, workers=workers)
-    half = sampling.normal_half_width(int(total), int(total_sq), samples)
-    return sampled_report("M_total", (), int(total), samples, half, samples, seed)
+        return exact_report("M_total", (), total, trials * nord)
+    half = sampling.normal_half_width(int(total), int(total_sq), trials)
+    return sampled_report("M_total", (), int(total), trials, half, trials, seed)
 
 
 def mab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
@@ -213,7 +217,7 @@ def mab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
         raise ValueError("inter-pair dependence requires m = 3")
     if a == b:
         raise ValueError("need two distinct alternatives")
-    mode = _pick_mode(mode, n, 3, samples, seed)
+    mode = sampling.pick_mode(mode, n, 3, samples, seed)
 
     if mode == "exact":
         stats = column_stats(scf, a, b, n)
@@ -230,9 +234,8 @@ def mab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
         hit_b = np.asarray(scf.winners_from_digits(second)) == b
         return np.array([(hit_a & hit_b).sum()], dtype=np.int64)
 
-    count = int(sampling.run_chunks(counter, 1, samples, seed, workers=workers)[0])
-    half = sampling.wilson_half_width(count, samples)
-    return sampled_report("mab", (a, b), count, samples, half, samples, seed)
+    count = sampling.run_chunks(counter, 1, samples, seed, workers=workers)[0]
+    return count_report("mab", (a, b), count, samples, mode, seed)
 
 
 def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
@@ -250,7 +253,7 @@ def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
         raise ValueError("minority preference requires m = 3")
     if a == b:
         raise ValueError("need two distinct alternatives")
-    mode = _pick_mode(mode, n, 3, samples, seed)
+    mode = sampling.pick_mode(mode, n, 3, samples, seed)
 
     if mode == "exact":
         stats = column_stats(scf, a, b, n)

@@ -243,7 +243,7 @@ def profile_chunks(n: int, m: int = 3, chunk: int = 1 << 18):
 
 def split_pair(digits, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Column indices and ternary point indices of m=3 profiles; both shape (S,)."""
-    bits = _tables.pair_bit3(a, b)[digits]
+    bits = _tables.pair_bit(3, a, b)[digits]
     digs = _tables.third_digit3(a, b)[digits]
     return _tables.digits_index(bits, 2), _tables.digits_index(digs, 3)
 

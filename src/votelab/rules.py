@@ -12,17 +12,7 @@ import numpy as np
 
 from . import _tables, sampling
 from .orders import Profile, order_to_index, profile_chunks
-
-EXACT_BUDGET = 10 ** 9
-
-
-class BudgetError(ValueError):
-    """An exact enumeration would exceed the evaluation budget."""
-
-
-def exact_feasible(n: int, m: int = 3) -> bool:
-    """True when full profile enumeration fits the (m!)^n * m! budget."""
-    return factorial(m) ** n * factorial(m) <= EXACT_BUDGET
+from .sampling import EXACT_BUDGET, BudgetError, exact_feasible  # re-exported
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,15 +189,6 @@ def _eval_random_table(rule, digits):
     return rule.as_table(digits.shape[0]).winners_from_digits(digits)
 
 
-def zoo_make(name: str, m: int = 3, **params) -> ScfRule:
-    """Build a zoo rule by name.
-
-    Names: dictatorship(voter), anti_dictatorship(voter), constant(alt),
-    plurality, borda, pairwise_majority_fallback, random_table(seed).
-    """
-    return ScfRule(name, m, **params)
-
-
 def zoo_rules(n: int, m: int = 3) -> list[ScfRule]:
     """Every parameterized zoo rule instance at the given sizes."""
     rules = [ScfRule("dictatorship", m, voter=i) for i in range(n)]
@@ -219,35 +200,25 @@ def zoo_rules(n: int, m: int = 3) -> list[ScfRule]:
 
 
 def resolve_n(scf, n=None) -> int:
-    """Voter count of an ScfTable, or the explicit n for a rule."""
+    """Voter count of an ScfTable, or the explicit n for a rule; at least 1."""
     if isinstance(scf, ScfTable):
         if n is not None and n != scf.n:
             raise ValueError(f"table is for n={scf.n}, asked for n={n}")
-        return scf.n
-    if n is None:
+        n = scf.n
+    elif n is None:
         raise ValueError("n is required when evaluating a rule")
+    if int(n) < 1:
+        raise ValueError(f"need at least one voter, got n={n}")
     return int(n)
 
 
-def _pick_mode(mode: str, n: int, m: int, samples, seed) -> str:
-    if mode not in ("auto", "exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if exact_feasible(n, m) else "sampled"
-    if mode == "exact" and not exact_feasible(n, m):
-        raise BudgetError(f"exact enumeration at n={n}, m={m} exceeds the budget; "
-                          f"rerun with samples and a seed")
-    if mode == "sampled" and (samples is None or seed is None):
-        raise ValueError("sampled mode needs samples and seed")
-    return mode
-
-
 def _diag_counts(scf, which: str, n, mode, samples, seed, workers):
+    """Per-voter disagreements with the voter's top ("top") or bottom
+    ("bottom") choice, or per-alternative wins ("elected"), as
+    sampling.count's (counts, trials, mode)."""
     n = resolve_n(scf, n)
     m = scf.m
-    mode = _pick_mode(mode, n, m, samples, seed)
     perms = _tables.perms(m)
-    slots = m if which == "elected" else n
 
     def tally(digits):
         winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
@@ -256,101 +227,69 @@ def _diag_counts(scf, which: str, n, mode, samples, seed, workers):
         ref = perms[:, 0] if which == "top" else perms[:, -1]
         return np.array([(winners != ref[digits[i]]).sum() for i in range(n)], dtype=np.int64)
 
-    if mode == "exact":
-        counts = np.zeros(slots, np.int64)
-        for _, _, digits in profile_chunks(n, m):
-            counts += tally(digits)
-        return counts, factorial(m) ** n, mode
+    return sampling.count(tally, m if which == "elected" else n, n, m, mode=mode,
+                          samples=samples, seed=seed, workers=workers)
 
-    def counter(rng, size):
-        return tally(rng.integers(0, factorial(m), size=(n, size)))
 
-    counts = sampling.run_chunks(counter, slots, samples, seed, workers=workers)
-    return counts, samples, mode
+def _diag_min(scf, which, n, mode, samples, seed, workers):
+    counts, trials, used = _diag_counts(scf, which, n, mode, samples, seed, workers)
+    i = int(counts.argmin())
+    value = Fraction(int(counts[i]), trials) if used == "exact" else int(counts[i]) / trials
+    return value, i
 
 
 def dist_to_dictatorship(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
     """min_i Pr[F(x) != top of voter i] with the argmin voter."""
-    counts, total, used = _diag_counts(scf, "top", n, mode, samples, seed, workers)
-    i = int(counts.argmin())
-    value = Fraction(int(counts[i]), total) if used == "exact" else int(counts[i]) / total
-    return value, i
+    return _diag_min(scf, "top", n, mode, samples, seed, workers)
 
 
 def dist_to_antidictatorship(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
     """min_i Pr[F(x) != bottom of voter i] with the argmin voter."""
-    counts, total, used = _diag_counts(scf, "bottom", n, mode, samples, seed, workers)
-    i = int(counts.argmin())
-    value = Fraction(int(counts[i]), total) if used == "exact" else int(counts[i]) / total
-    return value, i
+    return _diag_min(scf, "bottom", n, mode, samples, seed, workers)
 
 
 def range_min_prob(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
     """min_a Pr[F(x) = a] with the argmin alternative."""
-    counts, total, used = _diag_counts(scf, "elected", n, mode, samples, seed, workers)
-    a = int(counts.argmin())
-    value = Fraction(int(counts[a]), total) if used == "exact" else int(counts[a]) / total
-    return value, a
+    return _diag_min(scf, "elected", n, mode, samples, seed, workers)
 
 
 def neutrality_counts(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
     """(violations, checks) of F(pi o x) = pi(F(x)) over non-identity relabelings."""
     n = resolve_n(scf, n)
     m = scf.m
-    mode = _pick_mode(mode, n, m, samples, seed)
     perms = _tables.perms(m).astype(np.int64)
     action = _tables.relabel_action(m)
     nperm = factorial(m)
 
-    def violations(digits):
+    def tally(digits):
         winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
         bad = 0
         for q in range(1, nperm):
             relabeled = scf.winners_from_digits(action[q][digits])
             bad += int((np.asarray(relabeled, dtype=np.int64) != perms[q][winners]).sum())
-        return np.array([bad], dtype=np.int64)
+        return [bad]
 
-    if mode == "exact":
-        total = factorial(m) ** n
-        bad = 0
-        for _, _, digits in profile_chunks(n, m):
-            bad += int(violations(digits)[0])
-        return bad, total * (nperm - 1)
-
-    def counter(rng, size):
-        return violations(rng.integers(0, factorial(m), size=(n, size)))
-
-    bad = sampling.run_chunks(counter, 1, samples, seed, workers=workers)
-    return int(bad[0]), samples * (nperm - 1)
+    (bad,), trials, _ = sampling.count(tally, 1, n, m, mode=mode, samples=samples,
+                                       seed=seed, workers=workers)
+    return int(bad), trials * (nperm - 1)
 
 
 def anonymity_counts(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
     """(violations, checks) of invariance under adjacent voter transpositions."""
     n = resolve_n(scf, n)
-    m = scf.m
-    mode = _pick_mode(mode, n, m, samples, seed)
 
-    def violations(digits):
+    def tally(digits):
         winners = np.asarray(scf.winners_from_digits(digits))
         bad = 0
         for i in range(n - 1):
             swapped = digits.copy()
             swapped[[i, i + 1]] = swapped[[i + 1, i]]
             bad += int((np.asarray(scf.winners_from_digits(swapped)) != winners).sum())
-        return np.array([bad], dtype=np.int64)
+        return [bad]
 
-    if mode == "exact":
-        total = factorial(m) ** n
-        bad = 0
-        for _, _, digits in profile_chunks(n, m):
-            bad += int(violations(digits)[0])
-        return bad, total * (n - 1)
-
-    def counter(rng, size):
-        return violations(rng.integers(0, factorial(m), size=(n, size)))
-
-    bad = sampling.run_chunks(counter, 1, samples, seed, workers=workers)
-    return int(bad[0]), samples * (n - 1)
+    (bad,), trials, _ = sampling.count(tally, 1, n, scf.m, mode=mode, samples=samples,
+                                       seed=seed, workers=workers)
+    return int(bad), trials * (n - 1)
 
 
 def is_neutral(scf, n=None, **kw) -> bool:

@@ -17,8 +17,7 @@ import numpy as np
 from . import lattice, welfare
 from .metrics import mab, nab, manipulation_power_total
 from .rules import BudgetError, ScfRule, exact_feasible, zoo_rules
-
-PAIRS3 = ((0, 1), (0, 2), (1, 2))
+from .welfare import PAIRS3
 
 
 # --- corpora and their serialization -----------------------------------
@@ -334,6 +333,10 @@ def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
     spec = SUITES[name]
     trials = spec.trials if trials is None else trials
     n = spec.n if n is None else n
+    if n < 1:
+        raise ValueError(f"need at least one voter, got n={n}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     t0 = time.perf_counter()
     total = passes = 0
     first = None

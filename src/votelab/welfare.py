@@ -7,19 +7,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
 from . import _tables, sampling
-from .metrics import (MetricReport, column_stats, exact_report, mab, nab,
-                      sampled_report)
-from .orders import Profile, order_to_index, profile_chunks
-from .rules import (BudgetError, ScfRule, exact_feasible, range_min_prob,
-                    register_rule, resolve_n, _pick_mode,
+from .metrics import (MetricReport, column_stats, count_report, exact_report,
+                      mab, nab, sampled_report)
+from .orders import Profile, order_to_index, profile_digits
+from .rules import (ScfRule, range_min_prob, register_rule, resolve_n,
                     dist_to_antidictatorship, dist_to_dictatorship, is_neutral)
+from .sampling import BudgetError
 
-PAIRS3 = ((0, 1), (0, 2), (1, 2))
+PAIRS3 = _tables.pair_list(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,43 +209,19 @@ def nt(G, *, mode="auto", samples=None, seed=None, workers=1) -> MetricReport:
     G = as_gswf(G)
     if G.m != 3:
         raise ValueError("cyclicity is a three-alternative notion; use ngcw")
-    n = G.n
-    mode = _pick_mode(mode, n, 3, samples, seed)
-
-    if mode == "exact":
-        count = 0
-        for _, _, digits in profile_chunks(n):
-            count += int(_cyclic_mask(G, digits).sum())
-        return exact_report("nt", (), count, 6 ** n)
-
-    def counter(rng, size):
-        digits = rng.integers(0, 6, size=(n, size))
-        return np.array([_cyclic_mask(G, digits).sum()], dtype=np.int64)
-
-    count = int(sampling.run_chunks(counter, 1, samples, seed, workers=workers)[0])
-    half = sampling.wilson_half_width(count, samples)
-    return sampled_report("nt", (), count, samples, half, samples, seed)
+    (count,), trials, mode = sampling.count(
+        lambda digits: [_cyclic_mask(G, digits).sum()], 1, G.n, 3, mode=mode,
+        samples=samples, seed=seed, workers=workers)
+    return count_report("nt", (), count, trials, mode, seed)
 
 
 def ngcw(G, *, mode="auto", samples=None, seed=None, workers=1) -> MetricReport:
     """Probability that no alternative beats every other."""
     G = as_gswf(G)
-    n, m = G.n, G.m
-    mode = _pick_mode(mode, n, m, samples, seed)
-
-    if mode == "exact":
-        count = 0
-        for _, _, digits in profile_chunks(n, m):
-            count += int((_wins(G, digits).max(0) < m - 1).sum())
-        return exact_report("ngcw", (), count, factorial(m) ** n)
-
-    def counter(rng, size):
-        digits = rng.integers(0, factorial(m), size=(n, size))
-        return np.array([(_wins(G, digits).max(0) < m - 1).sum()], dtype=np.int64)
-
-    count = int(sampling.run_chunks(counter, 1, samples, seed, workers=workers)[0])
-    half = sampling.wilson_half_width(count, samples)
-    return sampled_report("ngcw", (), count, samples, half, samples, seed)
+    (count,), trials, mode = sampling.count(
+        lambda digits: [(_wins(G, digits).max(0) < G.m - 1).sum()], 1, G.n, G.m,
+        mode=mode, samples=samples, seed=seed, workers=workers)
+    return count_report("ngcw", (), count, trials, mode, seed)
 
 
 def gcw(G, **kw) -> MetricReport:
@@ -416,17 +391,14 @@ def dist_tr3(G):
     G = as_gswf(G)
     if G.m != 3:
         raise ValueError("the transitive family search is defined for m = 3")
-    n = G.n
-    if not exact_feasible(n, 3):
-        raise BudgetError(f"transitive-family search at n={n} exceeds the budget")
-    total = 6 ** n
-    members, agrees = None, None
-    for _, _, digits in profile_chunks(n):
+    members = []
+
+    def tally(digits):
         cands = _tr3_agreement_masks(G, digits)
-        if members is None:
-            members = [c[0] for c in cands]
-            agrees = np.zeros(len(cands), np.int64)
-        agrees += np.array([int(mask.sum()) for _, mask in cands])
+        members[:] = [member for member, _ in cands]
+        return [mask.sum() for _, mask in cands]
+
+    agrees, total, _ = sampling.count(tally, 2 * G.n + 6, G.n, 3, mode="exact")
     best = int(agrees.argmax())  # first maximum: deterministic scan order
     return Fraction(total - int(agrees[best]), total), members[best]
 
@@ -455,19 +427,18 @@ def gswf_disagreement(G, H, granularity: str = "triple") -> Fraction:
         raise ValueError("GSWFs have different sizes")
     if granularity not in ("triple", "bits"):
         raise ValueError("granularity is 'triple' or 'bits'")
-    n, m = G.n, G.m
-    if not exact_feasible(n, m):
-        raise BudgetError("disagreement enumeration exceeds the budget")
+    m = G.m
     pairs = _tables.pair_list(m)
-    count = 0
-    for _, _, digits in profile_chunks(n, m):
+
+    def tally(digits):
         diff = np.zeros(digits.shape[1], np.int64)
         for slot, (a, b) in enumerate(pairs):
             z = _pair_z(digits, a, b, m)
             diff += G.tables[slot][z] != H.tables[slot][z]
-        count += int((diff > 0).sum()) if granularity == "triple" else int(diff.sum())
-    den = factorial(m) ** n * (1 if granularity == "triple" else len(pairs))
-    return Fraction(count, den)
+        return [(diff > 0).sum() if granularity == "triple" else diff.sum()]
+
+    (count,), total, _ = sampling.count(tally, 1, G.n, m, mode="exact")
+    return Fraction(int(count), total * (1 if granularity == "triple" else len(pairs)))
 
 
 def dist_tr3_bruteforce(G):
@@ -479,7 +450,7 @@ def dist_tr3_bruteforce(G):
     n = G.n
     if n > 3:
         raise BudgetError("brute force enumerates all free tables; n <= 3 only")
-    digits = next(profile_chunks(n))[2]
+    digits = profile_digits(np.arange(6 ** n), n)
     t01, t02, t12 = (t.copy() for t in _triple3(G, digits))
     z01 = _pair_z(digits, 0, 1, 3)
     z02 = _pair_z(digits, 0, 2, 3)
@@ -533,33 +504,22 @@ def check_composition(g, m1: int = 3, m2: int = 3, *, mode="auto",
     blocks = (tuple(range(m1)), tuple(range(m1, m)))
     left = ngcw(restrict_gswf(tensor, blocks[0]))
     right = ngcw(restrict_gswf(tensor, blocks[1]))
-    mode = _pick_mode(mode, n, m, samples, seed)
     gtab = tensor.g
 
-    if mode == "exact":
-        count = 0
-        for _, _, digits in profile_chunks(n, m):
-            both = (_block_no_gcw(gtab, digits, blocks[0], m)
-                    & _block_no_gcw(gtab, digits, blocks[1], m))
-            count += int(both.sum())
-        joint = exact_report("ngcw_joint", (), count, factorial(m) ** n)
-        product = left.fraction * right.fraction
-        holds = joint.fraction == product
-        gap = abs(joint.value - float(product))
-        return CompositionReport(m1, m2, joint, left, right, gap, 0.0, holds)
-
-    def counter(rng, size):
-        digits = rng.integers(0, factorial(m), size=(n, size))
+    def tally(digits):
         both = (_block_no_gcw(gtab, digits, blocks[0], m)
                 & _block_no_gcw(gtab, digits, blocks[1], m))
-        return np.array([both.sum()], dtype=np.int64)
+        return [both.sum()]
 
-    count = int(sampling.run_chunks(counter, 1, samples, seed, workers=workers)[0])
-    half = sampling.wilson_half_width(count, samples)
-    joint = sampled_report("ngcw_joint", (), count, samples, half, samples, seed)
-    product = float(left.fraction * right.fraction)
-    gap = abs(joint.value - product)
-    tol = 3.0 * (half / sampling.Z95)
+    (count,), trials, mode = sampling.count(tally, 1, n, m, mode=mode, samples=samples,
+                                            seed=seed, workers=workers)
+    joint = count_report("ngcw_joint", (), count, trials, mode, seed)
+    product = left.fraction * right.fraction
+    gap = abs(joint.value - float(product))
+    if mode == "exact":
+        return CompositionReport(m1, m2, joint, left, right, gap, 0.0,
+                                 joint.fraction == product)
+    tol = 3.0 * (joint.ci95 / sampling.Z95)
     return CompositionReport(m1, m2, joint, left, right, gap, tol, gap <= tol)
 
 
@@ -648,6 +608,7 @@ class ChainReport:
     mab_reports: tuple[MetricReport, ...]
     nab_reports: tuple[MetricReport, ...]
     nt_report: MetricReport
+    G: GswfIia
     dist: Fraction
     member: TrMember
     g_is_neutral: bool
@@ -666,6 +627,7 @@ class ChainReport:
 def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     """Build G from the SCF and verify the chain in exact arithmetic."""
     n = resolve_n(scf, n)
+    scf = scf.as_table(n)  # one rule evaluation per profile for all sweeps below
     mab_reports = tuple(mab(scf, a, b, n) for a, b in PAIRS3)
     nab_reports = tuple(nab(scf, a, b, n) for a, b in PAIRS3)
     eps1 = max(r.fraction for r in mab_reports)
@@ -683,6 +645,6 @@ def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     sum_sq = sum_nab ** 2 <= 9 * eps1
     dist_ok = dist >= eps2 or 9 * eps1 >= (eps2 - dist) ** 2
     return ChainReport(eps1, eps2, dd, da, rm, mab_reports, nab_reports,
-                       nt_report, dist, member,
+                       nt_report, G, dist, member,
                        is_neutral_gswf(G), is_neutral(scf, n),
                        nt_le, cauchy, sum_sq, dist_ok)

@@ -101,6 +101,27 @@ def test_metrics_budget_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "border", "--n", "0"), "at least one voter"),
+    (("verify", "shifting", "--n", "-2"), "at least one voter"),
+    (("verify", "border", "--trials", "-3"), "trials"),
+    (("metrics", "--scf", "borda", "--n", "0"), "at least one voter"),
+    (("metrics", "--scf", "borda", "--n", "-1"), "at least one voter"),
+    (("reduce", "--scf", "plurality", "--n", "0"), "at least one voter"),
+])
+def test_bad_sizes_exit_2(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+def test_table_file_with_no_voters_exits_2(capsys, tmp_path):
+    path = tmp_path / "empty.scf3"
+    path.write_bytes(b"SCF3\x01\x03\x00\x00\x00")  # n = 0: one profile
+    code, _, err = run(capsys, "metrics", "--scf", str(path))
+    assert code == 2 and "at least one voter" in err
+
+
 def test_reduce_json_and_gswf_file(capsys, tmp_path):
     gpath = tmp_path / "plu.gswf"
     code, out, _ = run(capsys, "reduce", "--scf", "plurality", "--n", "3",

@@ -127,6 +127,13 @@ def test_pmf_frozen_values():
         assert manipulation_power(pmf, i, 3).fraction == Fraction(1, 108)
 
 
+@pytest.mark.parametrize("rule", zoo_rules(3), ids=lambda r: r.label)
+def test_exact_total_is_sum_of_voter_powers(rule):
+    # M_total sweeps all voters at once; M_i sweeps one voter at a time
+    total = sum((manipulation_power(rule, i, 3).fraction for i in range(3)), Fraction(0))
+    assert manipulation_power_total(rule, 3).fraction == total
+
+
 def test_dictatorship_is_strategyproof():
     d = ScfRule("dictatorship", voter=1)
     for i in range(3):

@@ -18,7 +18,6 @@ from votelab.rules import (
     is_neutral,
     neutrality_counts,
     range_min_prob,
-    zoo_make,
     zoo_rules,
 )
 
@@ -98,7 +97,7 @@ def test_zoo_listing():
     assert names.count("constant") == 3
     for expected in ("plurality", "borda", "pairwise_majority_fallback"):
         assert names.count(expected) == 1
-    assert zoo_make("dictatorship", voter=2).params["voter"] == 2
+    assert ScfRule("dictatorship", voter=2).params["voter"] == 2
 
 
 def test_unknown_rule_rejected():

@@ -1,12 +1,35 @@
-"""Deterministic chunked Monte Carlo driver."""
+"""The counting driver: exact sweeps and deterministic chunked sampling."""
+
+from math import factorial
 
 import numpy as np
+import pytest
 
+from votelab.metrics import mab, manipulation_power, manipulation_power_total, nab
+from votelab.orders import profile_from_index
+from votelab.rules import (
+    ScfRule,
+    anonymity_counts,
+    dist_to_antidictatorship,
+    dist_to_dictatorship,
+    neutrality_counts,
+    range_min_prob,
+)
 from votelab.sampling import (
     CHUNK,
+    BudgetError,
+    count,
     normal_half_width,
     run_chunks,
     wilson_half_width,
+)
+from votelab.welfare import (
+    check_composition,
+    neutral_tensor,
+    ngcw,
+    nt,
+    random_iia_gswf,
+    random_odd_g,
 )
 
 
@@ -68,3 +91,93 @@ def test_normal_half_width():
     assert normal_half_width(30, 60, 20) > 0
     # constant observations: zero variance
     assert normal_half_width(20, 20, 20) == 0.0
+
+
+# --- the counting driver -----------------------------------------------
+
+BORDA = ScfRule("borda")
+PLURALITY = ScfRule("plurality")
+PMF = ScfRule("pairwise_majority_fallback")
+
+
+def _report(r):
+    return (r.num, r.den, r.ci95)
+
+
+def _sampled(samples, seed):
+    return dict(mode="sampled", samples=samples, seed=seed)
+
+
+# Sampled outputs recorded before the estimators shared sampling.count; any
+# change to what a chunk draws or how it is tallied changes them.
+FROZEN = [
+    ("M_i", lambda: _report(manipulation_power(BORDA, 1, 4, **_sampled(3000, 5))),
+     (57, 3000, 0.004920857819389925)),
+    ("M_total", lambda: _report(manipulation_power_total(PMF, 4, **_sampled(3000, 6))),
+     (147, 3000, 0.008954545672540346)),
+    ("mab", lambda: _report(mab(PLURALITY, 0, 2, 4, **_sampled(3000, 7))),
+     (122, 3000, 0.007087781243435198)),
+    ("nab", lambda: _report(nab(BORDA, 1, 2, 4, **_sampled(3000, 8))),
+     (5398, 96000, 0.0029080111145582507)),
+    ("nt", lambda: _report(nt(random_iia_gswf(5, 3, 2), **_sampled(3000, 9))),
+     (819, 3000, 0.015934197773234265)),
+    ("ngcw", lambda: _report(ngcw(neutral_tensor(random_odd_g(3, 1), 4),
+                                  **_sampled(3000, 10))),
+     (315, 3000, 0.010974287251688497)),
+    ("dist_dictatorship", lambda: dist_to_dictatorship(
+        ScfRule("random_table", seed=3), 4, **_sampled(3000, 11)),
+     (0.6626666666666666, 1)),
+    ("dist_antidictatorship", lambda: dist_to_antidictatorship(
+        BORDA, 4, **_sampled(3000, 12)),
+     (0.8613333333333333, 2)),
+    ("range_min", lambda: range_min_prob(PLURALITY, 5, **_sampled(CHUNK + 100, 13)),
+     (0.20971722835029558, 2)),
+    ("neutrality", lambda: neutrality_counts(PLURALITY, 4, **_sampled(3000, 14)),
+     (1998, 15000)),
+    ("anonymity", lambda: anonymity_counts(PMF, 4, **_sampled(3000, 15)),
+     (1353, 9000)),
+    ("composition", lambda: _report(check_composition(
+        random_odd_g(3, 0), **_sampled(3000, 16)).joint),
+     (8, 3000, 0.0019508160258685603)),
+]
+
+
+@pytest.mark.parametrize("estimate,expected", [case[1:] for case in FROZEN],
+                         ids=[case[0] for case in FROZEN])
+def test_sampled_estimates_are_frozen(estimate, expected):
+    assert estimate() == expected
+
+
+def _elected_tally(rule, m):
+    return lambda digits: np.bincount(rule.winners_from_digits(digits), minlength=m)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+@pytest.mark.parametrize("name", ["borda", "plurality", "pairwise_majority_fallback"])
+def test_exact_count_matches_profile_walk(name, n, m):
+    rule = ScfRule(name, m)
+    counts, trials, mode = count(_elected_tally(rule, m), m, n, m, mode="auto")
+    walk = np.zeros(m, np.int64)
+    for idx in range(factorial(m) ** n):
+        walk[rule.winner(profile_from_index(idx, n, m))] += 1
+    assert mode == "exact" and trials == factorial(m) ** n
+    assert counts.tolist() == walk.tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sampled_count_sums_chunks(workers):
+    tally = _elected_tally(PLURALITY, 3)
+    counts, trials, mode = count(tally, 3, 4, 3, mode="sampled", samples=CHUNK + 7,
+                                 seed=2, workers=workers)
+    assert mode == "sampled" and trials == CHUNK + 7 == counts.sum()
+
+
+@pytest.mark.parametrize("mode,samples,seed,error", [
+    ("exact", None, None, BudgetError),
+    ("auto", None, None, ValueError),
+    ("sampled", 10, None, ValueError),
+    ("fast", 10, 1, ValueError),
+])
+def test_count_mode_errors(mode, samples, seed, error):
+    with pytest.raises(error):
+        count(lambda digits: [0], 1, 11, 3, mode=mode, samples=samples, seed=seed)

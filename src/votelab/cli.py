@@ -99,12 +99,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_metrics(args) -> int:
     scf, n = load_scf(args.scf, args.m, args.n)
-    mode = "exact" if args.exact else ("sampled" if args.samples else "auto")
+    mode = "exact" if args.exact else ("sampled" if args.samples is not None else "auto")
     mode = sampling.pick_mode(mode, n, scf.m, args.samples, args.seed)
     kw = dict(mode=mode, samples=args.samples, seed=args.seed, workers=args.workers)
     rows = [metrics.manipulation_power(scf, i, n, **kw) for i in range(n)]
     rows.append(metrics.manipulation_power_total(scf, n, **kw))
-    if scf.m == 3:
+    if scf.m == 3 and mode == "exact":  # one sweep per pair gives both metrics
+        stats = [metrics.column_stats(scf, a, b, n) for a, b in PAIRS3]
+        rows += [st.mab_report() for st in stats]
+        rows += [st.nab_report() for st in stats]
+    elif scf.m == 3:
         rows += [metrics.mab(scf, a, b, n, **kw) for a, b in PAIRS3]
         rows += [metrics.nab(scf, a, b, n, **kw) for a, b in PAIRS3]
 

@@ -121,6 +121,16 @@ class ColumnStats:
     def p_b(self, z: int) -> Fraction:
         return Fraction(int(self.count_b[z]), self.completions)
 
+    def mab_report(self) -> MetricReport:
+        """Exact ``mab``: the mean over columns of p_a(z) * p_b(z)."""
+        num = int(np.dot(self.count_a, self.count_b))
+        return exact_report("mab", (self.a, self.b), num, 2 ** self.n * 9 ** self.n)
+
+    def nab_report(self) -> MetricReport:
+        """Exact ``nab``: the mean over columns of min(p_a(z), p_b(z))."""
+        num = int(np.minimum(self.count_a, self.count_b).sum())
+        return exact_report("nab", (self.a, self.b), num, 2 ** self.n * 3 ** self.n)
+
 
 def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
     """Exact ColumnStats by full profile enumeration (m = 3)."""
@@ -220,16 +230,14 @@ def mab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
     mode = sampling.pick_mode(mode, n, 3, samples, seed)
 
     if mode == "exact":
-        stats = column_stats(scf, a, b, n)
-        num = int(np.dot(stats.count_a, stats.count_b))
-        return exact_report("mab", (a, b), num, 2 ** n * 9 ** n)
+        return column_stats(scf, a, b, n).mab_report()
 
-    lookup = _tables.order_of_bit_digit3(a, b)
+    lookup = _tables.order_of_bit_digit3(a, b).ravel()  # [3 * bit + digit]
 
     def counter(rng, size):
-        z = rng.integers(0, 2, size=(n, size))
-        first = lookup[z, rng.integers(0, 3, size=(n, size))]
-        second = lookup[z, rng.integers(0, 3, size=(n, size))]
+        z = 3 * rng.integers(0, 2, size=(n, size))
+        first = lookup[z + rng.integers(0, 3, size=(n, size))]
+        second = lookup[z + rng.integers(0, 3, size=(n, size))]
         hit_a = np.asarray(scf.winners_from_digits(first)) == a
         hit_b = np.asarray(scf.winners_from_digits(second)) == b
         return np.array([(hit_a & hit_b).sum()], dtype=np.int64)
@@ -256,17 +264,15 @@ def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
     mode = sampling.pick_mode(mode, n, 3, samples, seed)
 
     if mode == "exact":
-        stats = column_stats(scf, a, b, n)
-        num = int(np.minimum(stats.count_a, stats.count_b).sum())
-        return exact_report("nab", (a, b), num, 2 ** n * 3 ** n)
+        return column_stats(scf, a, b, n).nab_report()
 
     if inner < 1:
         raise ValueError("inner must be >= 1")
-    lookup = _tables.order_of_bit_digit3(a, b)
+    lookup = _tables.order_of_bit_digit3(a, b).ravel()  # [3 * bit + digit]
 
     def counter(rng, size):
-        z = rng.integers(0, 2, size=(n, size))
-        completions = lookup[z[:, :, None], rng.integers(0, 3, size=(n, size, inner))]
+        z = 3 * rng.integers(0, 2, size=(n, size))
+        completions = lookup[z[:, :, None] + rng.integers(0, 3, size=(n, size, inner))]
         winners = np.asarray(scf.winners_from_digits(completions.reshape(n, size * inner)))
         winners = winners.reshape(size, inner)
         mins = np.minimum((winners == a).sum(1), (winners == b).sum(1))

@@ -150,38 +150,69 @@ def _eval_constant(rule, digits):
     return np.full(digits.shape[1], rule.params["alt"], dtype=np.uint8)
 
 
+def _field_sums(fields, digits) -> np.ndarray:
+    """Per-profile sums over voters of a per-ranking field table.
+
+    ``fields`` is an (m!, F) table of nonnegative ints and ``digits`` an
+    (n, S) block of ranking indices; returns the (F, S) int64 sums
+    ``fields[digits].sum(0).T``.  Each field gets just enough bits to hold
+    its largest possible sum, as many fields as fit share one int64 word, so
+    a sum over voters is one gather and one add per voter and word.
+    """
+    fields = np.asarray(fields, dtype=np.int64)
+    n, count = digits.shape
+    nfields = fields.shape[1]
+    bits = max(int(fields.max(initial=0)) * n, 1).bit_length()
+    per = 62 // bits
+    sums = np.empty((nfields, count), np.int64)
+    mask = (1 << bits) - 1
+    for lo in range(0, nfields, per):
+        group = fields[:, lo:lo + per]
+        packed = (group << (bits * np.arange(group.shape[1]))).sum(1)
+        acc = packed[digits[0]]
+        for v in range(1, n):
+            acc += packed[digits[v]]
+        for j in range(group.shape[1]):
+            sums[lo + j] = acc >> (bits * j) & mask
+    return sums
+
+
+def _first_argmax(scores) -> np.ndarray:
+    """Index of the largest row per column; the smallest index on ties."""
+    best = np.zeros(scores.shape[1], np.intp)
+    top = scores[0]
+    for a in range(1, scores.shape[0]):
+        best = np.where(scores[a] > top, a, best)
+        top = np.maximum(top, scores[a])
+    return best
+
+
 @register_rule("plurality")
 def _eval_plurality(rule, digits):
-    m = rule.m
-    count = digits.shape[1]
-    tops = _tables.perms(m)[:, 0][digits].astype(np.int64)
-    offsets = np.arange(count, dtype=np.int64) * m
-    counts = np.bincount((tops + offsets).ravel(), minlength=count * m).reshape(count, m)
-    return counts.argmax(1)  # argmax takes the first maximum: smallest index wins ties
+    tops = _tables.rank_in_order(rule.m) == 0
+    return _first_argmax(_field_sums(tops, digits))
 
 
 @register_rule("borda")
 def _eval_borda(rule, digits):
-    ranks = _tables.rank_in_order(rule.m)
-    total = np.zeros((digits.shape[1], rule.m), np.int64)
-    for v in range(digits.shape[0]):
-        total += ranks[digits[v]]
-    # maximal Borda score = minimal rank sum; argmin keeps the smallest index on ties
-    return total.argmin(1)
+    scores = rule.m - 1 - _tables.rank_in_order(rule.m).astype(np.int64)
+    return _first_argmax(_field_sums(scores, digits))
 
 
 @register_rule("pairwise_majority_fallback")
 def _eval_pmf(rule, digits):
-    pref = _tables.prefers(rule.m)
-    n, count = digits.shape
-    wins = np.zeros((count, rule.m, rule.m), np.int32)
-    for v in range(n):
-        wins += pref[digits[v]]
-    beats = 2 * wins > n  # strict majority on each ordered pair
-    beats_all = beats.sum(2) == rule.m - 1
-    condorcet = beats_all.argmax(1)
-    fallback = _tables.perms(rule.m)[digits[0], 0]
-    return np.where(beats_all.any(1), condorcet, fallback)
+    m = rule.m
+    n = digits.shape[0]
+    first, second = np.triu_indices(m, 1)  # the pairs a < b, as in pair_list(m)
+    above = _field_sums(_tables.prefers(m)[:, first, second], digits)
+    beats_all = np.ones((m, digits.shape[1]), bool)
+    for a, b, wins in zip(first, second, above):
+        beats_all[a] &= 2 * wins > n  # strict majority on each ordered pair
+        beats_all[b] &= 2 * wins < n
+    winners = _tables.perms(m)[digits[0], 0].astype(np.intp)  # voter 0's top
+    for a in range(m):  # a strict-majority Condorcet winner is unique
+        winners[beats_all[a]] = a
+    return winners
 
 
 @register_rule("random_table", ("seed",))

@@ -46,6 +46,8 @@ def pick_mode(mode: str, n: int, m: int, samples, seed) -> str:
                           f"rerun with samples and a seed")
     if mode == "sampled" and (samples is None or seed is None):
         raise ValueError("sampled mode needs samples and seed")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     return mode
 
 

@@ -337,6 +337,8 @@ def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
         raise ValueError(f"need at least one voter, got n={n}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     t0 = time.perf_counter()
     total = passes = 0
     first = None

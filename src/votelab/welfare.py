@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _tables, sampling
 from .metrics import (MetricReport, column_stats, count_report, exact_report,
-                      mab, nab, sampled_report)
+                      sampled_report)
 from .orders import Profile, order_to_index, profile_digits
 from .rules import (ScfRule, range_min_prob, register_rule, resolve_n,
                     dist_to_antidictatorship, dist_to_dictatorship, is_neutral)
@@ -252,14 +252,21 @@ def gswf_from_scf(scf, tie_voter: int = 0, n=None) -> GswfIia:
     n = resolve_n(scf, n)
     if scf.m != 3:
         raise ValueError("the construction is defined for m = 3")
+    tie = _tie_bits(tie_voter, n)
+    return _gswf_from_stats([column_stats(scf, a, b, n) for a, b in PAIRS3], tie)
+
+
+def _tie_bits(tie_voter: int, n: int) -> np.ndarray:
+    """The tie voter's bit in every column."""
     if not 0 <= tie_voter < n:
         raise ValueError(f"tie voter {tie_voter} out of range for n={n}")
-    tie = (np.arange(1 << n) >> tie_voter & 1).astype(bool)
-    tabs = np.empty((3, 1 << n), bool)
-    for slot, (a, b) in enumerate(PAIRS3):
-        st = column_stats(scf, a, b, n)
-        tabs[slot] = (st.count_a > st.count_b) | ((st.count_a == st.count_b) & tie)
-    return GswfIia(3, n, tabs)
+    return (np.arange(1 << n) >> tie_voter & 1).astype(bool)
+
+
+def _gswf_from_stats(stats, tie) -> GswfIia:
+    """gswf_from_scf from the ColumnStats of the pairs PAIRS3, in order."""
+    tabs = [(st.count_a > st.count_b) | ((st.count_a == st.count_b) & tie) for st in stats]
+    return GswfIia(3, stats[0].n, np.array(tabs))
 
 
 @register_rule("gswf_winner", ("gswf", "fallback_voter"))
@@ -628,14 +635,16 @@ def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     """Build G from the SCF and verify the chain in exact arithmetic."""
     n = resolve_n(scf, n)
     scf = scf.as_table(n)  # one rule evaluation per profile for all sweeps below
-    mab_reports = tuple(mab(scf, a, b, n) for a, b in PAIRS3)
-    nab_reports = tuple(nab(scf, a, b, n) for a, b in PAIRS3)
+    tie = _tie_bits(tie_voter, n)
+    stats = [column_stats(scf, a, b, n) for a, b in PAIRS3]  # one sweep per pair
+    mab_reports = tuple(st.mab_report() for st in stats)
+    nab_reports = tuple(st.nab_report() for st in stats)
     eps1 = max(r.fraction for r in mab_reports)
     dd, _ = dist_to_dictatorship(scf, n)
     da, _ = dist_to_antidictatorship(scf, n)
     rm, _ = range_min_prob(scf, n)
     eps2 = min(dd, da, rm)
-    G = gswf_from_scf(scf, tie_voter, n)
+    G = _gswf_from_stats(stats, tie)
     nt_report = nt(G)
     dist, member = dist_tr3(G)
     sum_nab = sum(r.fraction for r in nab_reports)

@@ -1,15 +1,17 @@
 """Rule registry, materialized tables, and profile-level diagnostics."""
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
-from votelab.orders import Profile, order_from_index, profile_from_index
+from votelab.orders import Profile, order_from_index, profile_digits, profile_from_index
 from votelab.rules import (
     BudgetError,
     ScfRule,
     ScfTable,
+    _field_sums,
     anonymity_counts,
     dist_to_antidictatorship,
     dist_to_dictatorship,
@@ -187,3 +189,67 @@ def test_table_validation():
         ScfTable(2, 3, np.zeros(35, dtype=np.uint8))
     with pytest.raises(ValueError):
         ScfTable(2, 3, np.full(36, 3, dtype=np.uint8))
+
+
+# --- slow oracle for the packed tally kernels ---------------------------
+
+TALLY_RULES = ("plurality", "borda", "pairwise_majority_fallback")
+
+
+def oracle_winner(name, profile):
+    """The rule's winner by direct counting over LinearOrder objects."""
+    voters, alts = profile.voters, range(profile.m)
+    if name == "pairwise_majority_fallback":
+        for a in alts:
+            if all(2 * sum(v.prefers(a, b) for v in voters) > len(voters)
+                   for b in alts if b != a):
+                return a
+        return voters[0].top
+    if name == "plurality":
+        scores = [sum(v.top == a for v in voters) for a in alts]
+    else:
+        scores = [sum(profile.m - 1 - v.ranking.index(a) for v in voters) for a in alts]
+    return scores.index(max(scores))  # the smallest alternative among the maxima
+
+
+def check_against_oracle(digits, m):
+    digits = np.asarray(digits)
+    profiles = [Profile(tuple(order_from_index(int(k), m) for k in column))
+                for column in digits.T]
+    for name in TALLY_RULES:
+        got = ScfRule(name, m).winners_from_digits(digits).tolist()
+        assert got == [oracle_winner(name, p) for p in profiles], (name, digits.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tally_rules_match_oracle_exhaustively_m3(n):
+    check_against_oracle(profile_digits(np.arange(6 ** n), n, 3), 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_tally_rules_match_oracle_random_m4(n):
+    rng = np.random.default_rng(100 + n)
+    check_against_oracle(rng.integers(0, 24, size=(n, 400)), 4)
+
+
+def test_tally_rules_match_oracle_many_voters():
+    # 3000 voters: the six m=4 pair tallies need 12 bits each, two int64 words
+    rng = np.random.default_rng(7)
+    check_against_oracle(rng.integers(0, 24, size=(3000, 12)), 4)
+
+
+@pytest.mark.parametrize("m,copies", [(3, 1), (3, 2), (4, 1)])
+def test_tally_rules_match_oracle_on_balanced_electorates(m, copies):
+    # every ranking cast equally often: all scores and pairs tie
+    rng = np.random.default_rng(m + copies)
+    ballots = np.tile(np.arange(factorial(m)), copies)
+    digits = np.stack([rng.permutation(ballots) for _ in range(60)], 1)
+    check_against_oracle(digits, m)
+    assert (ScfRule("borda", m).winners_from_digits(digits) == 0).all()
+
+
+def test_field_sums_match_plain_sum_over_words():
+    rng = np.random.default_rng(3)
+    fields = rng.integers(0, 9, size=(24, 11))  # 15-bit sums: four per word
+    digits = rng.integers(0, 24, size=(3000, 50))
+    assert np.array_equal(_field_sums(fields, digits), fields[digits].sum(0).T)

@@ -20,6 +20,7 @@ from votelab.sampling import (
     BudgetError,
     count,
     normal_half_width,
+    pick_mode,
     run_chunks,
     wilson_half_width,
 )
@@ -181,3 +182,10 @@ def test_sampled_count_sums_chunks(workers):
 def test_count_mode_errors(mode, samples, seed, error):
     with pytest.raises(error):
         count(lambda digits: [0], 1, 11, 3, mode=mode, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("mode,n,samples", [("sampled", 3, 0), ("sampled", 3, -5),
+                                            ("auto", 11, 0)])
+def test_pick_mode_rejects_empty_samples(mode, n, samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        pick_mode(mode, n, 3, samples, 1)

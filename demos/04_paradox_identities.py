@@ -38,7 +38,7 @@ def main():
     # One concrete cyclic profile: rankings 012, 120, 201.
     cyc = profile_from_index(0 + 3 * 6 + 4 * 36, 3)
     print("  profile", tuple(v.ranking for v in cyc.voters),
-          "-> Condorcet winner:", gcw_winner_at(G3.to_gswf(), cyc))
+          "-> Condorcet winner:", gcw_winner_at(G3, cyc))
 
     # Cross-size identities, all exact at this scale:
     #   NGCW_4 = 2 NGCW_3
@@ -78,10 +78,10 @@ def main():
 
     # Restriction acts on alternatives: dropping alternative 3 from the
     # m=4 tensor leaves the m=3 tensor of the same g.
-    G4 = neutral_tensor(g, 4).to_gswf()
+    G4 = neutral_tensor(g, 4)
     sub = restrict_gswf(G4, (0, 1, 2))
     print("\nrestriction of the m=4 tensor to {0,1,2} equals the m=3 tensor:",
-          sub == G3.to_gswf())
+          sub == G3)
 
     # A dictator's output is always transitive, so every paradox
     # probability vanishes.

@@ -66,7 +66,6 @@ from .welfare import (
     CompositionReport,
     GswfIia,
     IdentityReport,
-    NeutralGswf,
     TrMember,
     anti_dictator_swf,
     check_composition,

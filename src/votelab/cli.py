@@ -24,8 +24,14 @@ import sys
 from . import fileio, metrics, reports, rules, sampling, suites, welfare
 from .welfare import PAIRS3
 
-_GSWF_NAMES = ("dictator_swf", "anti_dictator_swf", "majority", "random_odd",
-               "random_iia")
+# named preference functions: name -> constructor(n, integer argument or 0)
+_GSWFS = {
+    "dictator_swf": lambda n, arg: welfare.dictator_swf(arg, n),
+    "anti_dictator_swf": lambda n, arg: welfare.anti_dictator_swf(arg, n),
+    "majority": lambda n, arg: welfare.neutral_tensor(welfare.majority_g(n), 3),
+    "random_odd": lambda n, arg: welfare.neutral_tensor(welfare.random_odd_g(n, arg), 3),
+    "random_iia": lambda n, arg: welfare.random_iia_gswf(n, 3, arg),
+}
 
 
 def _looks_like_path(src: str) -> bool:
@@ -74,19 +80,10 @@ def load_gswf(src: str, n: int | None):
     if n is None:
         raise ValueError("--n is required for named preference functions")
     name, arg = _parse_named(src)
-    if name == "dictator_swf":
-        return welfare.dictator_swf(0 if arg is None else arg, n)
-    if name == "anti_dictator_swf":
-        return welfare.anti_dictator_swf(0 if arg is None else arg, n)
-    if name == "majority":
-        return welfare.neutral_tensor(welfare.majority_g(n), 3).to_gswf()
-    if name == "random_odd":
-        return welfare.neutral_tensor(
-            welfare.random_odd_g(n, 0 if arg is None else arg), 3).to_gswf()
-    if name == "random_iia":
-        return welfare.random_iia_gswf(n, 3, 0 if arg is None else arg)
-    raise ValueError(f"unknown preference function {name!r}; "
-                     f"names: {', '.join(_GSWF_NAMES)}")
+    if name not in _GSWFS:
+        raise ValueError(f"unknown preference function {name!r}; "
+                         f"names: {', '.join(_GSWFS)}")
+    return _GSWFS[name](n, 0 if arg is None else arg)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._tables import pair_list
 from .rules import ScfTable
-from .welfare import GswfIia, as_gswf
+from .welfare import GswfIia
 
 SCF_MAGIC = b"SCF3"
 GSWF_MAGIC = b"GSWF"
@@ -55,8 +55,7 @@ def read_scf(path) -> ScfTable:
     return ScfTable(n, m, np.frombuffer(body, dtype=np.uint8))
 
 
-def write_gswf(G, path) -> None:
-    G = as_gswf(G)
+def write_gswf(G: GswfIia, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(GSWF_MAGIC, VERSION, G.m, G.n))
         for row in G.tables:

@@ -91,46 +91,43 @@ def _lines(memb: np.ndarray, n: int, i: int) -> np.ndarray:
     return memb.reshape(3 ** (n - 1 - i), 3, 3 ** i)
 
 
+def _exits(s: TernarySet, i: int) -> np.ndarray:
+    """Direction-i border edges as a mask of shape (step, prefix, suffix):
+    entry [k, p, q] is set iff edge step EDGE_STEPS[k] leaves the set on the
+    line (p, q)."""
+    tails, heads = zip(*EDGE_STEPS)
+    lines = _lines(s.membership, s.n, i)
+    return (lines[:, tails] & ~lines[:, heads]).transpose(1, 0, 2)
+
+
 def edge_border(s: TernarySet, i: int) -> int:
     """Number of directed edges in direction i leaving the set."""
     if not 0 <= i < s.n:
         raise ValueError(f"direction {i} out of range for n={s.n}")
-    lines = _lines(s.membership, s.n, i)
-    count = 0
-    for lo, hi in EDGE_STEPS:
-        count += int((lines[:, lo] & ~lines[:, hi]).sum())
-    return count
+    return int(np.count_nonzero(_exits(s, i)))
 
 
 def border_counts(s: TernarySet, with_edges: bool = False) -> EdgeBorder:
     """All per-direction border sizes, optionally with the explicit edges."""
-    counts = []
-    edges = [] if with_edges else None
+    counts = tuple(edge_border(s, i) for i in range(s.n))
+    if not with_edges:
+        return EdgeBorder(counts)
+    edges = []
     for i in range(s.n):
-        lines = _lines(s.membership, s.n, i)
-        count = 0
-        for lo, hi in EDGE_STEPS:
-            exits = lines[:, lo] & ~lines[:, hi]
-            count += int(exits.sum())
-            if with_edges:
-                prefix, suffix = np.nonzero(exits)
-                tails = prefix * 3 ** (i + 1) + lo * 3 ** i + suffix
-                edges.extend((int(t), i, hi) for t in tails)
-        counts.append(count)
-    return EdgeBorder(tuple(counts), None if edges is None else tuple(edges))
+        for step, prefix, suffix in zip(*np.nonzero(_exits(s, i))):
+            lo, hi = EDGE_STEPS[step]
+            edges.append((int(prefix * 3 ** (i + 1) + lo * 3 ** i + suffix), i, hi))
+    return EdgeBorder(counts, tuple(edges))
 
 
 def border_total(s: TernarySet) -> int:
-    return sum(edge_border(s, i) for i in range(s.n))
+    return border_counts(s).total
 
 
 def is_monotone(s: TernarySet) -> bool:
-    """True iff membership never drops when any single digit increases."""
-    for i in range(s.n):
-        lines = _lines(s.membership, s.n, i)
-        if (lines[:, 0] & ~lines[:, 1]).any() or (lines[:, 1] & ~lines[:, 2]).any():
-            return False
-    return True
+    """True iff membership never drops when any single digit increases; a
+    0->2 exit implies a 0->1 or a 1->2 exit, so this is an empty border."""
+    return border_total(s) == 0
 
 
 def shift_coordinate(s: TernarySet, i: int) -> TernarySet:

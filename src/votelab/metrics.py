@@ -15,7 +15,7 @@ from math import factorial
 import numpy as np
 
 from . import _tables, sampling
-from .orders import split_pair
+from .orders import column_index
 from .rules import resolve_n
 
 
@@ -115,19 +115,15 @@ class ColumnStats:
     def completions(self) -> int:
         return 3 ** self.n
 
-    def p_a(self, z: int) -> Fraction:
-        return Fraction(int(self.count_a[z]), self.completions)
-
-    def p_b(self, z: int) -> Fraction:
-        return Fraction(int(self.count_b[z]), self.completions)
-
     def mab_report(self) -> MetricReport:
-        """Exact ``mab``: the mean over columns of p_a(z) * p_b(z)."""
+        """Exact ``mab``: the mean over columns z of
+        count_a[z] * count_b[z] / 9^n."""
         num = int(np.dot(self.count_a, self.count_b))
         return exact_report("mab", (self.a, self.b), num, 2 ** self.n * 9 ** self.n)
 
     def nab_report(self) -> MetricReport:
-        """Exact ``nab``: the mean over columns of min(p_a(z), p_b(z))."""
+        """Exact ``nab``: the mean over columns z of
+        min(count_a[z], count_b[z]) / 3^n."""
         num = int(np.minimum(self.count_a, self.count_b).sum())
         return exact_report("nab", (self.a, self.b), num, 2 ** self.n * 3 ** self.n)
 
@@ -143,7 +139,7 @@ def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
 
     def tally(digits):
         winners = np.asarray(scf.winners_from_digits(digits))
-        z, _ = split_pair(digits, a, b)
+        z = column_index(digits, a, b)
         return np.concatenate([np.bincount(z[winners == a], minlength=size),
                                np.bincount(z[winners == b], minlength=size)])
 
@@ -165,12 +161,13 @@ def _gains(scf, voters, m):
     def tally(digits, ballots=None):
         winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
         per_profile = np.zeros(digits.shape[1], np.int64)
+        swapped = digits.copy()
         for k, i in enumerate(voters):
-            swapped = digits.copy()
             for ballot in (every if ballots is None else (ballots[k],)):
                 swapped[i] = ballot
                 moved = np.asarray(scf.winners_from_digits(swapped), dtype=np.int64)
                 per_profile += pref[digits[i], moved, winners]
+            swapped[i] = digits[i]
         return [per_profile.sum(), (per_profile ** 2).sum()]
 
     return tally

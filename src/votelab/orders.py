@@ -241,11 +241,25 @@ def profile_chunks(n: int, m: int = 3, chunk: int = 1 << 18):
         yield lo, hi, profile_digits(np.arange(lo, hi), n, m)
 
 
+def column_index(digits, a: int, b: int, m: int = 3) -> np.ndarray:
+    """Pairwise column index of (a, b) for every profile; shape (S,)."""
+    return _tables.digits_index(_tables.pair_bit(m, a, b)[digits], 2)
+
+
+def voter_bits(i: int, n: int) -> np.ndarray:
+    """Voter i's bit in every one of the 2^n column indices."""
+    return (np.arange(1 << n) >> i & 1).astype(bool)
+
+
+def column_complement(n: int) -> np.ndarray:
+    """Index of the complemented column (every voter flipped) of each column."""
+    return ((1 << n) - 1) ^ np.arange(1 << n)
+
+
 def split_pair(digits, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Column indices and ternary point indices of m=3 profiles; both shape (S,)."""
-    bits = _tables.pair_bit(3, a, b)[digits]
     digs = _tables.third_digit3(a, b)[digits]
-    return _tables.digits_index(bits, 2), _tables.digits_index(digs, 3)
+    return column_index(digits, a, b), _tables.digits_index(digs, 3)
 
 
 def join_pair(z, t, n: int, a: int, b: int) -> np.ndarray:

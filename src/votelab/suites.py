@@ -44,25 +44,17 @@ def gswf_corpus(n: int, trials: int, seed: int) -> list[tuple[dict, welfare.Gswf
     """Dictator and anti-dictator orderings, the simple-majority tensor when
     n is odd, seeded neutral tensors and free tables, and rules from the
     zoo pushed through the pairwise construction."""
-    items: list[tuple[dict, welfare.GswfIia]] = [
-        ({"kind": "dictator_swf", "voter": 0, "n": n}, welfare.dictator_swf(0, n)),
-        ({"kind": "anti_dictator_swf", "voter": n - 1, "n": n},
-         welfare.anti_dictator_swf(n - 1, n)),
-    ]
+    descs = [{"kind": "dictator_swf", "voter": 0, "n": n},
+             {"kind": "anti_dictator_swf", "voter": n - 1, "n": n}]
     if n % 2 == 1:
-        items.append(({"kind": "majority_tensor", "n": n},
-                      welfare.neutral_tensor(welfare.majority_g(n), 3).to_gswf()))
+        descs.append({"kind": "majority_tensor", "n": n})
     for k in range(trials):
-        items.append(({"kind": "odd_tensor", "seed": seed + k, "n": n},
-                      welfare.neutral_tensor(welfare.random_odd_g(n, seed + k), 3).to_gswf()))
-        items.append(({"kind": "random_iia", "seed": seed + 1000 + k, "n": n},
-                      welfare.random_iia_gswf(n, 3, seed + 1000 + k)))
+        descs.append({"kind": "odd_tensor", "seed": seed + k, "n": n})
+        descs.append({"kind": "random_iia", "seed": seed + 1000 + k, "n": n})
     for name in ("plurality", "borda", "pairwise_majority_fallback"):
-        rule = ScfRule(name)
-        items.append(({"kind": "from_scf", "scf": scf_descriptor(rule),
-                       "tie_voter": 0, "n": n},
-                      welfare.gswf_from_scf(rule, tie_voter=0, n=n)))
-    return items
+        descs.append({"kind": "from_scf", "scf": scf_descriptor(ScfRule(name)),
+                      "tie_voter": 0, "n": n})
+    return [(desc, build_gswf(desc)) for desc in descs]
 
 
 def build_gswf(desc: dict) -> welfare.GswfIia:
@@ -72,9 +64,9 @@ def build_gswf(desc: dict) -> welfare.GswfIia:
     if kind == "anti_dictator_swf":
         return welfare.anti_dictator_swf(desc["voter"], n)
     if kind == "majority_tensor":
-        return welfare.neutral_tensor(welfare.majority_g(n), 3).to_gswf()
+        return welfare.neutral_tensor(welfare.majority_g(n), 3)
     if kind == "odd_tensor":
-        return welfare.neutral_tensor(welfare.random_odd_g(n, desc["seed"]), 3).to_gswf()
+        return welfare.neutral_tensor(welfare.random_odd_g(n, desc["seed"]), 3)
     if kind == "random_iia":
         return welfare.random_iia_gswf(n, 3, desc["seed"])
     if kind == "from_scf":
@@ -84,13 +76,9 @@ def build_gswf(desc: dict) -> welfare.GswfIia:
 
 
 def _odd_g_corpus(n: int, trials: int, seed: int) -> list[tuple[dict, np.ndarray]]:
-    items: list[tuple[dict, np.ndarray]] = []
-    if n % 2 == 1:
-        items.append(({"kind": "majority_g", "n": n}, welfare.majority_g(n)))
-    for k in range(trials):
-        items.append(({"kind": "random_odd_g", "seed": seed + k, "n": n},
-                      welfare.random_odd_g(n, seed + k)))
-    return items
+    descs = [{"kind": "majority_g", "n": n}] if n % 2 == 1 else []
+    descs += [{"kind": "random_odd_g", "seed": seed + k, "n": n} for k in range(trials)]
+    return [(desc, _build_odd_g(desc)) for desc in descs]
 
 
 def _build_odd_g(desc: dict) -> np.ndarray:

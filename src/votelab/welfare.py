@@ -13,7 +13,8 @@ import numpy as np
 from . import _tables, sampling
 from .metrics import (MetricReport, column_stats, count_report, exact_report,
                       sampled_report)
-from .orders import Profile, order_to_index, profile_digits
+from .orders import (Profile, column_complement, column_index, order_to_index,
+                     profile_digits, voter_bits)
 from .rules import (ScfRule, range_min_prob, register_rule, resolve_n,
                     dist_to_antidictatorship, dist_to_dictatorship, is_neutral)
 from .sampling import BudgetError
@@ -49,8 +50,7 @@ class GswfIia:
             raise ValueError(f"bad pair ({a}, {b}) for m={self.m}")
         if a < b:
             return self.tables[_tables.pair_slot(self.m)[(a, b)]]
-        comp = (1 << self.n) - 1 ^ np.arange(1 << self.n)
-        return ~self.tables[_tables.pair_slot(self.m)[(b, a)]][comp]
+        return ~self.tables[_tables.pair_slot(self.m)[(b, a)]][column_complement(self.n)]
 
     def __eq__(self, other):
         return (isinstance(other, GswfIia) and self.m == other.m
@@ -60,52 +60,28 @@ class GswfIia:
         return not self.__eq__(other)
 
 
-def is_odd(g) -> bool:
-    """True iff g(complement(z)) = 1 - g(z) for every column z."""
+def _boolean_table(g) -> tuple[np.ndarray, int]:
+    """g as a Boolean array over 2^n columns, with n."""
     g = np.asarray(g, dtype=bool)
     size = g.shape[0]
     if g.ndim != 1 or size & (size - 1):
         raise ValueError("g must be a table over 2^n columns")
-    comp = (size - 1) ^ np.arange(size)
-    return bool((g[comp] == ~g).all())
+    return g, size.bit_length() - 1
 
 
-@dataclass(frozen=True, eq=False)
-class NeutralGswf:
-    """A fully neutral GSWF: every pair follows one odd Boolean function."""
-
-    m: int
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = np.ascontiguousarray(self.g, dtype=bool)
-        if not is_odd(g):
-            raise ValueError("the pairwise rule of a neutral GSWF must be odd")
-        g.setflags(write=False)
-        object.__setattr__(self, "g", g)
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[0].bit_length() - 1
-
-    def to_gswf(self) -> GswfIia:
-        pairs = len(_tables.pair_list(self.m))
-        return GswfIia(self.m, self.n, np.tile(self.g, (pairs, 1)))
+def is_odd(g) -> bool:
+    """True iff g(complement(z)) = 1 - g(z) for every column z."""
+    g, n = _boolean_table(g)
+    return bool((g[column_complement(n)] == ~g).all())
 
 
-def as_gswf(G) -> GswfIia:
-    if isinstance(G, NeutralGswf):
-        return G.to_gswf()
-    if isinstance(G, GswfIia):
-        return G
-    raise TypeError(f"not a GSWF: {type(G).__name__}")
-
-
-def neutral_tensor(g, m: int) -> NeutralGswf:
-    """All C(m,2) pairwise tables equal to the odd function g."""
-    if isinstance(g, NeutralGswf):
-        g = g.g
-    return NeutralGswf(m, np.asarray(g, dtype=bool))
+def neutral_tensor(g, m: int) -> GswfIia:
+    """The fully neutral GSWF: all C(m,2) pairwise tables equal to the odd
+    function g."""
+    g, n = _boolean_table(g)
+    if not is_odd(g):
+        raise ValueError("the pairwise rule of a neutral GSWF must be odd")
+    return GswfIia(m, n, np.tile(g, (len(_tables.pair_list(m)), 1)))
 
 
 def majority_g(n: int) -> np.ndarray:
@@ -122,7 +98,7 @@ def majority_g(n: int) -> np.ndarray:
 def random_odd_g(n: int, seed) -> np.ndarray:
     """A seeded uniform odd Boolean table over 2^n columns."""
     size = 1 << n
-    comp = (size - 1) ^ np.arange(size)
+    comp = column_complement(n)
     lower = np.arange(size) < comp
     bits = np.random.default_rng(seed).integers(0, 2, size=size).astype(bool)
     return np.where(lower, bits, ~bits[comp])
@@ -139,22 +115,19 @@ def dictator_swf(i: int, n: int, m: int = 3) -> GswfIia:
     """Every pairwise output copies voter i's preference bit."""
     if not 0 <= i < n:
         raise ValueError(f"voter {i} out of range for n={n}")
-    bit = (np.arange(1 << n) >> i & 1).astype(bool)
-    return neutral_tensor(bit, m).to_gswf()
+    return neutral_tensor(voter_bits(i, n), m)
 
 
 def anti_dictator_swf(i: int, n: int, m: int = 3) -> GswfIia:
     """Every pairwise output negates voter i's preference bit."""
     if not 0 <= i < n:
         raise ValueError(f"voter {i} out of range for n={n}")
-    bit = (np.arange(1 << n) >> i & 1).astype(bool)
-    return neutral_tensor(~bit, m).to_gswf()
+    return neutral_tensor(~voter_bits(i, n), m)
 
 
 def is_neutral_gswf(G) -> bool:
     """True iff relabeling alternatives commutes with the output: all pair
     tables equal one odd function."""
-    G = as_gswf(G)
     first = G.tables[0]
     if any(not np.array_equal(t, first) for t in G.tables[1:]):
         return False
@@ -163,7 +136,6 @@ def is_neutral_gswf(G) -> bool:
 
 def restrict_gswf(G, subset) -> GswfIia:
     """Keep only the pairwise tables inside a subset of alternatives."""
-    G = as_gswf(G)
     subset = sorted(set(int(a) for a in subset))
     if len(subset) < 2:
         raise ValueError("a restriction needs at least two alternatives")
@@ -177,16 +149,9 @@ def restrict_gswf(G, subset) -> GswfIia:
 
 # --- evaluation engines ------------------------------------------------
 
-def _pair_z(digits, a: int, b: int, m: int) -> np.ndarray:
-    """Column indices of the (a, b) pair for every profile digit column."""
-    return _tables.digits_index(_tables.pair_bit(m, a, b)[digits], 2)
-
-
 def _triple3(G: GswfIia, digits):
-    t01 = G.tables[0][_pair_z(digits, 0, 1, 3)]
-    t02 = G.tables[1][_pair_z(digits, 0, 2, 3)]
-    t12 = G.tables[2][_pair_z(digits, 1, 2, 3)]
-    return t01, t02, t12
+    return tuple(G.tables[slot][column_index(digits, a, b)]
+                 for slot, (a, b) in enumerate(PAIRS3))
 
 
 def _cyclic_mask(G: GswfIia, digits) -> np.ndarray:
@@ -194,19 +159,23 @@ def _cyclic_mask(G: GswfIia, digits) -> np.ndarray:
     return (t01 & ~t02 & t12) | (~t01 & t02 & ~t12)
 
 
-def _wins(G: GswfIia, digits) -> np.ndarray:
-    """Per-alternative counts of pairwise victories; shape (m, S)."""
-    wins = np.zeros((G.m, digits.shape[1]), np.int8)
-    for slot, (a, b) in enumerate(_tables.pair_list(G.m)):
-        bits = G.tables[slot][_pair_z(digits, a, b, G.m)]
-        wins[a] += bits
-        wins[b] += ~bits
+def _wins(G: GswfIia, digits, alts) -> np.ndarray:
+    """Pairwise victories of each of the increasing alternatives ``alts``
+    over the others in ``alts``; shape (len(alts), S).  Only the pairs
+    inside ``alts`` are evaluated."""
+    alts = tuple(alts)
+    slot = _tables.pair_slot(G.m)
+    wins = np.zeros((len(alts), digits.shape[1]), np.int8)
+    for i, j in _tables.pair_list(len(alts)):
+        a, b = alts[i], alts[j]
+        bits = G.tables[slot[(a, b)]][column_index(digits, a, b, G.m)]
+        wins[i] += bits
+        wins[j] += ~bits
     return wins
 
 
 def nt(G, *, mode="auto", samples=None, seed=None, workers=1) -> MetricReport:
     """Probability of a cyclic output triple (m = 3 only)."""
-    G = as_gswf(G)
     if G.m != 3:
         raise ValueError("cyclicity is a three-alternative notion; use ngcw")
     (count,), trials, mode = sampling.count(
@@ -217,10 +186,9 @@ def nt(G, *, mode="auto", samples=None, seed=None, workers=1) -> MetricReport:
 
 def ngcw(G, *, mode="auto", samples=None, seed=None, workers=1) -> MetricReport:
     """Probability that no alternative beats every other."""
-    G = as_gswf(G)
     (count,), trials, mode = sampling.count(
-        lambda digits: [(_wins(G, digits).max(0) < G.m - 1).sum()], 1, G.n, G.m,
-        mode=mode, samples=samples, seed=seed, workers=workers)
+        lambda digits: [(_wins(G, digits, range(G.m)).max(0) < G.m - 1).sum()],
+        1, G.n, G.m, mode=mode, samples=samples, seed=seed, workers=workers)
     return count_report("ngcw", (), count, trials, mode, seed)
 
 
@@ -235,11 +203,10 @@ def gcw(G, **kw) -> MetricReport:
 
 def gcw_winner_at(G, profile: Profile):
     """The unique alternative beating all others at one profile, or None."""
-    G = as_gswf(G)
     digits = np.array([[order_to_index(v)] for v in profile.voters])
     if digits.shape[0] != G.n:
         raise ValueError(f"profile has {digits.shape[0]} voters, G expects {G.n}")
-    wins = _wins(G, digits)[:, 0]
+    wins = _wins(G, digits, range(G.m))[:, 0]
     best = int(wins.argmax())
     return best if wins[best] == G.m - 1 else None
 
@@ -260,7 +227,7 @@ def _tie_bits(tie_voter: int, n: int) -> np.ndarray:
     """The tie voter's bit in every column."""
     if not 0 <= tie_voter < n:
         raise ValueError(f"tie voter {tie_voter} out of range for n={n}")
-    return (np.arange(1 << n) >> tie_voter & 1).astype(bool)
+    return voter_bits(tie_voter, n)
 
 
 def _gswf_from_stats(stats, tie) -> GswfIia:
@@ -275,7 +242,7 @@ def _eval_gswf_winner(rule, digits):
     fallback = rule.params["fallback_voter"]
     if digits.shape[0] != G.n:
         raise ValueError(f"G expects n={G.n}, got {digits.shape[0]} voter rows")
-    wins = _wins(G, digits)
+    wins = _wins(G, digits, range(G.m))
     best = wins.argmax(0)
     tops = _tables.perms(G.m)[digits[fallback], 0]
     return np.where(wins.max(0) == G.m - 1, best, tops)
@@ -284,7 +251,6 @@ def _eval_gswf_winner(rule, digits):
 def scf_from_gswf(G, fallback_voter: int = 0) -> ScfRule:
     """The SCF electing the generalized Condorcet winner when it exists,
     else the fallback voter's top choice."""
-    G = as_gswf(G)
     if G.m != 3:
         raise ValueError("the converse construction is defined for m = 3")
     if not 0 <= fallback_voter < G.n:
@@ -297,16 +263,11 @@ def scf_from_gswf(G, fallback_voter: int = 0) -> ScfRule:
 def dist_dict2(g):
     """Distance of a Boolean table to the nearest (anti-)dictator bit, with
     the witness (kind, voter)."""
-    if isinstance(g, NeutralGswf):
-        g = g.g
-    g = np.asarray(g, dtype=bool)
+    g, n = _boolean_table(g)
     size = g.shape[0]
-    if g.ndim != 1 or size & (size - 1):
-        raise ValueError("g must be a table over 2^n columns")
-    n = size.bit_length() - 1
     best = None
     for i in range(n):
-        bit = (np.arange(size) >> i & 1).astype(bool)
+        bit = voter_bits(i, n)
         for kind, bad in (("dictator", int((g != bit).sum())),
                           ("anti_dictator", int((g == bit).sum()))):
             cand = (Fraction(bad, size), (kind, i))
@@ -347,11 +308,11 @@ def _free_pair(alt: int) -> tuple[int, int]:
 
 def tr_member_tables(member: TrMember, n: int) -> GswfIia:
     """The explicit pairwise tables of a transitive-family member."""
+    if member.kind == "dictator":
+        return dictator_swf(member.voter, n)
+    if member.kind == "anti_dictator":
+        return anti_dictator_swf(member.voter, n)
     size = 1 << n
-    if member.kind in ("dictator", "anti_dictator"):
-        bit = (np.arange(size) >> member.voter & 1).astype(bool)
-        g = bit if member.kind == "dictator" else ~bit
-        return neutral_tensor(g, 3).to_gswf()
     fixed = _TOP_FIXED if member.kind == "top_fixed" else _BOTTOM_FIXED
     tabs = np.empty((3, size), bool)
     slot = _tables.pair_slot(3)
@@ -395,7 +356,6 @@ def dist_tr3(G):
     top-fixed (bottom-fixed) candidate requires only its two constrained
     pairs to favor (disfavor) the fixed alternative, because its free-pair
     table may be chosen pointwise equal to G's own."""
-    G = as_gswf(G)
     if G.m != 3:
         raise ValueError("the transitive family search is defined for m = 3")
     members = []
@@ -429,7 +389,6 @@ def gswf_disagreement(G, H, granularity: str = "triple") -> Fraction:
     """Disagreement probability of two GSWFs over uniform profiles: the
     chance the full output triple differs, or the mean per-pair bit
     disagreement."""
-    G, H = as_gswf(G), as_gswf(H)
     if (G.m, G.n) != (H.m, H.n):
         raise ValueError("GSWFs have different sizes")
     if granularity not in ("triple", "bits"):
@@ -440,7 +399,7 @@ def gswf_disagreement(G, H, granularity: str = "triple") -> Fraction:
     def tally(digits):
         diff = np.zeros(digits.shape[1], np.int64)
         for slot, (a, b) in enumerate(pairs):
-            z = _pair_z(digits, a, b, m)
+            z = column_index(digits, a, b, m)
             diff += G.tables[slot][z] != H.tables[slot][z]
         return [(diff > 0).sum() if granularity == "triple" else diff.sum()]
 
@@ -451,17 +410,14 @@ def gswf_disagreement(G, H, granularity: str = "triple") -> Fraction:
 def dist_tr3_bruteforce(G):
     """Full minimization over every transitive-family member; exponential in
     2^n, intended as the n <= 3 cross-check of dist_tr3."""
-    G = as_gswf(G)
     if G.m != 3:
         raise ValueError("the transitive family search is defined for m = 3")
     n = G.n
     if n > 3:
         raise BudgetError("brute force enumerates all free tables; n <= 3 only")
     digits = profile_digits(np.arange(6 ** n), n)
-    t01, t02, t12 = (t.copy() for t in _triple3(G, digits))
-    z01 = _pair_z(digits, 0, 1, 3)
-    z02 = _pair_z(digits, 0, 2, 3)
-    z12 = _pair_z(digits, 1, 2, 3)
+    t01, t02, t12 = _triple3(G, digits)
+    z01, z02, z12 = (column_index(digits, a, b) for a, b in PAIRS3)
     total = 6 ** n
     best = None
     for member in tr3_members(n):
@@ -475,15 +431,22 @@ def dist_tr3_bruteforce(G):
 
 # --- identities across alternative counts ------------------------------
 
-def _block_no_gcw(g: np.ndarray, digits, block, m: int) -> np.ndarray:
-    """No-GCW mask of the neutral-tensor restriction to one block."""
-    wins = np.zeros((len(block), digits.shape[1]), np.int8)
-    for i in range(len(block)):
-        for j in range(i + 1, len(block)):
-            bits = g[_pair_z(digits, block[i], block[j], m)]
-            wins[i] += bits
-            wins[j] += ~bits
-    return wins.max(0) < len(block) - 1
+def _se(report: MetricReport) -> float:
+    return 0.0 if report.mode == "exact" else report.ci95 / sampling.Z95
+
+
+def _check_linear(lhs: MetricReport, terms) -> tuple[float, float, bool]:
+    """(gap, tol, holds) of the identity lhs = sum of num * r / den over the
+    terms (num, r, den): Fraction equality with tol 0 when every report is
+    exact, else a gap within 3 standard errors."""
+    gap = abs(lhs.value - sum(num * r.value / den for num, r, den in terms))
+    if all(r.mode == "exact" for r in (lhs, *(r for _, r, _ in terms))):
+        return gap, 0.0, lhs.fraction == sum(num * r.fraction / den for num, r, den in terms)
+    var = _se(lhs) ** 2
+    for num, r, den in terms:
+        var += (num * _se(r) / den) ** 2
+    tol = 3.0 * var ** 0.5
+    return gap, tol, gap <= tol
 
 
 @dataclass(frozen=True)
@@ -505,33 +468,23 @@ def check_composition(g, m1: int = 3, m2: int = 3, *, mode="auto",
                       samples=None, seed=None, workers=1) -> CompositionReport:
     """Verify independence of the no-GCW events of the first m1 and last m2
     alternatives under the neutral tensor of g."""
-    tensor = neutral_tensor(g, m1 + m2)
-    n = tensor.n
     m = m1 + m2
-    blocks = (tuple(range(m1)), tuple(range(m1, m)))
-    left = ngcw(restrict_gswf(tensor, blocks[0]))
-    right = ngcw(restrict_gswf(tensor, blocks[1]))
-    gtab = tensor.g
+    tensor = neutral_tensor(g, m)
+    blocks = (range(m1), range(m1, m))
+    left, right = (ngcw(restrict_gswf(tensor, block)) for block in blocks)
 
     def tally(digits):
-        both = (_block_no_gcw(gtab, digits, blocks[0], m)
-                & _block_no_gcw(gtab, digits, blocks[1], m))
+        both = np.ones(digits.shape[1], bool)
+        for block in blocks:
+            both &= _wins(tensor, digits, block).max(0) < len(block) - 1
         return [both.sum()]
 
-    (count,), trials, mode = sampling.count(tally, 1, n, m, mode=mode, samples=samples,
-                                            seed=seed, workers=workers)
+    (count,), trials, mode = sampling.count(tally, 1, tensor.n, m, mode=mode,
+                                            samples=samples, seed=seed, workers=workers)
     joint = count_report("ngcw_joint", (), count, trials, mode, seed)
     product = left.fraction * right.fraction
-    gap = abs(joint.value - float(product))
-    if mode == "exact":
-        return CompositionReport(m1, m2, joint, left, right, gap, 0.0,
-                                 joint.fraction == product)
-    tol = 3.0 * (joint.ci95 / sampling.Z95)
-    return CompositionReport(m1, m2, joint, left, right, gap, tol, gap <= tol)
-
-
-def _se(report: MetricReport) -> float:
-    return 0.0 if report.mode == "exact" else report.ci95 / sampling.Z95
+    rhs = exact_report("ngcw_product", (), product.numerator, product.denominator)
+    return CompositionReport(m1, m2, joint, left, right, *_check_linear(joint, [(1, rhs, 1)]))
 
 
 @dataclass(frozen=True)
@@ -571,31 +524,11 @@ def check_identities(g, *, mode="auto", samples=None, seed=None,
         reports[m] = ngcw(neutral_tensor(g, m), mode=mode, samples=samples,
                           seed=seed, workers=workers)
     r3, r4, r5, r6 = (reports[m] for m in (3, 4, 5, 6))
-
     four_exact = r3.mode == "exact" and r4.mode == "exact"
-    if four_exact:
-        four_holds = r4.fraction == 2 * r3.fraction
-        four_gap = abs(r4.value - 2 * r3.value)
-        four_tol = 0.0
-    else:
-        four_gap = abs(r4.value - 2 * r3.value)
-        four_tol = 3.0 * (_se(r4) ** 2 + 4 * _se(r3) ** 2) ** 0.5
-        four_holds = four_gap <= four_tol
-
-    if all(r.mode == "exact" for r in (r3, r5, r6)):
-        five_holds = r5.fraction == r6.fraction / 3 + 5 * r3.fraction / 3
-        five_gap = abs(r5.value - (r6.value / 3 + 5 * r3.value / 3))
-        five_tol = 0.0
-    else:
-        five_gap = abs(r5.value - (r6.value / 3 + 5 * r3.value / 3))
-        five_tol = 3.0 * (_se(r5) ** 2 + (_se(r6) / 3) ** 2
-                          + (5 * _se(r3) / 3) ** 2) ** 0.5
-        five_holds = five_gap <= five_tol
-
     comp = check_composition(g, 3, 3, mode=mode, samples=samples, seed=seed,
                              workers=workers)
-    return IdentityReport(r3, r4, four_gap, four_tol, four_holds, four_exact,
-                          r5, r6, five_gap, five_tol, five_holds, comp)
+    return IdentityReport(r3, r4, *_check_linear(r4, [(2, r3, 1)]), four_exact,
+                          r5, r6, *_check_linear(r5, [(1, r6, 3), (5, r3, 3)]), comp)
 
 
 # --- the full reduction chain ------------------------------------------

@@ -166,7 +166,7 @@ def test_criterion_6_cross_size_identities(capsys):
 
 def test_criterion_7_condorcet_cross_check(capsys):
     t0 = time.perf_counter()
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     cyclic = 0
     for idx in range(216):
         p = profile_from_index(idx, 3)
@@ -215,7 +215,7 @@ def test_criterion_9_composition_exact(capsys):
 def test_criterion_10_structured_search_exact(capsys):
     t0 = time.perf_counter()
     checked = bad = 0
-    targets = [neutral_tensor(majority_g(3), 3).to_gswf()]
+    targets = [neutral_tensor(majority_g(3), 3)]
     targets += [random_iia_gswf(2, 3, 10_000 + k) for k in range(10)]
     targets += [random_iia_gswf(3, 3, 11_000 + k) for k in range(10)]
     for G in targets:

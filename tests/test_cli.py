@@ -218,7 +218,29 @@ def test_gen_gswf_named(capsys, tmp_path):
     code, _, _ = run(capsys, "gen", "--g", "majority", "--n", "3",
                      "--out", str(path))
     assert code == 0
-    assert read_gswf(path) == neutral_tensor(majority_g(3), 3).to_gswf()
+    assert read_gswf(path) == neutral_tensor(majority_g(3), 3)
+
+
+def test_gen_gswf_names_match_library(capsys, tmp_path):
+    from votelab.fileio import write_gswf
+    from votelab.welfare import (anti_dictator_swf, dictator_swf,
+                                 random_iia_gswf, random_odd_g)
+    for spec, G in (("dictator_swf:1", dictator_swf(1, 3)),
+                    ("anti_dictator_swf", anti_dictator_swf(0, 3)),
+                    ("random_odd:4", neutral_tensor(random_odd_g(3, 4), 3)),
+                    ("random_iia:2", random_iia_gswf(3, 3, 2))):
+        cli_path, lib_path = tmp_path / "cli.gswf", tmp_path / "lib.gswf"
+        code, _, _ = run(capsys, "gen", "--g", spec, "--n", "3",
+                         "--out", str(cli_path))
+        assert code == 0, spec
+        write_gswf(G, lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes(), spec
+    code, _, err = run(capsys, "gen", "--g", "nosuch", "--n", "3",
+                       "--out", str(tmp_path / "x.gswf"))
+    assert code == 2
+    assert err == ("error: unknown preference function 'nosuch'; names: "
+                   "dictator_swf, anti_dictator_swf, majority, random_odd, "
+                   "random_iia\n")
 
 
 def test_gen_requires_exactly_one_source(capsys, tmp_path):

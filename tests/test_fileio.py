@@ -47,7 +47,7 @@ def test_scf_header_layout(tmp_path):
 
 def test_gswf_round_trip(tmp_path):
     for G in (random_iia_gswf(3, 3, 2), random_iia_gswf(2, 4, 5),
-              neutral_tensor(majority_g(3), 3).to_gswf()):
+              neutral_tensor(majority_g(3), 3)):
         path = tmp_path / "g.gswf"
         write_gswf(G, path)
         back = read_gswf(path)
@@ -58,11 +58,11 @@ def test_gswf_accepts_neutral_wrapper(tmp_path):
     T = neutral_tensor(majority_g(3), 3)
     path = tmp_path / "t.gswf"
     write_gswf(T, path)
-    assert read_gswf(path) == T.to_gswf()
+    assert read_gswf(path) == T
 
 
 def test_gswf_bit_packing_is_little_endian(tmp_path):
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     path = tmp_path / "m.gswf"
     write_gswf(G, path)
     raw = path.read_bytes()

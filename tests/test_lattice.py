@@ -15,6 +15,7 @@ from votelab.lattice import (
     is_monotone,
     random_set,
     sets_ab,
+    shift_coordinate,
     shift_monotone,
 )
 from votelab.metrics import manipulation_power
@@ -197,6 +198,54 @@ def test_manipulation_power_dominates_expected_border():
                 for i in range(n):
                     assert M[i] >= Fraction(tot[i], 6 * 3 ** n * 2 ** n), \
                         (rule.label, n, (a, b), i)
+
+
+def slow_border(s):
+    """Per-direction exit counts and the explicit exits, by walking every
+    point of the set and every edge step."""
+    counts = [0] * s.n
+    edges = set()
+    for p in s.indices().tolist():
+        for i in range(s.n):
+            digit = p // 3 ** i % 3
+            for lo, hi in ((0, 1), (1, 2), (0, 2)):
+                if digit == lo and p + (hi - lo) * 3 ** i not in s:
+                    counts[i] += 1
+                    edges.add((p, i, hi))
+    return counts, edges
+
+
+def slow_monotone(s):
+    """Raising any digit of a member by one stays in the set."""
+    return all(p + 3 ** i in s for p in s.indices().tolist()
+               for i in range(s.n) if p // 3 ** i % 3 < 2)
+
+
+def shifted_except(s, j):
+    """s shifted along every direction but j."""
+    for i in range(s.n):
+        if i != j:
+            s = shift_coordinate(s, i)
+    return s
+
+
+def test_border_functions_agree_with_point_walk():
+    rng = np.random.default_rng(11)
+    monotone = 0
+    for n in range(1, 6):
+        for _ in range(4):
+            s = random_set(n, rng=rng)
+            for t in (s, shift_monotone(s), *(shifted_except(s, j) for j in range(n))):
+                counts, edges = slow_border(t)
+                full = border_counts(t, with_edges=True)
+                assert list(full.counts) == counts
+                assert [edge_border(t, i) for i in range(n)] == counts
+                assert border_counts(t).counts == full.counts
+                assert len(full.edges) == len(edges) and set(full.edges) == edges
+                assert border_total(t) == full.total == sum(counts)
+                assert is_monotone(t) == slow_monotone(t)
+                monotone += is_monotone(t)
+    assert 20 <= monotone < 100  # every fully shifted set, and not every set
 
 
 def test_random_set_reproducible():

@@ -26,6 +26,7 @@ from votelab.sampling import (
 )
 from votelab.welfare import (
     check_composition,
+    check_identities,
     neutral_tensor,
     ngcw,
     nt,
@@ -109,6 +110,12 @@ def _sampled(samples, seed):
     return dict(mode="sampled", samples=samples, seed=seed)
 
 
+def _identity_gaps(g, **kw):
+    r = check_identities(g, **kw)
+    return (r.four_gap, r.four_tol, r.five_gap, r.five_tol,
+            r.composition.gap, r.composition.tol)
+
+
 # Sampled outputs recorded before the estimators shared sampling.count; any
 # change to what a chunk draws or how it is tallied changes them.
 FROZEN = [
@@ -140,6 +147,11 @@ FROZEN = [
     ("composition", lambda: _report(check_composition(
         random_odd_g(3, 0), **_sampled(3000, 16)).joint),
      (8, 3000, 0.0019508160258685603)),
+    # (gap, tol) of both identities and of composition, ngcw_3 exact and the rest sampled;
+    # recorded before the identities shared one exact-or-sampled check
+    ("identities", lambda: _identity_gaps(random_odd_g(6, 0), samples=4000, seed=0),
+     (0.010370370370370363, 0.02275840274387152, 0.011891975308641944,
+      0.024884509508737544, 4.3552812071329106e-05, 0.008649828751458826)),
 ]
 
 

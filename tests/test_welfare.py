@@ -18,7 +18,6 @@ from votelab.orders import Profile, order_from_index, pairwise_column, profile_f
 from votelab.rules import BudgetError, ScfRule
 from votelab.welfare import (
     GswfIia,
-    NeutralGswf,
     anti_dictator_swf,
     check_composition,
     check_identities,
@@ -43,6 +42,7 @@ from votelab.welfare import (
     scf_from_gswf,
     tr3_members,
     tr_member_tables,
+    _wins,
 )
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -109,7 +109,7 @@ def test_oddness():
     assert is_odd(np.array([False, True]))
     assert not is_odd(np.ones(4, dtype=bool))
     with pytest.raises(ValueError):
-        NeutralGswf(3, np.ones(8, dtype=bool))
+        neutral_tensor(np.ones(8, dtype=bool), 3)
     with pytest.raises(ValueError):
         majority_g(4)
 
@@ -132,7 +132,7 @@ def test_dictator_swf_tables():
 
 
 def test_nt_matches_slow_enumeration():
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     rep = nt(G)
     assert rep.fraction == slow_nt(G, 3) == Fraction(12, 216)
     H = random_iia_gswf(2, 3, 21)
@@ -145,7 +145,7 @@ def test_dictators_never_cycle():
 
 
 def test_ngcw_equals_nt_for_three_alternatives():
-    for G in (neutral_tensor(majority_g(3), 3).to_gswf(),
+    for G in (neutral_tensor(majority_g(3), 3),
               dictator_swf(1, 3),
               random_iia_gswf(3, 3, 5),
               random_iia_gswf(3, 3, 6),
@@ -154,21 +154,45 @@ def test_ngcw_equals_nt_for_three_alternatives():
 
 
 def test_gcw_complements_ngcw():
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     assert gcw(G).fraction + ngcw(G).fraction == 1
 
 
 def test_ngcw_matches_column_sum_oracle():
     maj = neutral_tensor(majority_g(3), 3)
-    assert ngcw(maj).fraction == column_sum_ngcw(maj.to_gswf())
+    assert ngcw(maj).fraction == column_sum_ngcw(maj)
     four = neutral_tensor(majority_g(3), 4)
-    assert ngcw(four).fraction == column_sum_ngcw(four.to_gswf())
+    assert ngcw(four).fraction == column_sum_ngcw(four)
     H = random_iia_gswf(2, 3, 31)
     assert ngcw(H).fraction == column_sum_ngcw(H)
 
 
+def test_wins_on_a_block_matches_object_layer():
+    """_wins over a block of an m=6 GSWF: the per-pair outputs read through
+    Profile columns, and the winner of the restricted GSWF at the profile
+    restricted to the block."""
+    for n in (1, 2, 3):
+        G = random_iia_gswf(n, 6, 50 + n)
+        digits = np.random.default_rng(n).integers(0, 720, size=(n, 30))
+        for alts in ((0, 1, 2), (3, 4, 5), (0, 2, 5), (1, 4), (0, 1, 2, 3, 4, 5)):
+            wins = _wins(G, digits, alts)
+            assert wins.shape == (len(alts), 30)
+            R = restrict_gswf(G, alts)
+            for s in range(30):
+                p = Profile(tuple(order_from_index(int(k), 6) for k in digits[:, s]))
+                for i, a in enumerate(alts):
+                    assert wins[i, s] == sum(
+                        bool(G.pairwise(a, b)[pairwise_column(p, a, b).index])
+                        for b in alts if b != a)
+                best = int(wins[:, s].argmax())
+                got = best if wins[best, s] == len(alts) - 1 else None
+                sub = Profile(tuple(tuple(alts.index(x) for x in v.ranking if x in alts)
+                                    for v in p.voters))
+                assert got == gcw_winner_at(R, sub), (n, alts, s)
+
+
 def test_gcw_winner_at_examples():
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     cyc = Profile(tuple(order_from_index(k) for k in (0, 3, 4)))
     assert gcw_winner_at(G, cyc) is None
     assert gcw_winner_at(G, Profile(tuple(order_from_index(k)
@@ -178,7 +202,7 @@ def test_gcw_winner_at_examples():
 def test_neutral_tensor_alternative_symmetry():
     """Under a neutral tensor every alternative is the unique winner (and the
     unique loser) equally often."""
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     win = [0, 0, 0]
     lose = [0, 0, 0]
     for idx in range(216):
@@ -221,12 +245,12 @@ def test_gswf_from_scf_matches_column_stats():
 
 def test_gswf_from_scf_of_plurality_is_majority():
     G = gswf_from_scf(ScfRule("plurality"), tie_voter=0, n=3)
-    maj = neutral_tensor(majority_g(3), 3).to_gswf()
+    maj = neutral_tensor(majority_g(3), 3)
     assert G == maj
 
 
 def test_scf_from_gswf_winner_semantics():
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     F = scf_from_gswf(G, fallback_voter=1)
     assert F.winner(Profile(tuple(order_from_index(k) for k in (0, 0, 3)))) == 0
     cyc = Profile(tuple(order_from_index(k) for k in (0, 3, 4)))
@@ -236,7 +260,7 @@ def test_scf_from_gswf_winner_semantics():
 
 
 def test_converse_manipulability_bound():
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     F = scf_from_gswf(G)
     eps = ngcw(G).fraction
     for a, b in PAIRS:
@@ -304,7 +328,7 @@ def test_tr_member_tables_are_transitive():
 
 
 def test_gswf_disagreement_granularity():
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     D = dictator_swf(0, 3)
     assert gswf_disagreement(G, G) == 0
     triple = gswf_disagreement(G, D)
@@ -401,7 +425,7 @@ def test_budget_guards():
 
 
 def test_sampled_nt_deterministic_and_near_exact():
-    G = neutral_tensor(majority_g(3), 3).to_gswf()
+    G = neutral_tensor(majority_g(3), 3)
     r1 = nt(G, mode="sampled", samples=100_000, seed=6, workers=1)
     r2 = nt(G, mode="sampled", samples=100_000, seed=6, workers=8)
     assert r1 == r2

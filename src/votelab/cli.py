@@ -188,8 +188,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"give a suite name or --replay; suites: "
                          f"{', '.join(sorted(suites.SUITES))}")
     rep = suites.run_suite(args.suite, trials=args.trials, n=args.n,
-                           seed=args.seed, samples=args.samples,
-                           workers=args.workers)
+                           seed=args.seed, samples=args.samples)
     if args.format == "json":
         text = json.dumps(rep.to_dict(), indent=2) + "\n"
     else:
@@ -230,18 +229,17 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="votelab")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, scf=True):
-        if scf:
-            p.add_argument("--scf", required=True,
-                           help="rule name (optionally name:arg) or table file")
+    def common(p):
+        p.add_argument("--scf", required=True,
+                       help="rule name (optionally name:arg) or table file")
         p.add_argument("--n", type=int, help="number of voters")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("metrics", help="manipulability and diagnostic metrics")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--m", type=int, default=3)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
@@ -260,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.add_argument("--replay", help="re-run one serialized counterexample")

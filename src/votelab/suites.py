@@ -1,26 +1,29 @@
 """Named verification suites over seeded corpora.
 
-Each suite re-checks one family of inequalities or identities across a
-corpus of voting rules, pairwise preference functions, or random subset
-pairs.  A failing instance is serialized with enough detail to rebuild
-it; ``replay`` does exactly that and re-runs the single check.
+A suite is a descriptor corpus plus one check.  ``descs`` lists plain,
+JSON-ready dicts, one per instance (a rule, a pairwise preference function,
+or a pair of ternary subsets, named by its construction and seed or by its
+points); ``check`` rebuilds one instance from its descriptor and re-checks
+one family of inequalities or identities on it.  ``run_suite`` runs the
+check over the corpus and reports the first failing descriptor; ``replay``
+runs that same check on a serialized one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Callable, Iterable
 
 import numpy as np
 
-from . import lattice, welfare
-from .metrics import mab, nab, manipulation_power_total
+from . import lattice, sampling, welfare
+from .metrics import column_stats, mab, manipulation_power_total
 from .rules import BudgetError, ScfRule, exact_feasible, zoo_rules
 from .welfare import PAIRS3
 
 
-# --- corpora and their serialization -----------------------------------
+# --- corpora: descriptors and the instances they name ------------------
 
 def random_table_rules(n: int, count: int, seed: int, m: int = 3) -> list[ScfRule]:
     """Seeded uniform-random winner tables, seeds ``seed .. seed+count-1``."""
@@ -40,10 +43,10 @@ def build_scf(desc: dict) -> ScfRule:
     return ScfRule(desc["name"], desc.get("m", 3), **desc.get("params", {}))
 
 
-def gswf_corpus(n: int, trials: int, seed: int) -> list[tuple[dict, welfare.GswfIia]]:
-    """Dictator and anti-dictator orderings, the simple-majority tensor when
-    n is odd, seeded neutral tensors and free tables, and rules from the
-    zoo pushed through the pairwise construction."""
+def gswf_corpus(n: int, trials: int, seed: int) -> list[dict]:
+    """Descriptors of dictator and anti-dictator orderings, the
+    simple-majority tensor when n is odd, seeded neutral tensors and free
+    tables, and rules from the zoo pushed through the pairwise construction."""
     descs = [{"kind": "dictator_swf", "voter": 0, "n": n},
              {"kind": "anti_dictator_swf", "voter": n - 1, "n": n}]
     if n % 2 == 1:
@@ -54,7 +57,7 @@ def gswf_corpus(n: int, trials: int, seed: int) -> list[tuple[dict, welfare.Gswf
     for name in ("plurality", "borda", "pairwise_majority_fallback"):
         descs.append({"kind": "from_scf", "scf": scf_descriptor(ScfRule(name)),
                       "tie_voter": 0, "n": n})
-    return [(desc, build_gswf(desc)) for desc in descs]
+    return descs
 
 
 def build_gswf(desc: dict) -> welfare.GswfIia:
@@ -75,10 +78,10 @@ def build_gswf(desc: dict) -> welfare.GswfIia:
     raise ValueError(f"unknown GSWF descriptor kind {kind!r}")
 
 
-def _odd_g_corpus(n: int, trials: int, seed: int) -> list[tuple[dict, np.ndarray]]:
+def _odd_g_corpus(n: int, trials: int, seed: int) -> list[dict]:
     descs = [{"kind": "majority_g", "n": n}] if n % 2 == 1 else []
-    descs += [{"kind": "random_odd_g", "seed": seed + k, "n": n} for k in range(trials)]
-    return [(desc, _build_odd_g(desc)) for desc in descs]
+    return descs + [{"kind": "random_odd_g", "seed": seed + k, "n": n}
+                    for k in range(trials)]
 
 
 def _build_odd_g(desc: dict) -> np.ndarray:
@@ -87,9 +90,64 @@ def _build_odd_g(desc: dict) -> np.ndarray:
     return welfare.random_odd_g(desc["n"], desc["seed"])
 
 
-# --- per-instance checks (shared by suites and replay) -----------------
+def _scf_descs(trials, n, seed, samples):
+    return [{"n": n, "scf": scf_descriptor(rule)} for rule in scf_corpus(n, trials, seed)]
 
-def _check_first_reduction(scf: ScfRule, n: int) -> tuple[bool, dict]:
+
+def _random_lattice(trials, n, seed):
+    """One generator and one dimension per trial; dimensions cycle
+    1, 2, ..., min(n, 6)."""
+    for k in range(trials):
+        yield np.random.default_rng([seed, k]), 1 + k % min(n, 6)
+
+
+def _border_descs(trials, n, seed, samples):
+    nz = min(n, 4)
+    for rule in zoo_rules(nz):
+        scf = scf_descriptor(rule)
+        for a, b in PAIRS3:
+            for z in range(1 << nz):
+                yield {"source": "scf", "n": nz, "scf": scf, "pair": [a, b],
+                       "column": z}
+    for rng, nk in _random_lattice(trials, n, seed):
+        p, q = rng.choice((0.25, 0.5, 0.75), size=2)
+        a = rng.random(3 ** nk) < p
+        b = ~a & (rng.random(3 ** nk) < q)
+        yield {"source": "random", "n": nk, "a_indices": np.flatnonzero(a).tolist(),
+               "b_indices": np.flatnonzero(b).tolist()}
+
+
+def _shifting_descs(trials, n, seed, samples):
+    for rng, nk in _random_lattice(trials, n, seed):
+        p = rng.choice((0.25, 0.5, 0.75))
+        yield {"n": nk, "indices": np.flatnonzero(rng.random(3 ** nk) < p).tolist()}
+
+
+def _arrow_descs(trials, n, seed, samples):
+    if not exact_feasible(n, 4):
+        raise BudgetError(f"exact four-alternative enumeration infeasible at n={n}")
+    return _odd_g_corpus(n, trials, seed)
+
+
+def _composition_descs(trials, n, seed, samples):
+    if not exact_feasible(n, 6) and samples is None:
+        raise BudgetError(
+            f"joint six-alternative enumeration infeasible at n={n}; pass samples")
+    descs = _odd_g_corpus(n, trials, seed)
+    if samples is not None:
+        descs = [{**d, "samples": samples, "sample_seed": seed + k}
+                 for k, d in enumerate(descs)]
+    return descs
+
+
+def _converse_descs(trials, n, seed, samples):
+    return gswf_corpus(n, trials, seed)
+
+
+# --- per-instance checks: descriptor -> (holds, failure detail) --------
+
+def _check_first_reduction(desc) -> tuple[bool, dict]:
+    scf, n = build_scf(desc["scf"]), desc["n"]
     six_total = 6 * manipulation_power_total(scf, n).fraction
     for a, b in PAIRS3:
         r = mab(scf, a, b, n)
@@ -99,24 +157,31 @@ def _check_first_reduction(scf: ScfRule, n: int) -> tuple[bool, dict]:
     return True, {}
 
 
-def _check_border_pair(A: lattice.TernarySet, B: lattice.TernarySet) -> tuple[bool, dict]:
+def _check_border(desc) -> tuple[bool, dict]:
+    n = desc["n"]
+    if desc["source"] == "scf":
+        A, B = lattice.sets_ab(build_scf(desc["scf"]), *desc["pair"], desc["column"], n)
+    else:
+        A = lattice.TernarySet.from_indices(n, desc["a_indices"])
+        B = lattice.TernarySet.from_indices(n, desc["b_indices"])
     rep = lattice.check_border_inequality(A, B)
     if rep.holds:
         return True, {}
     return False, {"lhs": str(rep.lhs), "rhs": str(rep.rhs)}
 
 
-def _check_shift(s: lattice.TernarySet) -> tuple[bool, dict]:
+def _check_shift(desc) -> tuple[bool, dict]:
+    s = lattice.TernarySet.from_indices(desc["n"], desc["indices"])
     t = lattice.shift_monotone(s)
     if t.size != s.size:
         return False, {"reason": "size changed", "before": s.size, "after": t.size}
-    if not lattice.is_monotone(t):
+    after = lattice.border_counts(t)
+    if after.total:  # lattice.is_monotone's test: the border is empty
         return False, {"reason": "result not monotone"}
     before = lattice.border_counts(s).counts
-    after = lattice.border_counts(t).counts
-    if any(a > b for a, b in zip(after, before)):
+    if any(a > b for a, b in zip(after.counts, before)):
         return False, {"reason": "a border direction grew",
-                       "before": list(before), "after": list(after)}
+                       "before": list(before), "after": list(after.counts)}
     moved = int((t.membership & ~s.membership).sum())
     if moved > sum(before):
         return False, {"reason": "moved more cells than the border size",
@@ -124,17 +189,19 @@ def _check_shift(s: lattice.TernarySet) -> tuple[bool, dict]:
     return True, {}
 
 
-def _check_cauchy(scf: ScfRule, n: int) -> tuple[bool, dict]:
+def _check_cauchy(desc) -> tuple[bool, dict]:
+    scf, n = build_scf(desc["scf"]), desc["n"]
+    sampling.pick_mode("auto", n, 3, None, None)  # refuse sizes past the exact budget
     for a, b in PAIRS3:
-        nr = nab(scf, a, b, n).fraction
-        mr = mab(scf, a, b, n).fraction
+        stats = column_stats(scf, a, b, n)  # one sweep gives both metrics
+        nr, mr = stats.nab_report().fraction, stats.mab_report().fraction
         if nr * nr > mr:
             return False, {"pair": [a, b], "nab": str(nr), "mab": str(mr)}
     return True, {}
 
 
-def _check_chain(scf: ScfRule, n: int) -> tuple[bool, dict]:
-    rep = welfare.check_reduction_chain(scf, n=n)
+def _check_chain(desc) -> tuple[bool, dict]:
+    rep = welfare.check_reduction_chain(build_scf(desc["scf"]), n=desc["n"])
     if rep.holds:
         return True, {}
     return False, {"nt_le_sum_nab": rep.nt_le_sum_nab,
@@ -143,7 +210,8 @@ def _check_chain(scf: ScfRule, n: int) -> tuple[bool, dict]:
                    "dist_bound": rep.dist_bound}
 
 
-def _check_four_identity(g: np.ndarray) -> tuple[bool, dict]:
+def _check_four_identity(desc) -> tuple[bool, dict]:
+    g = _build_odd_g(desc)
     r3 = welfare.ngcw(welfare.neutral_tensor(g, 3))
     r4 = welfare.ngcw(welfare.neutral_tensor(g, 4))
     if r4.fraction == 2 * r3.fraction:
@@ -151,8 +219,9 @@ def _check_four_identity(g: np.ndarray) -> tuple[bool, dict]:
     return False, {"ngcw3": str(r3.fraction), "ngcw4": str(r4.fraction)}
 
 
-def _check_composition(g: np.ndarray, samples, seed) -> tuple[bool, dict]:
-    rep = welfare.check_composition(g, samples=samples, seed=seed)
+def _check_composition(desc) -> tuple[bool, dict]:
+    rep = welfare.check_composition(_build_odd_g(desc), samples=desc.get("samples"),
+                                    seed=desc.get("sample_seed"))
     if rep.holds:
         return True, {}
     return False, {"joint": str(rep.joint.value),
@@ -160,108 +229,25 @@ def _check_composition(g: np.ndarray, samples, seed) -> tuple[bool, dict]:
                    "gap": rep.gap, "tol": rep.tol}
 
 
-def _check_converse(G: welfare.GswfIia, n: int) -> tuple[bool, dict]:
+def _check_converse(desc) -> tuple[bool, dict]:
+    G = build_gswf(desc)
     bound = 2 * welfare.ngcw(G).fraction
     F = welfare.scf_from_gswf(G)
     for a, b in PAIRS3:
-        r = mab(F, a, b, n)
+        r = mab(F, a, b, G.n)
         if r.fraction > bound:
             return False, {"pair": [a, b], "mab": str(r.fraction),
                            "two_ngcw": str(bound)}
     return True, {}
 
 
-# --- suite drivers -----------------------------------------------------
-
-def _suite_first_reduction(trials, n, seed, samples, workers):
-    for rule in scf_corpus(n, trials, seed):
-        ok, extra = _check_first_reduction(rule, n)
-        yield {"suite": "first-reduction", "n": n,
-               "scf": scf_descriptor(rule), **extra}, ok
-
-
-def _random_disjoint_pair(n: int, rng) -> tuple[lattice.TernarySet, lattice.TernarySet]:
-    p, q = rng.choice((0.25, 0.5, 0.75), size=2)
-    u = rng.random(3 ** n)
-    a = u < p
-    b = ~a & (rng.random(3 ** n) < q)
-    return lattice.TernarySet(n, a), lattice.TernarySet(n, b)
-
-
-def _suite_border(trials, n, seed, samples, workers):
-    nz = min(n, 4)
-    for rule in zoo_rules(nz):
-        for a, b in PAIRS3:
-            for z in range(1 << nz):
-                A, B = lattice.sets_ab(rule, a, b, z, nz)
-                ok, extra = _check_border_pair(A, B)
-                yield {"suite": "border", "source": "scf", "n": nz,
-                       "scf": scf_descriptor(rule), "pair": [a, b],
-                       "column": z, **extra}, ok
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        nk = 1 + k % min(n, 6)
-        A, B = _random_disjoint_pair(nk, rng)
-        ok, extra = _check_border_pair(A, B)
-        yield {"suite": "border", "source": "random", "n": nk,
-               "a_indices": A.indices().tolist(),
-               "b_indices": B.indices().tolist(), **extra}, ok
-
-
-def _suite_shifting(trials, n, seed, samples, workers):
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        nk = 1 + k % min(n, 6)
-        p = rng.choice((0.25, 0.5, 0.75))
-        s = lattice.TernarySet(nk, rng.random(3 ** nk) < p)
-        ok, extra = _check_shift(s)
-        yield {"suite": "shifting", "n": nk,
-               "indices": s.indices().tolist(), **extra}, ok
-
-
-def _suite_cauchy(trials, n, seed, samples, workers):
-    for rule in scf_corpus(n, trials, seed):
-        ok, extra = _check_cauchy(rule, n)
-        yield {"suite": "cauchy", "n": n,
-               "scf": scf_descriptor(rule), **extra}, ok
-
-
-def _suite_chain(trials, n, seed, samples, workers):
-    for rule in scf_corpus(n, trials, seed):
-        ok, extra = _check_chain(rule, n)
-        yield {"suite": "reduction-chain", "n": n,
-               "scf": scf_descriptor(rule), **extra}, ok
-
-
-def _suite_arrow_identity(trials, n, seed, samples, workers):
-    if not exact_feasible(n, 4):
-        raise BudgetError(f"exact four-alternative enumeration infeasible at n={n}")
-    for desc, g in _odd_g_corpus(n, trials, seed):
-        ok, extra = _check_four_identity(g)
-        yield {"suite": "arrow-identity", **desc, **extra}, ok
-
-
-def _suite_composition(trials, n, seed, samples, workers):
-    if not exact_feasible(n, 6) and samples is None:
-        raise BudgetError(
-            f"joint six-alternative enumeration infeasible at n={n}; pass samples")
-    for k, (desc, g) in enumerate(_odd_g_corpus(n, trials, seed)):
-        ok, extra = _check_composition(g, samples, None if samples is None else seed + k)
-        d = {"suite": "composition", **desc, **extra}
-        if samples is not None:
-            d["samples"], d["sample_seed"] = samples, seed + k
-        yield d, ok
-
-
-def _suite_converse(trials, n, seed, samples, workers):
-    for desc, G in gswf_corpus(n, trials, seed):
-        ok, extra = _check_converse(G, n)
-        yield {"suite": "converse", **desc, **extra}, ok
-
-
 @dataclass(frozen=True)
 class SuiteSpec:
-    run: object
+    """``descs(trials, n, seed, samples)`` lists the instance descriptors;
+    ``check(desc)`` rebuilds one instance and returns (holds, detail)."""
+
+    descs: Callable[..., Iterable[dict]]
+    check: Callable[[dict], tuple[bool, dict]]
     trials: int
     n: int
     summary: str
@@ -269,28 +255,28 @@ class SuiteSpec:
 
 SUITES = {
     "first-reduction": SuiteSpec(
-        _suite_first_reduction, 200, 3,
+        _scf_descs, _check_first_reduction, 200, 3,
         "pairwise manipulability is at most six times total manipulation power"),
     "border": SuiteSpec(
-        _suite_border, 2000, 4,
+        _border_descs, _check_border, 2000, 4,
         "disjoint subset pairs satisfy the directed-border inequality"),
     "shifting": SuiteSpec(
-        _suite_shifting, 2000, 4,
+        _shifting_descs, _check_shift, 2000, 4,
         "monotone rearrangement preserves size, yields monotone sets, never grows borders"),
     "cauchy": SuiteSpec(
-        _suite_cauchy, 200, 3,
+        _scf_descs, _check_cauchy, 200, 3,
         "squared minority preference is at most pairwise manipulability"),
     "reduction-chain": SuiteSpec(
-        _suite_chain, 50, 3,
+        _scf_descs, _check_chain, 50, 3,
         "the full quantitative chain from manipulation power to dictator distance"),
     "arrow-identity": SuiteSpec(
-        _suite_arrow_identity, 20, 3,
+        _arrow_descs, _check_four_identity, 20, 3,
         "four-alternative paradox probability doubles the three-alternative one"),
     "composition": SuiteSpec(
-        _suite_composition, 5, 2,
+        _composition_descs, _check_composition, 5, 2,
         "no-winner events of disjoint alternative blocks are independent"),
     "converse": SuiteSpec(
-        _suite_converse, 20, 3,
+        _converse_descs, _check_converse, 20, 3,
         "rules built from pairwise functions inherit a paradox-probability bound"),
 }
 
@@ -315,7 +301,7 @@ class SuiteReport:
 
 
 def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
-              samples=None, workers: int = 1) -> SuiteReport:
+              samples=None) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     spec = SUITES[name]
@@ -330,43 +316,22 @@ def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
     t0 = time.perf_counter()
     total = passes = 0
     first = None
-    for desc, ok in spec.run(trials, n, seed, samples, workers):
+    for desc in spec.descs(trials, n, seed, samples):
+        ok, detail = spec.check(desc)
         total += 1
         passes += ok
         if not ok and first is None:
-            first = desc
+            first = {"suite": name, **desc, **detail}
     return SuiteReport(name, total, passes, first, time.perf_counter() - t0)
 
 
 def replay(counterexample: dict) -> bool:
-    """Rebuild one serialized instance and re-run its check; True means the
-    property holds on replay."""
-    suite = counterexample["suite"]
-    n = counterexample.get("n")
-    if suite == "first-reduction":
-        return _check_first_reduction(build_scf(counterexample["scf"]), n)[0]
-    if suite == "cauchy":
-        return _check_cauchy(build_scf(counterexample["scf"]), n)[0]
-    if suite == "reduction-chain":
-        return _check_chain(build_scf(counterexample["scf"]), n)[0]
-    if suite == "border":
-        if counterexample["source"] == "scf":
-            A, B = lattice.sets_ab(build_scf(counterexample["scf"]),
-                                   *counterexample["pair"],
-                                   counterexample["column"], n)
-        else:
-            A = lattice.TernarySet.from_indices(n, counterexample["a_indices"])
-            B = lattice.TernarySet.from_indices(n, counterexample["b_indices"])
-        return _check_border_pair(A, B)[0]
-    if suite == "shifting":
-        s = lattice.TernarySet.from_indices(n, counterexample["indices"])
-        return _check_shift(s)[0]
-    if suite == "arrow-identity":
-        return _check_four_identity(_build_odd_g(counterexample))[0]
-    if suite == "composition":
-        return _check_composition(_build_odd_g(counterexample),
-                                  counterexample.get("samples"),
-                                  counterexample.get("sample_seed"))[0]
-    if suite == "converse":
-        return _check_converse(build_gswf(counterexample), n)[0]
-    raise ValueError(f"unknown suite {suite!r} in counterexample")
+    """Re-run the check of the counterexample's suite on the instance it
+    describes; True means the property holds on replay."""
+    try:
+        suite = counterexample["suite"]
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r} in counterexample")
+        return SUITES[suite].check(counterexample)[0]
+    except KeyError as exc:
+        raise ValueError(f"counterexample lacks field {exc.args[0]!r}") from None

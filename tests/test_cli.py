@@ -196,6 +196,14 @@ def test_verify_replay_malformed_exits_2(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_verify_replay_missing_field_exits_2(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"suite": "shifting"}))
+    code, _, err = run(capsys, "verify", "--replay", str(path))
+    assert code == 2
+    assert "error:" in err and "lacks field 'n'" in err
+
+
 def test_verify_without_suite_exits_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "suite" in err

@@ -1,8 +1,10 @@
 """Verification suite runner, corpora, and counterexample replay."""
 
+import dataclasses
+import json
+
 import pytest
 
-from votelab import suites
 from votelab.rules import BudgetError
 from votelab.suites import (
     SUITES,
@@ -39,8 +41,8 @@ def test_scf_descriptor_round_trip():
 
 
 def test_gswf_descriptor_round_trip():
-    for desc, G in gswf_corpus(3, 2, seed=5):
-        assert build_gswf(desc) == G
+    for desc in gswf_corpus(3, 2, seed=5):
+        assert build_gswf(json.loads(json.dumps(desc))) == build_gswf(desc)
 
 
 def test_all_suites_pass_small():
@@ -93,7 +95,9 @@ def test_arrow_identity_budget_guard():
 def test_counterexample_capture_and_replay(monkeypatch):
     """Force a failure to exercise serialization, then replay it against the
     real check (which holds)."""
-    monkeypatch.setattr(suites, "_check_cauchy", lambda scf, n: (False, {"pair": [0, 1]}))
+    spec = SUITES["cauchy"]
+    monkeypatch.setitem(SUITES, "cauchy", dataclasses.replace(
+        spec, check=lambda desc: (False, {"pair": [0, 1]})))
     rep = run_suite("cauchy", trials=2, seed=3)
     assert not rep.ok
     assert rep.passes == 0
@@ -125,6 +129,36 @@ def test_replay_dispatch_all_suites():
         assert replay(ce) is True, ce
     with pytest.raises(ValueError):
         replay({"suite": "nonesuch"})
+
+
+def test_replay_reruns_every_corpus_instance():
+    """Each descriptor a suite lists replays through the suite's own check."""
+    sizes = {
+        "first-reduction": dict(trials=2, n=2),
+        "border": dict(trials=12, n=2),
+        "shifting": dict(trials=12, n=3),
+        "cauchy": dict(trials=2, n=2),
+        "reduction-chain": dict(trials=2, n=2),
+        "arrow-identity": dict(trials=2, n=3),
+        "composition": dict(trials=2, n=2),
+        "converse": dict(trials=2, n=2),
+    }
+    assert set(sizes) == set(SUITES)
+    for name, kw in sizes.items():
+        descs = list(SUITES[name].descs(kw["trials"], kw["n"], 4, None))
+        assert descs, name
+        for d in descs:
+            assert replay({"suite": name, **d}) is True, (name, d)
+    sampled = SUITES["composition"].descs(1, 3, 4, 20_000)
+    assert all(replay({"suite": "composition", **d}) is True for d in sampled)
+
+
+def test_replay_missing_field_is_value_error():
+    for ce in ({"suite": "shifting"}, {"n": 2, "indices": [0]},
+               {"suite": "cauchy", "n": 2, "scf": {"m": 3}},
+               {"suite": "border", "n": 2, "a_indices": [0], "b_indices": [8]}):
+        with pytest.raises(ValueError, match="counterexample lacks field"):
+            replay(ce)
 
 
 def test_random_table_rules_are_distinct():

@@ -86,10 +86,15 @@ def pair_slot(m):
 def index_digits(idx, base, n):
     """Mixed-radix digits of each index; shape (n, len(idx)), digit 0 least significant."""
     rem = np.array(idx, dtype=np.int64, copy=True)
+    quot = np.empty_like(rem)
     out = np.empty((n, rem.size), dtype=np.int64)
     for v in range(n):
-        out[v] = rem % base
-        rem //= base
+        # rem - base * (rem // base): numpy's integer remainder is several
+        # times slower than its division by a scalar
+        np.floor_divide(rem, base, out=quot)
+        np.multiply(quot, base, out=out[v])
+        np.subtract(rem, out[v], out=out[v])
+        rem, quot = quot, rem
     return out
 
 

@@ -129,7 +129,8 @@ class ColumnStats:
 
 
 def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
-    """Exact ColumnStats by full profile enumeration (m = 3)."""
+    """Exact ColumnStats by full profile enumeration (m = 3), reading the
+    winners from the rule's table."""
     n = resolve_n(scf, n)
     if scf.m != 3:
         raise ValueError("column statistics require m = 3")
@@ -137,37 +138,39 @@ def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
         raise ValueError("need two distinct alternatives")
     size = 1 << n
 
-    def tally(digits):
-        winners = np.asarray(scf.winners_from_digits(digits))
-        z = column_index(digits, a, b)
+    def tally(block):
+        winners = block.winners()
+        z = column_index(block.digits, a, b)
         return np.concatenate([np.bincount(z[winners == a], minlength=size),
                                np.bincount(z[winners == b], minlength=size)])
 
-    counts, _, _ = sampling.count(tally, 2 * size, n, 3, mode="exact")
+    counts, _, _ = sampling.count(tally, 2 * size, n, 3, mode="exact", scf=scf)
     return ColumnStats(a, b, n, counts[:size], counts[size:])
 
 
-def _gains(scf, voters, m):
+def _gains(voters, m):
     """Tally of strict improvements from a fresh ballot for each listed voter.
 
-    ``tally(digits, ballots)`` returns the sum and the sum of squares over
+    ``tally(block, ballots)`` returns the sum and the sum of squares over
     profiles of the per-profile number of improving (voter, ballot) pairs;
     ``ballots[k]`` is voter ``voters[k]``'s fresh ballot per profile, and
-    without ``ballots`` every one of the m! ballots is tried.
+    without ``ballots`` every other ballot is tried: the voter's own never
+    improves the outcome.
     """
-    pref = _tables.prefers(m)
-    every = range(factorial(m))
+    improves = _tables.prefers(m).reshape(-1)  # [(own * m + moved) * m + winner]
+    nord = factorial(m)
+    rotate = (np.arange(nord)[:, None] + np.arange(nord)) % nord  # [step, own]
 
-    def tally(digits, ballots=None):
-        winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
-        per_profile = np.zeros(digits.shape[1], np.int64)
-        swapped = digits.copy()
+    def tally(block, ballots=None):
+        winners = block.winners()
+        per_profile = np.zeros(block.digits.shape[1], np.int64)
         for k, i in enumerate(voters):
-            for ballot in (every if ballots is None else (ballots[k],)):
-                swapped[i] = ballot
-                moved = np.asarray(scf.winners_from_digits(swapped), dtype=np.int64)
-                per_profile += pref[digits[i], moved, winners]
-            swapped[i] = digits[i]
+            own = block.digits[i]
+            key = own * (m * m) + winners
+            fresh = ((ballots[k],) if ballots is not None
+                     else (rotate[step][own] for step in range(1, nord)))
+            for ballot in fresh:
+                per_profile += improves[key + m * block.moved(i, ballot)]
         return [per_profile.sum(), (per_profile ** 2).sum()]
 
     return tally
@@ -188,9 +191,9 @@ def manipulation_power(scf, i: int, n=None, *, mode="auto", samples=None,
                 rng.integers(0, nord, size=(1, size)))
 
     (count, _), trials, mode = sampling.count(
-        _gains(scf, (i,), m), 2, n, m, mode=mode, samples=samples, seed=seed,
-        workers=workers, draw=draw)
-    # exact mode tries all m! ballots at each profile
+        _gains((i,), m), 2, n, m, mode=mode, samples=samples, seed=seed,
+        workers=workers, draw=draw, scf=scf)
+    # exact mode counts all m! ballots at each profile; the own one never improves
     return count_report("M_i", (i,), count, trials * nord if mode == "exact" else trials,
                         mode, seed)
 
@@ -207,8 +210,8 @@ def manipulation_power_total(scf, n=None, *, mode="auto", samples=None,
                 rng.integers(0, nord, size=(n, size)))
 
     (total, total_sq), trials, mode = sampling.count(
-        _gains(scf, range(n), m), 2, n, m, mode=mode, samples=samples, seed=seed,
-        workers=workers, draw=draw)
+        _gains(range(n), m), 2, n, m, mode=mode, samples=samples, seed=seed,
+        workers=workers, draw=draw, scf=scf)
     if mode == "exact":
         return exact_report("M_total", (), total, trials * nord)
     half = sampling.normal_half_width(int(total), int(total_sq), trials)

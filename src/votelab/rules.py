@@ -4,6 +4,7 @@ neutrality, anonymity)."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -94,6 +95,7 @@ class ScfRule:
         self.m = m
         self.params = dict(params)
         self._table_cache = {}
+        self._table_lock = threading.Lock()  # worker threads share one cache
 
     @property
     def label(self) -> str:
@@ -113,20 +115,22 @@ class ScfRule:
         return _EVALUATORS[self.name](self, digits)
 
     def as_table(self, n: int) -> ScfTable:
-        cached = self._table_cache.get(n)
-        if cached is None:
-            total = factorial(self.m) ** n
-            if total * self.m > EXACT_BUDGET:
-                raise BudgetError(f"materializing {self.label} at n={n} exceeds the budget")
-            if self.name == "random_table":
-                rng = np.random.default_rng(self.params["seed"])
-                out = rng.integers(0, self.m, size=total, dtype=np.uint8)
-            else:
-                out = np.empty(total, np.uint8)
-                for lo, hi, digits in profile_chunks(n, self.m):
-                    out[lo:hi] = self.winners_from_digits(digits)
-            cached = self._table_cache[n] = ScfTable(n, self.m, out)
-        return cached
+        """The rule's winner at every profile of n voters, built once per n."""
+        with self._table_lock:
+            cached = self._table_cache.get(n)
+            if cached is None:
+                total = factorial(self.m) ** n
+                if total * self.m > EXACT_BUDGET:
+                    raise BudgetError(f"materializing {self.label} at n={n} exceeds the budget")
+                if self.name == "random_table":
+                    rng = np.random.default_rng(self.params["seed"])
+                    out = rng.integers(0, self.m, size=total, dtype=np.uint8)
+                else:
+                    out = np.empty(total, np.uint8)
+                    for lo, hi, digits in profile_chunks(n, self.m):
+                        out[lo:hi] = self.winners_from_digits(digits)
+                cached = self._table_cache[n] = ScfTable(n, self.m, out)
+            return cached
 
 
 @register_rule("dictatorship", ("voter",))
@@ -251,15 +255,16 @@ def _diag_counts(scf, which: str, n, mode, samples, seed, workers):
     m = scf.m
     perms = _tables.perms(m)
 
-    def tally(digits):
-        winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
+    def tally(block):
+        winners = block.winners()
         if which == "elected":
             return np.bincount(winners, minlength=m)
         ref = perms[:, 0] if which == "top" else perms[:, -1]
-        return np.array([(winners != ref[digits[i]]).sum() for i in range(n)], dtype=np.int64)
+        return np.array([(winners != ref[block.digits[i]]).sum() for i in range(n)],
+                        dtype=np.int64)
 
     return sampling.count(tally, m if which == "elected" else n, n, m, mode=mode,
-                          samples=samples, seed=seed, workers=workers)
+                          samples=samples, seed=seed, workers=workers, scf=scf)
 
 
 def _diag_min(scf, which, n, mode, samples, seed, workers):
@@ -289,19 +294,15 @@ def neutrality_counts(scf, n=None, *, mode="auto", samples=None, seed=None, work
     n = resolve_n(scf, n)
     m = scf.m
     perms = _tables.perms(m).astype(np.int64)
-    action = _tables.relabel_action(m)
     nperm = factorial(m)
 
-    def tally(digits):
-        winners = np.asarray(scf.winners_from_digits(digits), dtype=np.int64)
-        bad = 0
-        for q in range(1, nperm):
-            relabeled = scf.winners_from_digits(action[q][digits])
-            bad += int((np.asarray(relabeled, dtype=np.int64) != perms[q][winners]).sum())
-        return [bad]
+    def tally(block):
+        winners = block.winners()
+        return [sum(int((block.relabeled(q) != perms[q][winners]).sum())
+                    for q in range(1, nperm))]
 
     (bad,), trials, _ = sampling.count(tally, 1, n, m, mode=mode, samples=samples,
-                                       seed=seed, workers=workers)
+                                       seed=seed, workers=workers, scf=scf)
     return int(bad), trials * (nperm - 1)
 
 
@@ -309,17 +310,12 @@ def anonymity_counts(scf, n=None, *, mode="auto", samples=None, seed=None, worke
     """(violations, checks) of invariance under adjacent voter transpositions."""
     n = resolve_n(scf, n)
 
-    def tally(digits):
-        winners = np.asarray(scf.winners_from_digits(digits))
-        bad = 0
-        for i in range(n - 1):
-            swapped = digits.copy()
-            swapped[[i, i + 1]] = swapped[[i + 1, i]]
-            bad += int((np.asarray(scf.winners_from_digits(swapped)) != winners).sum())
-        return [bad]
+    def tally(block):
+        winners = block.winners()
+        return [sum(int((block.swapped(i) != winners).sum()) for i in range(n - 1))]
 
     (bad,), trials, _ = sampling.count(tally, 1, n, scf.m, mode=mode, samples=samples,
-                                       seed=seed, workers=workers)
+                                       seed=seed, workers=workers, scf=scf)
     return int(bad), trials * (n - 1)
 
 

@@ -4,7 +4,10 @@ interval helpers of sampled reports.
 Every metric is a count over uniform profiles of n voters and m
 alternatives, and ``count`` makes it in one of two modes:
 
-- exact mode visits every one of the (m!)^n profiles;
+- exact mode visits every one of the (m!)^n profiles; a count over a
+  rule's outcomes reads them from the rule's winner table, materialized once
+  per rule and n, so a swapped, transposed or relabelled profile costs one
+  gather instead of one rule evaluation;
 - sampled mode splits the samples into fixed-size chunks; chunk k draws
   from ``default_rng([seed, k])`` and counts are integer sums, so the
   result is the same for any worker count and schedule.
@@ -19,6 +22,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
+from . import _tables
 from .orders import profile_chunks
 
 CHUNK = 1 << 16
@@ -52,20 +56,24 @@ def pick_mode(mode: str, n: int, m: int, samples, seed) -> str:
 
 
 def count(tally, slots: int, n: int, m: int, *, mode="auto", samples=None,
-          seed=None, workers=1, draw=None) -> tuple[np.ndarray, int, str]:
+          seed=None, workers=1, draw=None, scf=None) -> tuple[np.ndarray, int, str]:
     """Sum ``tally`` over uniform profiles; returns (counts, trials, mode).
 
     ``tally(digits)`` maps an (n, S) block of ranking indices to ``slots``
     nonnegative integer counts.  Exact mode passes every profile once and
     ``trials`` is (m!)^n.  Sampled mode passes the arguments returned by
     ``draw(rng, size)``, by default one uniform (n, size) block, and
-    ``trials`` is ``samples``.
+    ``trials`` is ``samples``.  Given the rule ``scf``, the block arrives
+    as a view that also reads the rule's winners: ``Tabled`` on the rule's
+    winner table in exact mode, ``Evaluated`` by the rule in sampled mode.
     """
     mode = pick_mode(mode, n, m, samples, seed)
     if mode == "exact":
+        table = None if scf is None else scf.as_table(n).outputs
         counts = np.zeros(slots, np.int64)
-        for _, _, digits in profile_chunks(n, m):
-            counts += np.asarray(tally(digits), dtype=np.int64)
+        for lo, _, digits in profile_chunks(n, m):
+            block = digits if table is None else Tabled(table, lo, digits, m)
+            counts += np.asarray(tally(block), dtype=np.int64)
         return counts, factorial(m) ** n, mode
 
     if draw is None:
@@ -74,9 +82,81 @@ def count(tally, slots: int, n: int, m: int, *, mode="auto", samples=None,
         def draw(rng, size):
             return (rng.integers(0, nord, size=(n, size)),)
 
-    counts = run_chunks(lambda rng, size: tally(*draw(rng, size)), slots,
-                        samples, seed, workers=workers)
+    def counter(rng, size):
+        digits, *rest = draw(rng, size)
+        return tally(digits if scf is None else Evaluated(scf, digits), *rest)
+
+    counts = run_chunks(counter, slots, samples, seed, workers=workers)
     return counts, samples, mode
+
+
+class Evaluated:
+    """A block of profiles, ``digits`` of shape (n, S), with the reads of
+    ``Tabled``, made by evaluating the rule on each (varied) profile."""
+
+    def __init__(self, scf, digits):
+        self.scf = scf
+        self.digits = digits
+        self._edited = None  # one scratch copy, restored after each edit
+
+    def _eval(self, digits):
+        return np.asarray(self.scf.winners_from_digits(digits))
+
+    def winners(self):
+        return self._eval(self.digits)
+
+    def moved(self, i, ballots):
+        if self._edited is None:
+            self._edited = self.digits.copy()
+        self._edited[i] = ballots
+        out = self._eval(self._edited)
+        self._edited[i] = self.digits[i]
+        return out
+
+    def swapped(self, i):
+        swapped = self.digits.copy()
+        swapped[[i, i + 1]] = swapped[[i + 1, i]]
+        return self._eval(swapped)
+
+    def relabeled(self, q):
+        return self._eval(_tables.relabel_action(self.scf.m)[q][self.digits])
+
+
+class Tabled:
+    """A block of consecutive profile indices ``lo, lo + 1, ...`` with their
+    digits, reading winners as gathers on a winner table.
+
+    ``table[k]`` is the winner of profile index k.  Voter i's ranking is the
+    index digit of weight (m!)^i, so moving it, or trading it with voter
+    i + 1, shifts the index by a multiple of that weight.  Every read
+    returns one winner per profile.
+    """
+
+    def __init__(self, table, lo: int, digits, m: int):
+        self.table = table
+        self.digits = digits
+        self.m = m
+        self.base = factorial(m)
+        self.idx = np.arange(lo, lo + digits.shape[1], dtype=np.int64)
+
+    def winners(self):
+        """The winner of each profile."""
+        return self.table[self.idx]
+
+    def moved(self, i, ballots):
+        """Winners once voter i casts ``ballots`` (one ranking index, or one
+        per profile) instead."""
+        return self.table[self.idx + (ballots - self.digits[i]) * self.base ** i]
+
+    def swapped(self, i):
+        """Winners once voters i and i + 1 trade ballots."""
+        step = (1 - self.base) * self.base ** i  # index change per unit of d_{i+1} - d_i
+        return self.table[self.idx + step * (self.digits[i + 1] - self.digits[i])]
+
+    def relabeled(self, q):
+        """Winners once every ballot is relabelled by ``perms(m)[q]``."""
+        relabeled = _tables.relabel_action(self.m)[q][self.digits]
+        return self.table[_tables.digits_index(relabeled, self.base)]
 
 
 def run_chunks(counter, slots: int, samples: int, seed: int, *, workers: int = 1,

@@ -85,9 +85,12 @@ def _odd_g_corpus(n: int, trials: int, seed: int) -> list[dict]:
 
 
 def _build_odd_g(desc: dict) -> np.ndarray:
-    if desc["kind"] == "majority_g":
+    kind = desc["kind"]
+    if kind == "majority_g":
         return welfare.majority_g(desc["n"])
-    return welfare.random_odd_g(desc["n"], desc["seed"])
+    if kind == "random_odd_g":
+        return welfare.random_odd_g(desc["n"], desc["seed"])
+    raise ValueError(f"unknown odd-function descriptor kind {kind!r}")
 
 
 def _scf_descs(trials, n, seed, samples):

@@ -204,6 +204,15 @@ def test_verify_replay_missing_field_exits_2(capsys, tmp_path):
     assert "error:" in err and "lacks field 'n'" in err
 
 
+def test_verify_replay_unknown_kind_exits_2(capsys, tmp_path):
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({"suite": "composition", "kind": "nonsense",
+                                "seed": 2, "n": 2}))
+    code, out, err = run(capsys, "verify", "--replay", str(path))
+    assert code == 2 and "holds" not in out
+    assert "error:" in err and "'nonsense'" in err
+
+
 def test_verify_without_suite_exits_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "suite" in err

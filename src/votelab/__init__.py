@@ -43,7 +43,9 @@ from .metrics import (
     mab,
     manipulation_power,
     manipulation_power_total,
+    manipulation_reports,
     nab,
+    pair_reports,
 )
 from .lattice import (
     BorderReport,

@@ -99,20 +99,12 @@ def cmd_metrics(args) -> int:
     mode = "exact" if args.exact else ("sampled" if args.samples is not None else "auto")
     mode = sampling.pick_mode(mode, n, scf.m, args.samples, args.seed)
     kw = dict(mode=mode, samples=args.samples, seed=args.seed, workers=args.workers)
-    rows = [metrics.manipulation_power(scf, i, n, **kw) for i in range(n)]
-    rows.append(metrics.manipulation_power_total(scf, n, **kw))
-    if scf.m == 3 and mode == "exact":  # one sweep per pair gives both metrics
-        stats = [metrics.column_stats(scf, a, b, n) for a, b in PAIRS3]
-        rows += [st.mab_report() for st in stats]
-        rows += [st.nab_report() for st in stats]
-    elif scf.m == 3:
-        rows += [metrics.mab(scf, a, b, n, **kw) for a, b in PAIRS3]
-        rows += [metrics.nab(scf, a, b, n, **kw) for a, b in PAIRS3]
-
-    for metric, which in (("dist_dictatorship", "top"),
-                          ("dist_antidictatorship", "bottom"),
-                          ("range_min", "elected")):
-        counts, trials, _ = rules._diag_counts(scf, which, n, **kw)
+    rows = metrics.manipulation_reports(scf, n, **kw)
+    if scf.m == 3:
+        rows += metrics.pair_reports(scf, n, **kw)
+    diag, trials, _ = rules._diag_counts(scf, n, **kw)
+    for metric, counts in zip(("dist_dictatorship", "dist_antidictatorship", "range_min"),
+                              diag):
         i = int(counts.argmin())
         rows.append(metrics.count_report(metric, (i,), counts[i], trials, mode, args.seed))
 

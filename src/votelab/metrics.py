@@ -4,6 +4,13 @@ preference, exact or sampled.
 Exact values are integer counts over full enumerations and reduce to exact
 rationals.  Sampled values are deterministic for a given seed regardless of
 worker count (see sampling.count).
+
+Each metric family is computed in one pass.  Every voter's sampled M_i
+draws the same stream; so does every pair's sampled mab, and every pair's
+sampled nab.  ``manipulation_reports`` and ``pair_reports`` therefore draw
+each chunk once for the whole family and give the per-voter and per-pair
+estimates bit for bit.  Those estimates were always correlated for the same
+reason: all voters, or all pairs, see the same draws.
 """
 
 from __future__ import annotations
@@ -151,11 +158,11 @@ def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
 def _gains(voters, m):
     """Tally of strict improvements from a fresh ballot for each listed voter.
 
-    ``tally(block, ballots)`` returns the sum and the sum of squares over
-    profiles of the per-profile number of improving (voter, ballot) pairs;
-    ``ballots[k]`` is voter ``voters[k]``'s fresh ballot per profile, and
-    without ``ballots`` every other ballot is tried: the voter's own never
-    improves the outcome.
+    ``tally(block, ballots)`` returns one count per listed voter, then the
+    sum of squares over profiles of the per-profile number of improving
+    (voter, ballot) pairs; ``ballots[k]`` is voter ``voters[k]``'s fresh
+    ballot per profile, and without ``ballots`` every other ballot is tried:
+    the voter's own never improves the outcome.
     """
     improves = _tables.prefers(m).reshape(-1)  # [(own * m + moved) * m + winner]
     nord = factorial(m)
@@ -164,16 +171,43 @@ def _gains(voters, m):
     def tally(block, ballots=None):
         winners = block.winners()
         per_profile = np.zeros(block.digits.shape[1], np.int64)
+        counts = []
         for k, i in enumerate(voters):
             own = block.digits[i]
             key = own * (m * m) + winners
             fresh = ((ballots[k],) if ballots is not None
                      else (rotate[step][own] for step in range(1, nord)))
-            for ballot in fresh:
-                per_profile += improves[key + m * block.moved(i, ballot)]
-        return [per_profile.sum(), (per_profile ** 2).sum()]
+            gained = sum(improves[key + m * block.moved(i, ballot)] for ballot in fresh)
+            per_profile += gained
+            counts.append(gained.sum())
+        return [*counts, (per_profile ** 2).sum()]
 
     return tally
+
+
+def _voter_gains(scf, voters, n, *, mode, samples, seed, workers, fresh):
+    """sampling.count of ``_gains`` for the listed voters.  A sampled chunk
+    draws the (n, S) profiles and then ``fresh`` rows of ballots: one row
+    shared by every listed voter, or one row per voter."""
+    nord = factorial(scf.m)
+
+    def draw(rng, size):
+        digits = rng.integers(0, nord, size=(n, size))
+        ballots = rng.integers(0, nord, size=(fresh, size))
+        return digits, np.broadcast_to(ballots, (len(voters), size))
+
+    return sampling.count(_gains(voters, scf.m), len(voters) + 1, n, scf.m, mode=mode,
+                          samples=samples, seed=seed, workers=workers, draw=draw, scf=scf)
+
+
+def _m_i_reports(scf, voters, n, **kw) -> list[MetricReport]:
+    """The M_i report of each listed voter, from one sweep or one sampled
+    pass in which all of them share each chunk's profiles and fresh ballot."""
+    counts, trials, mode = _voter_gains(scf, voters, n, fresh=1, **kw)
+    # exact mode counts all m! ballots at each profile; the own one never improves
+    trials *= factorial(scf.m) if mode == "exact" else 1
+    return [count_report("M_i", (i,), counts[k], trials, mode, kw["seed"])
+            for k, i in enumerate(voters)]
 
 
 def manipulation_power(scf, i: int, n=None, *, mode="auto", samples=None,
@@ -181,41 +215,120 @@ def manipulation_power(scf, i: int, n=None, *, mode="auto", samples=None,
     """Probability that a fresh uniform ballot for voter i strictly improves
     the outcome under the voter's true ranking."""
     n = resolve_n(scf, n)
-    m = scf.m
     if not 0 <= i < n:
         raise ValueError(f"voter {i} out of range for n={n}")
-    nord = factorial(m)
-
-    def draw(rng, size):
-        return (rng.integers(0, nord, size=(n, size)),
-                rng.integers(0, nord, size=(1, size)))
-
-    (count, _), trials, mode = sampling.count(
-        _gains((i,), m), 2, n, m, mode=mode, samples=samples, seed=seed,
-        workers=workers, draw=draw, scf=scf)
-    # exact mode counts all m! ballots at each profile; the own one never improves
-    return count_report("M_i", (i,), count, trials * nord if mode == "exact" else trials,
-                        mode, seed)
+    return _m_i_reports(scf, (i,), n, mode=mode, samples=samples, seed=seed,
+                        workers=workers)[0]
 
 
 def manipulation_power_total(scf, n=None, *, mode="auto", samples=None,
                              seed=None, workers=1) -> MetricReport:
     """Sum over voters of manipulation_power."""
     n = resolve_n(scf, n)
-    m = scf.m
-    nord = factorial(m)
-
-    def draw(rng, size):
-        return (rng.integers(0, nord, size=(n, size)),
-                rng.integers(0, nord, size=(n, size)))
-
-    (total, total_sq), trials, mode = sampling.count(
-        _gains(range(n), m), 2, n, m, mode=mode, samples=samples, seed=seed,
-        workers=workers, draw=draw, scf=scf)
+    counts, trials, mode = _voter_gains(scf, range(n), n, mode=mode, samples=samples,
+                                        seed=seed, workers=workers, fresh=n)
+    total, total_sq = int(counts[:n].sum()), int(counts[n])
     if mode == "exact":
-        return exact_report("M_total", (), total, trials * nord)
-    half = sampling.normal_half_width(int(total), int(total_sq), trials)
-    return sampled_report("M_total", (), int(total), trials, half, trials, seed)
+        return exact_report("M_total", (), total, trials * factorial(scf.m))
+    half = sampling.normal_half_width(total, total_sq, trials)
+    return sampled_report("M_total", (), total, trials, half, trials, seed)
+
+
+def manipulation_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
+                         workers=1) -> list[MetricReport]:
+    """The M_i report of every voter, then M_total.
+
+    Exact mode makes one gains sweep for all of them.  Sampled mode makes
+    one pass for every M_i, whose chunks each voter would draw alike on its
+    own, and one for M_total, which draws a fresh ballot per voter.
+    """
+    n = resolve_n(scf, n)
+    kw = dict(mode=sampling.pick_mode(mode, n, scf.m, samples, seed), samples=samples,
+              seed=seed, workers=workers)
+    rows = _m_i_reports(scf, range(n), n, **kw)
+    if kw["mode"] == "exact":
+        total = sum(r.fraction for r in rows)
+        return rows + [exact_report("M_total", (), total.numerator, total.denominator)]
+    return rows + [manipulation_power_total(scf, n, **kw)]
+
+
+NAB_INNER = 32  # fresh completions per sampled column of the nab estimate
+
+
+def _check_pairs(scf, pairs, what):
+    if scf.m != 3:
+        raise ValueError(f"{what} requires m = 3")
+    if any(a == b for a, b in pairs):
+        raise ValueError("need two distinct alternatives")
+
+
+def _decode_steps(pairs) -> list[np.ndarray]:
+    """Tables that decode one drawn code 3 * bit + digit for each pair in
+    turn, in place: ``step[0]`` maps the code to the ranking of the first
+    pair's column, ``step[p]`` maps the ranking of pair p - 1 to that of
+    pair p.  Every ``order_of_bit_digit3`` is a bijection of the six codes,
+    so each step keeps the values in [0, 6)."""
+    steps, prev = [], None
+    for a, b in pairs:
+        lookup = _tables.order_of_bit_digit3(a, b).ravel()  # [3 * bit + digit]
+        steps.append(lookup if prev is None else lookup[np.argsort(prev)])
+        prev = lookup
+    return steps
+
+
+def _sampled_mab(scf, pairs, n, samples, seed, workers) -> list[MetricReport]:
+    """Sampled mab of each listed pair; every pair reads the same drawn
+    column bits and completions of a chunk, decoded for that pair."""
+    steps = _decode_steps(pairs)
+
+    def counter(rng, size):
+        z = 3 * rng.integers(0, 2, size=(n, size))
+        first = rng.integers(0, 3, size=(n, size))
+        first += z
+        second = rng.integers(0, 3, size=(n, size))
+        second += z
+        hits = []
+        for step, (a, b) in zip(steps, pairs):
+            np.take(step, first, out=first, mode="clip")
+            np.take(step, second, out=second, mode="clip")
+            hit_a = np.asarray(scf.winners_from_digits(first)) == a
+            hit_b = np.asarray(scf.winners_from_digits(second)) == b
+            hits.append((hit_a & hit_b).sum())
+        return hits
+
+    counts = sampling.run_chunks(counter, len(pairs), samples, seed, workers=workers)
+    return [count_report("mab", pair, count, samples, "sampled", seed)
+            for pair, count in zip(pairs, counts)]
+
+
+def _sampled_nab(scf, pairs, n, samples, seed, workers) -> list[MetricReport]:
+    """Sampled nab of each listed pair (the plug-in estimate of ``nab``);
+    every pair reads the same drawn column bits and completions of a chunk,
+    decoded for that pair."""
+    steps = _decode_steps(pairs)
+
+    def counter(rng, size):
+        z = 3 * rng.integers(0, 2, size=(n, size))
+        codes = rng.integers(0, 3, size=(n, size, NAB_INNER))
+        codes += z[:, :, None]
+        digits = codes.reshape(n, size * NAB_INNER)
+        sums = []
+        for step, (a, b) in zip(steps, pairs):
+            np.take(step, codes, out=codes, mode="clip")
+            winners = np.asarray(scf.winners_from_digits(digits)).reshape(size, NAB_INNER)
+            mins = np.minimum((winners == a).sum(1), (winners == b).sum(1))
+            sums += [mins.sum(), (mins ** 2).sum()]
+        return sums
+
+    chunk = max(1024, sampling.CHUNK // NAB_INNER)
+    sums = sampling.run_chunks(counter, 2 * len(pairs), samples, seed,
+                               workers=workers, chunk=chunk)
+    rows = []
+    for pair, total, total_sq in zip(pairs, sums[::2], sums[1::2]):
+        half = sampling.normal_half_width(int(total), int(total_sq), samples) / NAB_INNER
+        rows.append(sampled_report("nab", pair, int(total), samples * NAB_INNER, half,
+                                   samples, seed))
+    return rows
 
 
 def mab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
@@ -223,64 +336,40 @@ def mab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
     """Probability the winner is a, then b, after redrawing everything but
     the (a, b) column."""
     n = resolve_n(scf, n)
-    if scf.m != 3:
-        raise ValueError("inter-pair dependence requires m = 3")
-    if a == b:
-        raise ValueError("need two distinct alternatives")
-    mode = sampling.pick_mode(mode, n, 3, samples, seed)
-
-    if mode == "exact":
+    _check_pairs(scf, [(a, b)], "inter-pair dependence")
+    if sampling.pick_mode(mode, n, 3, samples, seed) == "exact":
         return column_stats(scf, a, b, n).mab_report()
-
-    lookup = _tables.order_of_bit_digit3(a, b).ravel()  # [3 * bit + digit]
-
-    def counter(rng, size):
-        z = 3 * rng.integers(0, 2, size=(n, size))
-        first = lookup[z + rng.integers(0, 3, size=(n, size))]
-        second = lookup[z + rng.integers(0, 3, size=(n, size))]
-        hit_a = np.asarray(scf.winners_from_digits(first)) == a
-        hit_b = np.asarray(scf.winners_from_digits(second)) == b
-        return np.array([(hit_a & hit_b).sum()], dtype=np.int64)
-
-    count = sampling.run_chunks(counter, 1, samples, seed, workers=workers)[0]
-    return count_report("mab", (a, b), count, samples, mode, seed)
+    return _sampled_mab(scf, [(a, b)], n, samples, seed, workers)[0]
 
 
 def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
-        workers=1, inner: int = 32) -> MetricReport:
+        workers=1) -> MetricReport:
     """Expected min of the two conditional election probabilities given the
     (a, b) column.
 
     The sampled path is a plug-in estimate: per sampled column it counts
-    winners over ``inner`` fresh completions and averages the min, which is
-    consistent (bias O(1/sqrt(inner))) but not unbiased; the interval covers
-    the plug-in mean.
+    winners over NAB_INNER fresh completions and averages the min, which is
+    consistent (bias O(1/sqrt(NAB_INNER))) but not unbiased; the interval
+    covers the plug-in mean.
     """
     n = resolve_n(scf, n)
-    if scf.m != 3:
-        raise ValueError("minority preference requires m = 3")
-    if a == b:
-        raise ValueError("need two distinct alternatives")
-    mode = sampling.pick_mode(mode, n, 3, samples, seed)
-
-    if mode == "exact":
+    _check_pairs(scf, [(a, b)], "minority preference")
+    if sampling.pick_mode(mode, n, 3, samples, seed) == "exact":
         return column_stats(scf, a, b, n).nab_report()
+    return _sampled_nab(scf, [(a, b)], n, samples, seed, workers)[0]
 
-    if inner < 1:
-        raise ValueError("inner must be >= 1")
-    lookup = _tables.order_of_bit_digit3(a, b).ravel()  # [3 * bit + digit]
 
-    def counter(rng, size):
-        z = 3 * rng.integers(0, 2, size=(n, size))
-        completions = lookup[z[:, :, None] + rng.integers(0, 3, size=(n, size, inner))]
-        winners = np.asarray(scf.winners_from_digits(completions.reshape(n, size * inner)))
-        winners = winners.reshape(size, inner)
-        mins = np.minimum((winners == a).sum(1), (winners == b).sum(1))
-        return np.array([mins.sum(), (mins ** 2).sum()], dtype=np.int64)
-
-    chunk = max(1024, sampling.CHUNK // inner)
-    total, total_sq = sampling.run_chunks(counter, 2, samples, seed,
-                                          workers=workers, chunk=chunk)
-    half = sampling.normal_half_width(int(total), int(total_sq), samples) / inner
-    return sampled_report("nab", (a, b), int(total), samples * inner, half,
-                          samples, seed)
+def pair_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
+                 workers=1) -> list[MetricReport]:
+    """The mab report of each pair (0, 1), (0, 2), (1, 2), then their nab
+    reports.  Exact mode makes one column sweep per pair for both metrics;
+    sampled mode makes one pass for the three mab and one for the three
+    nab, each chunk drawn once and decoded for each pair in turn."""
+    n = resolve_n(scf, n)
+    pairs = _tables.pair_list(3)
+    _check_pairs(scf, pairs, "each pair metric")
+    if sampling.pick_mode(mode, n, 3, samples, seed) == "exact":
+        stats = [column_stats(scf, a, b, n) for a, b in pairs]
+        return [st.mab_report() for st in stats] + [st.nab_report() for st in stats]
+    return (_sampled_mab(scf, pairs, n, samples, seed, workers)
+            + _sampled_nab(scf, pairs, n, samples, seed, workers))

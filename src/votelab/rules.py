@@ -247,46 +247,48 @@ def resolve_n(scf, n=None) -> int:
     return int(n)
 
 
-def _diag_counts(scf, which: str, n, mode, samples, seed, workers):
-    """Per-voter disagreements with the voter's top ("top") or bottom
-    ("bottom") choice, or per-alternative wins ("elected"), as
-    sampling.count's (counts, trials, mode)."""
+def _diag_counts(scf, n, mode, samples, seed, workers):
+    """Per-voter disagreements with the voter's top choice, per-voter
+    disagreements with the voter's bottom choice and per-alternative wins,
+    from one sweep or sampled pass: ((top, bottom, elected), trials, mode)."""
     n = resolve_n(scf, n)
     m = scf.m
     perms = _tables.perms(m)
 
     def tally(block):
         winners = block.winners()
-        if which == "elected":
-            return np.bincount(winners, minlength=m)
-        ref = perms[:, 0] if which == "top" else perms[:, -1]
-        return np.array([(winners != ref[block.digits[i]]).sum() for i in range(n)],
-                        dtype=np.int64)
+        top = [(winners != perms[block.digits[i], 0]).sum() for i in range(n)]
+        bottom = [(winners != perms[block.digits[i], -1]).sum() for i in range(n)]
+        return np.concatenate([top, bottom, np.bincount(winners, minlength=m)])
 
-    return sampling.count(tally, m if which == "elected" else n, n, m, mode=mode,
-                          samples=samples, seed=seed, workers=workers, scf=scf)
+    counts, trials, mode = sampling.count(tally, 2 * n + m, n, m, mode=mode,
+                                          samples=samples, seed=seed, workers=workers,
+                                          scf=scf)
+    return (counts[:n], counts[n:2 * n], counts[2 * n:]), trials, mode
 
 
 def _diag_min(scf, which, n, mode, samples, seed, workers):
-    counts, trials, used = _diag_counts(scf, which, n, mode, samples, seed, workers)
-    i = int(counts.argmin())
-    value = Fraction(int(counts[i]), trials) if used == "exact" else int(counts[i]) / trials
-    return value, i
+    """The smallest count of ``_diag_counts``' part ``which`` (0 top, 1
+    bottom, 2 elected) as a probability, a Fraction when exact, and its index."""
+    diag, trials, used = _diag_counts(scf, n, mode, samples, seed, workers)
+    i = int(diag[which].argmin())
+    count = int(diag[which][i])
+    return (Fraction(count, trials) if used == "exact" else count / trials), i
 
 
 def dist_to_dictatorship(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
     """min_i Pr[F(x) != top of voter i] with the argmin voter."""
-    return _diag_min(scf, "top", n, mode, samples, seed, workers)
+    return _diag_min(scf, 0, n, mode, samples, seed, workers)
 
 
 def dist_to_antidictatorship(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
     """min_i Pr[F(x) != bottom of voter i] with the argmin voter."""
-    return _diag_min(scf, "bottom", n, mode, samples, seed, workers)
+    return _diag_min(scf, 1, n, mode, samples, seed, workers)
 
 
 def range_min_prob(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
     """min_a Pr[F(x) = a] with the argmin alternative."""
-    return _diag_min(scf, "elected", n, mode, samples, seed, workers)
+    return _diag_min(scf, 2, n, mode, samples, seed, workers)
 
 
 def neutrality_counts(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):

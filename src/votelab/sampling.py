@@ -10,7 +10,10 @@ alternatives, and ``count`` makes it in one of two modes:
   gather instead of one rule evaluation;
 - sampled mode splits the samples into fixed-size chunks; chunk k draws
   from ``default_rng([seed, k])`` and counts are integer sums, so the
-  result is the same for any worker count and schedule.
+  result is the same for any worker count and schedule.  A chunk's draws
+  depend only on (seed, k) and the calls made, so metrics that make the
+  same calls (every voter's M_i, every pair's mab or nab) share one draw
+  per chunk and are computed in one pass; their estimates are correlated.
 
 ``auto`` picks exact iff (m!)^n * m! <= EXACT_BUDGET (10^9).
 """

@@ -15,8 +15,7 @@ from .metrics import (MetricReport, column_stats, count_report, exact_report,
                       sampled_report)
 from .orders import (Profile, column_complement, column_index, order_to_index,
                      profile_digits, voter_bits)
-from .rules import (ScfRule, range_min_prob, register_rule, resolve_n,
-                    dist_to_antidictatorship, dist_to_dictatorship, is_neutral)
+from .rules import ScfRule, _diag_counts, is_neutral, register_rule, resolve_n
 from .sampling import BudgetError
 
 PAIRS3 = _tables.pair_list(3)
@@ -471,7 +470,9 @@ def check_composition(g, m1: int = 3, m2: int = 3, *, mode="auto",
     m = m1 + m2
     tensor = neutral_tensor(g, m)
     blocks = (range(m1), range(m1, m))
-    left, right = (ngcw(restrict_gswf(tensor, block)) for block in blocks)
+    left = ngcw(restrict_gswf(tensor, blocks[0]))
+    # the restrictions of a neutral tensor to blocks of one size are equal
+    right = left if m1 == m2 else ngcw(restrict_gswf(tensor, blocks[1]))
 
     def tally(digits):
         both = np.ones(digits.shape[1], bool)
@@ -573,9 +574,8 @@ def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     mab_reports = tuple(st.mab_report() for st in stats)
     nab_reports = tuple(st.nab_report() for st in stats)
     eps1 = max(r.fraction for r in mab_reports)
-    dd, _ = dist_to_dictatorship(scf, n)
-    da, _ = dist_to_antidictatorship(scf, n)
-    rm, _ = range_min_prob(scf, n)
+    diag, trials, _ = _diag_counts(scf, n, "exact", None, None, 1)
+    dd, da, rm = (Fraction(int(counts.min()), trials) for counts in diag)
     eps2 = min(dd, da, rm)
     G = _gswf_from_stats(stats, tie)
     nt_report = nt(G)

@@ -75,8 +75,8 @@ def _check_against_walk(scf, n):
     for (a, b), (count_a, count_b) in expect["columns"].items():
         st = column_stats(scf, a, b, n)
         assert st.count_a.tolist() == count_a and st.count_b.tolist() == count_b
-    for which in ("top", "bottom", "elected"):
-        counts, got_trials, mode = _diag_counts(scf, which, n, "exact", None, None, 1)
+    diag, got_trials, mode = _diag_counts(scf, n, "exact", None, None, 1)
+    for which, counts in zip(("top", "bottom", "elected"), diag):
         assert (counts.tolist(), got_trials, mode) == (expect[which], trials, "exact")
     assert neutrality_counts(scf, n) == (expect["neutral"], trials * 5)
     assert anonymity_counts(scf, n) == (expect["anonymous"], trials * (n - 1))
@@ -132,8 +132,8 @@ def test_tabled_values_frozen_n6(label):
     got = (str(manipulation_power(scf, 2, 6).fraction),
            str(manipulation_power_total(scf, 6).fraction),
            str(st.mab_report().fraction), str(st.nab_report().fraction),
-           tuple(tuple(_diag_counts(scf, which, 6, "exact", None, None, 1)[0].tolist())
-                 for which in ("top", "bottom", "elected")),
+           tuple(tuple(counts.tolist())
+                 for counts in _diag_counts(scf, 6, "exact", None, None, 1)[0]),
            neutrality_counts(scf, 6), anonymity_counts(scf, 6))
     assert got == FROZEN_N6[label]
 
@@ -174,8 +174,7 @@ def test_exact_sweeps_evaluate_the_rule_once_per_profile(monkeypatch):
     manipulation_power_total(scf, n)
     for a, b in PAIRS3:
         column_stats(scf, a, b, n)
-    for which in ("top", "bottom", "elected"):
-        _diag_counts(scf, which, n, "exact", None, None, 1)
+    _diag_counts(scf, n, "exact", None, None, 1)
     neutrality_counts(scf, n)
     anonymity_counts(scf, n)
     assert sum(evaluated) == 6 ** n

@@ -5,18 +5,22 @@ recomputations that only use the object layer, then against frozen values.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+from votelab import _tables
 from votelab.metrics import (
     MetricReport,
+    _decode_steps,
     column_stats,
     mab,
     manipulation_power,
     manipulation_power_total,
+    manipulation_reports,
     nab,
+    pair_reports,
 )
 from votelab.orders import (
     decompose,
@@ -25,6 +29,7 @@ from votelab.orders import (
     profile_from_index,
 )
 from votelab.rules import ScfRule, zoo_rules
+from votelab.sampling import CHUNK
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -233,3 +238,47 @@ def test_sampled_convergence_coverage():
         inside95 += abs(r.value - exact) <= r.ci95
     assert inside3 >= 99
     assert inside95 >= 85
+
+
+# --- one pass per metric family ------------------------------------------
+
+def _per_item_reports(scf, n, **kw):
+    """The family reports built one voter and one pair at a time."""
+    voters = [manipulation_power(scf, i, n, **kw) for i in range(n)]
+    pairs = ([mab(scf, a, b, n, **kw) for a, b in PAIRS]
+             + [nab(scf, a, b, n, **kw) for a, b in PAIRS])
+    return voters + [manipulation_power_total(scf, n, **kw)], pairs
+
+
+FAMILY_RULES = [ScfRule("borda"), ScfRule("pairwise_majority_fallback"),
+                ScfRule("random_table", seed=4)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("scf", FAMILY_RULES, ids=lambda rule: rule.label)
+def test_sampled_family_passes_equal_per_item_reports(scf, n, workers):
+    kw = dict(mode="sampled", samples=CHUNK + 100, seed=21, workers=workers)  # two chunks
+    voters, pairs = _per_item_reports(scf, n, **kw)
+    assert manipulation_reports(scf, n, **kw) == voters
+    assert pair_reports(scf, n, **kw) == pairs
+
+
+@pytest.mark.parametrize("scf", zoo_rules(3), ids=lambda rule: rule.label)
+def test_exact_family_passes_equal_per_item_reports(scf):
+    for n in (3, 4):
+        voters, pairs = _per_item_reports(scf, n)
+        assert manipulation_reports(scf, n) == voters
+        assert pair_reports(scf, n) == pairs
+
+
+def test_decode_steps_reach_each_pairs_lookup():
+    """Each step table is a bijection of the six codes, and decoding in
+    place through the steps gives every pair's own lookup, in any order."""
+    ordered = [(a, b) for a in range(3) for b in range(3) if a != b]
+    for pairs in permutations(ordered, 3):
+        codes = np.arange(6)
+        for step, (a, b) in zip(_decode_steps(pairs), pairs):
+            assert sorted(step.tolist()) == list(range(6))
+            np.take(step, codes, out=codes, mode="clip")
+            assert codes.tolist() == _tables.order_of_bit_digit3(a, b).ravel().tolist()

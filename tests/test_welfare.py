@@ -7,7 +7,7 @@ never touches profiles at all.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import numpy as np
@@ -375,6 +375,36 @@ def test_identities_majority_n3():
     assert rep.ngcw5.mode == "exact"
     assert rep.ngcw6.mode == "sampled"
     assert rep.five_holds and rep.holds
+
+
+def test_three_blocks_of_a_neutral_tensor_share_its_ngcw():
+    """The premise on which check_composition reuses one block's ngcw for
+    the other block of the same size."""
+    for n in (1, 2, 3):
+        for seed in range(6):
+            g = random_odd_g(n, seed)
+            tensor = neutral_tensor(g, 6)
+            expected = ngcw(neutral_tensor(g, 3))
+            for block in combinations(range(6), 3):
+                assert ngcw(restrict_gswf(tensor, block)) == expected, (n, seed, block)
+
+
+def test_identities_evaluate_ngcw_five_times(monkeypatch):
+    from votelab import welfare
+    g = random_odd_g(2, 3)
+    calls = []
+    original = welfare.ngcw
+
+    def counting(G, **kw):
+        calls.append(G.m)
+        return original(G, **kw)
+
+    monkeypatch.setattr(welfare, "ngcw", counting)
+    rep = check_identities(g)
+    assert sorted(calls) == [3, 3, 4, 5, 6]
+    tensor = neutral_tensor(g, 6)
+    assert rep.composition.left == original(restrict_gswf(tensor, range(3)))
+    assert rep.composition.right == original(restrict_gswf(tensor, range(3, 6)))
 
 
 def test_composition_exact():

@@ -11,14 +11,9 @@ from .orders import (
     LinearOrder,
     PairwiseColumn,
     Profile,
-    TernaryVector,
-    compose,
-    decompose,
     order_from_index,
     order_to_index,
-    pairwise_column,
     profile_from_index,
-    profile_to_index,
 )
 from .rules import (
     EXACT_BUDGET,
@@ -76,10 +71,8 @@ from .welfare import (
     dictator_swf,
     dist_dict2,
     dist_tr3,
-    dist_tr3_bruteforce,
     gcw,
     gcw_winner_at,
-    gswf_disagreement,
     gswf_from_scf,
     is_neutral_gswf,
     is_odd,
@@ -91,8 +84,6 @@ from .welfare import (
     random_odd_g,
     restrict_gswf,
     scf_from_gswf,
-    tr3_members,
-    tr_member_tables,
 )
 from .fileio import read_gswf, read_scf, write_gswf, write_scf
 from .reports import report_from_dict, report_to_dict, reports_to_csv, reports_to_json

@@ -111,6 +111,8 @@ def cmd_metrics(args) -> int:
     for metric, rate, fn in (("neutral", "neutrality", rules.neutrality_counts),
                              ("anonymous", "anonymity", rules.anonymity_counts)):
         bad, checks = fn(scf, n, **kw)
+        if not checks:  # one voter: there is no pair of voters to swap
+            continue
         if mode == "exact":
             rows.append(metrics.exact_report(f"is_{metric}", (), int(bad == 0), 1))
         else:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import _check_pairs
 from .orders import PairwiseColumn, join_pair
 from .rules import resolve_n
 
@@ -68,9 +69,6 @@ class TernarySet:
     def __eq__(self, other):
         return (isinstance(other, TernarySet) and self.n == other.n
                 and np.array_equal(self.membership, other.membership))
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 @dataclass(frozen=True)
@@ -224,10 +222,7 @@ def sets_ab(scf, a: int, b: int, column, n=None) -> tuple[TernarySet, TernarySet
     """The winner sets A, B over completions of one (a, b) column: point v is
     in A iff the profile with that column and third-alternative positions v
     elects a (B likewise for b)."""
-    if scf.m != 3:
-        raise ValueError("winner sets require m = 3")
-    if a == b:
-        raise ValueError("need two distinct alternatives")
+    _check_pairs(scf, [(a, b)], "winner sets")
     if isinstance(column, PairwiseColumn):
         n = column.n if n is None else n
         if column.n != n:

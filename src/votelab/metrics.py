@@ -135,14 +135,23 @@ class ColumnStats:
         return exact_report("nab", (self.a, self.b), num, 2 ** self.n * 3 ** self.n)
 
 
+def _check_pairs(scf, pairs, what):
+    """Reject a rule over other than three alternatives, and any pair that
+    is not two distinct alternatives of 0..2."""
+    if scf.m != 3:
+        raise ValueError(f"{what} requires m = 3")
+    for a, b in pairs:
+        if not (0 <= a < 3 and 0 <= b < 3):
+            raise ValueError(f"alternatives must lie in 0..2, got ({a}, {b})")
+        if a == b:
+            raise ValueError("need two distinct alternatives")
+
+
 def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
     """Exact ColumnStats by full profile enumeration (m = 3), reading the
     winners from the rule's table."""
     n = resolve_n(scf, n)
-    if scf.m != 3:
-        raise ValueError("column statistics require m = 3")
-    if a == b:
-        raise ValueError("need two distinct alternatives")
+    _check_pairs(scf, [(a, b)], "column statistics")
     size = 1 << n
 
     def tally(block):
@@ -253,13 +262,6 @@ def manipulation_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
 
 
 NAB_INNER = 32  # fresh completions per sampled column of the nab estimate
-
-
-def _check_pairs(scf, pairs, what):
-    if scf.m != 3:
-        raise ValueError(f"{what} requires m = 3")
-    if any(a == b for a, b in pairs):
-        raise ValueError("need two distinct alternatives")
 
 
 def _decode_steps(pairs) -> list[np.ndarray]:

@@ -1,5 +1,8 @@
-"""Canonical encodings of rankings, profiles, pairwise columns, and the
-ternary decomposition.
+"""Canonical encodings of rankings, profiles and pairwise columns, and the
+array kernels that read profiles as digit blocks: profile indices, pairwise
+column indices, and the m=3 split of a profile into one pair's column and
+the third alternative's positions (``split_pair``, inverted by
+``join_pair``).
 
 Conventions, normative for file formats and profile indices:
 
@@ -119,33 +122,6 @@ class PairwiseColumn:
         return cls(tuple(z >> v & 1 for v in range(n)))
 
 
-@dataclass(frozen=True)
-class TernaryVector:
-    """Per-voter position codes of the third alternative relative to a pair."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        digits = tuple(int(d) for d in self.digits)
-        if any(d not in (0, 1, 2) for d in digits):
-            raise ValueError(f"digits must be in {{0,1,2}}: {digits}")
-        object.__setattr__(self, "digits", digits)
-
-    @property
-    def n(self) -> int:
-        return len(self.digits)
-
-    @property
-    def index(self) -> int:
-        return sum(d * 3 ** v for v, d in enumerate(self.digits))
-
-    @classmethod
-    def from_index(cls, t: int, n: int) -> "TernaryVector":
-        if not 0 <= t < 3 ** n:
-            raise ValueError(f"point index {t} out of range for n={n}")
-        return cls(tuple(t // 3 ** v % 3 for v in range(n)))
-
-
 def order_from_index(k: int, m: int = 3) -> LinearOrder:
     """The k-th ranking under lexicographic enumeration of top-first sequences."""
     if not 0 <= k < factorial(m):
@@ -169,12 +145,6 @@ def order_to_index(order: LinearOrder) -> int:
     return k
 
 
-def profile_to_index(p: Profile) -> int:
-    """Mixed-radix profile index, voter 0 least significant."""
-    base = factorial(p.m)
-    return sum(order_to_index(v) * base ** i for i, v in enumerate(p.voters))
-
-
 def profile_from_index(idx: int, n: int, m: int = 3) -> Profile:
     base = factorial(m)
     if not 0 <= idx < base ** n:
@@ -186,51 +156,17 @@ def profile_from_index(idx: int, n: int, m: int = 3) -> Profile:
     return Profile(tuple(voters))
 
 
-def pairwise_column(p: Profile, a: int, b: int) -> PairwiseColumn:
-    """Preference bits of the ordered pair (a, b), one per voter."""
-    if a == b:
-        raise ValueError("a pairwise column needs two distinct alternatives")
-    return PairwiseColumn(tuple(int(v.prefers(a, b)) for v in p.voters))
-
-
-def decompose(p: Profile, a: int, b: int) -> tuple[PairwiseColumn, TernaryVector]:
-    """Split an m=3 profile into its (a, b) column and the third alternative's
-    position vector; lossless, see compose."""
-    if p.m != 3:
-        raise ValueError("the ternary decomposition requires m = 3")
-    if a == b:
-        raise ValueError("a pairwise column needs two distinct alternatives")
-    c = 3 - a - b
-    column = pairwise_column(p, a, b)
-    ternary = TernaryVector(tuple(v.ranking.index(c) for v in p.voters))
-    return column, ternary
-
-
-def compose(column: PairwiseColumn, ternary: TernaryVector, a: int, b: int) -> Profile:
-    """Rebuild the unique m=3 profile with the given (a, b) column and third
-    alternative positions."""
-    if column.n != ternary.n:
-        raise ValueError("column and ternary vector disagree on voter count")
-    c = 3 - a - b
-    voters = []
-    for bit, d in zip(column.bits, ternary.digits):
-        pair = [a, b] if bit else [b, a]
-        pair.insert(d, c)
-        voters.append(LinearOrder(tuple(pair)))
-    return Profile(tuple(voters))
-
-
 # Array kernels used by the metric engines.  Profiles travel as "digit"
 # arrays of shape (n, S): one ranking index per voter per profile.
+
+def profile_block(profile: Profile) -> np.ndarray:
+    """The digit array of one profile; shape (n, 1)."""
+    return np.array([[order_to_index(v)] for v in profile.voters])
+
 
 def profile_digits(idx, n: int, m: int = 3) -> np.ndarray:
     """Per-voter ranking indices of each profile index; shape (n, len(idx))."""
     return _tables.index_digits(idx, factorial(m), n)
-
-
-def digits_to_profile_index(digits, m: int = 3) -> np.ndarray:
-    """Inverse of profile_digits."""
-    return _tables.digits_index(digits, factorial(m))
 
 
 def profile_chunks(n: int, m: int = 3, chunk: int = 1 << 18):
@@ -257,7 +193,8 @@ def column_complement(n: int) -> np.ndarray:
 
 
 def split_pair(digits, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices and ternary point indices of m=3 profiles; both shape (S,)."""
+    """Column indices and ternary point indices of m=3 profiles; both shape
+    (S,).  Inverse of join_pair."""
     digs = _tables.third_digit3(a, b)[digits]
     return column_index(digits, a, b), _tables.digits_index(digs, 3)
 

@@ -12,7 +12,7 @@ from math import factorial
 import numpy as np
 
 from . import _tables, sampling
-from .orders import Profile, order_to_index, profile_chunks
+from .orders import Profile, profile_block, profile_chunks
 from .sampling import EXACT_BUDGET, BudgetError, exact_feasible  # re-exported
 
 
@@ -39,8 +39,7 @@ class ScfTable:
         return f"table[m={self.m},n={self.n}]"
 
     def winner(self, profile: Profile) -> int:
-        digits = np.array([[order_to_index(v)] for v in profile.voters])
-        return int(self.winners_from_digits(digits)[0])
+        return int(self.winners_from_digits(profile_block(profile))[0])
 
     def winners_from_digits(self, digits) -> np.ndarray:
         digits = np.asarray(digits, dtype=np.int64)
@@ -56,9 +55,6 @@ class ScfTable:
     def __eq__(self, other):
         return (isinstance(other, ScfTable) and self.n == other.n and self.m == other.m
                 and np.array_equal(self.outputs, other.outputs))
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 _EVALUATORS = {}
@@ -107,8 +103,7 @@ class ScfRule:
         return f"ScfRule({self.label}, m={self.m})"
 
     def winner(self, profile: Profile) -> int:
-        digits = np.array([[order_to_index(v)] for v in profile.voters])
-        return int(self.winners_from_digits(digits)[0])
+        return int(self.winners_from_digits(profile_block(profile))[0])
 
     def winners_from_digits(self, digits) -> np.ndarray:
         digits = np.asarray(digits, dtype=np.int64)

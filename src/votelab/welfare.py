@@ -13,10 +13,8 @@ import numpy as np
 from . import _tables, sampling
 from .metrics import (MetricReport, column_stats, count_report, exact_report,
                       sampled_report)
-from .orders import (Profile, column_complement, column_index, order_to_index,
-                     profile_digits, voter_bits)
+from .orders import Profile, column_complement, column_index, profile_block, voter_bits
 from .rules import ScfRule, _diag_counts, is_neutral, register_rule, resolve_n
-from .sampling import BudgetError
 
 PAIRS3 = _tables.pair_list(3)
 
@@ -54,9 +52,6 @@ class GswfIia:
     def __eq__(self, other):
         return (isinstance(other, GswfIia) and self.m == other.m
                 and self.n == other.n and np.array_equal(self.tables, other.tables))
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 def _boolean_table(g) -> tuple[np.ndarray, int]:
@@ -147,16 +142,9 @@ def restrict_gswf(G, subset) -> GswfIia:
 
 
 # --- evaluation engines ------------------------------------------------
-
-def _triple3(G: GswfIia, digits):
-    return tuple(G.tables[slot][column_index(digits, a, b)]
-                 for slot, (a, b) in enumerate(PAIRS3))
-
-
-def _cyclic_mask(G: GswfIia, digits) -> np.ndarray:
-    t01, t02, t12 = _triple3(G, digits)
-    return (t01 & ~t02 & t12) | (~t01 & t02 & ~t12)
-
+#
+# Every engine (nt, ngcw, check_composition, dist_tr3, the gswf_winner rule)
+# reads pairwise outcomes only through ``_wins``.
 
 def _wins(G: GswfIia, digits, alts) -> np.ndarray:
     """Pairwise victories of each of the increasing alternatives ``alts``
@@ -173,22 +161,30 @@ def _wins(G: GswfIia, digits, alts) -> np.ndarray:
     return wins
 
 
+def _no_gcw(G: GswfIia, digits, alts) -> np.ndarray:
+    """True where no alternative of ``alts`` beats every other in ``alts``."""
+    return _wins(G, digits, alts).max(0) < len(alts) - 1
+
+
+def _no_gcw_report(metric, G, mode, samples, seed, workers) -> MetricReport:
+    (count,), trials, mode = sampling.count(
+        lambda digits: [_no_gcw(G, digits, range(G.m)).sum()], 1, G.n, G.m,
+        mode=mode, samples=samples, seed=seed, workers=workers)
+    return count_report(metric, (), count, trials, mode, seed)
+
+
 def nt(G, *, mode="auto", samples=None, seed=None, workers=1) -> MetricReport:
-    """Probability of a cyclic output triple (m = 3 only)."""
+    """Probability of a cyclic output triple (m = 3 only): the no-GCW
+    count of ``ngcw``, since a three-way tournament is cyclic exactly when
+    no alternative beats both others."""
     if G.m != 3:
         raise ValueError("cyclicity is a three-alternative notion; use ngcw")
-    (count,), trials, mode = sampling.count(
-        lambda digits: [_cyclic_mask(G, digits).sum()], 1, G.n, 3, mode=mode,
-        samples=samples, seed=seed, workers=workers)
-    return count_report("nt", (), count, trials, mode, seed)
+    return _no_gcw_report("nt", G, mode, samples, seed, workers)
 
 
 def ngcw(G, *, mode="auto", samples=None, seed=None, workers=1) -> MetricReport:
     """Probability that no alternative beats every other."""
-    (count,), trials, mode = sampling.count(
-        lambda digits: [(_wins(G, digits, range(G.m)).max(0) < G.m - 1).sum()],
-        1, G.n, G.m, mode=mode, samples=samples, seed=seed, workers=workers)
-    return count_report("ngcw", (), count, trials, mode, seed)
+    return _no_gcw_report("ngcw", G, mode, samples, seed, workers)
 
 
 def gcw(G, **kw) -> MetricReport:
@@ -202,7 +198,7 @@ def gcw(G, **kw) -> MetricReport:
 
 def gcw_winner_at(G, profile: Profile):
     """The unique alternative beating all others at one profile, or None."""
-    digits = np.array([[order_to_index(v)] for v in profile.voters])
+    digits = profile_block(profile)
     if digits.shape[0] != G.n:
         raise ValueError(f"profile has {digits.shape[0]} voters, G expects {G.n}")
     wins = _wins(G, digits, range(G.m))[:, 0]
@@ -294,138 +290,55 @@ class TrMember:
         return f"{self.kind}({self.alt})"
 
 
-_TOP_FIXED = {0: (((0, 1), 1), ((0, 2), 1)), 1: (((0, 1), 0), ((1, 2), 1)),
-              2: (((0, 2), 0), ((1, 2), 0))}
-_BOTTOM_FIXED = {0: (((0, 1), 0), ((0, 2), 0)), 1: (((0, 1), 1), ((1, 2), 0)),
-                 2: (((0, 2), 1), ((1, 2), 1))}
-
-
 def _free_pair(alt: int) -> tuple[int, int]:
     others = [x for x in range(3) if x != alt]
     return (others[0], others[1])
-
-
-def tr_member_tables(member: TrMember, n: int) -> GswfIia:
-    """The explicit pairwise tables of a transitive-family member."""
-    if member.kind == "dictator":
-        return dictator_swf(member.voter, n)
-    if member.kind == "anti_dictator":
-        return anti_dictator_swf(member.voter, n)
-    size = 1 << n
-    fixed = _TOP_FIXED if member.kind == "top_fixed" else _BOTTOM_FIXED
-    tabs = np.empty((3, size), bool)
-    slot = _tables.pair_slot(3)
-    for pair, value in fixed[member.alt]:
-        tabs[slot[pair]] = bool(value)
-    tabs[slot[member.free_pair]] = np.asarray(member.h, dtype=bool)
-    return GswfIia(3, n, tabs)
-
-
-def _tr3_agreement_masks(G: GswfIia, digits):
-    """Per-candidate agreement masks in fixed scan order; the free pair of a
-    top/bottom candidate agrees for free by choosing h = G's own table."""
-    t01, t02, t12 = _triple3(G, digits)
-    n = digits.shape[0]
-    cands = []
-    for i in range(n):
-        b01 = _tables.pair_bit(3, 0, 1)[digits[i]].astype(bool)
-        b02 = _tables.pair_bit(3, 0, 2)[digits[i]].astype(bool)
-        b12 = _tables.pair_bit(3, 1, 2)[digits[i]].astype(bool)
-        cands.append((TrMember("dictator", voter=i),
-                      (t01 == b01) & (t02 == b02) & (t12 == b12)))
-        cands.append((TrMember("anti_dictator", voter=i),
-                      (t01 != b01) & (t02 != b02) & (t12 != b12)))
-    top = {0: t01 & t02, 1: ~t01 & t12, 2: ~t02 & ~t12}
-    bottom = {0: ~t01 & ~t02, 1: t01 & ~t12, 2: t02 & t12}
-    slot = _tables.pair_slot(3)
-    for kind, masks in (("top_fixed", top), ("bottom_fixed", bottom)):
-        for alt in range(3):
-            free = _free_pair(alt)
-            member = TrMember(kind, alt=alt, free_pair=free,
-                              h=G.tables[slot[free]].copy())
-            cands.append((member, masks[alt]))
-    return cands
 
 
 def dist_tr3(G):
     """Distance (triple-level disagreement probability) to the nearest
     always-transitive member, with the minimizer.
 
-    The anti-dictator candidate requires all three output bits flipped; a
-    top-fixed (bottom-fixed) candidate requires only its two constrained
-    pairs to favor (disfavor) the fixed alternative, because its free-pair
-    table may be chosen pointwise equal to G's own."""
+    Candidates are scanned in a fixed order: the dictator and anti-dictator
+    of each voter, then the top-fixed and the bottom-fixed member of each
+    alternative; the first with the most agreements wins.  Every agreement
+    is a condition on the wins: dictator i agrees iff voter i's top beats
+    both others and voter i's bottom beats neither, the anti-dictator iff
+    the reverse holds, and a top-fixed (bottom-fixed) member iff its
+    alternative beats both (neither), because its free-pair table may be
+    chosen pointwise equal to G's own.
+
+    The first two conditions say that the wins are voter i's ranking (the
+    top wins 2, the middle 1, the bottom 0), or its reverse; so each sweep
+    reads G's output once as the index of the ranking with those wins, and
+    compares it with every voter's ballot."""
     if G.m != 3:
         raise ValueError("the transitive family search is defined for m = 3")
-    members = []
+    # ranking_of[(w0 * 3 + w1) * 3 + w2]: the ranking whose alternatives win
+    # w0, w1, w2 contests, or -1 where the wins are cyclic
+    ranking_of = np.full(27, -1)
+    ranking_of[(2 - _tables.rank_in_order(3)) @ np.array([9, 3, 1])] = np.arange(6)
 
     def tally(digits):
-        cands = _tr3_agreement_masks(G, digits)
-        members[:] = [member for member, _ in cands]
-        return [mask.sum() for _, mask in cands]
+        wins = _wins(G, digits, range(3))
+        key = (wins[0] * 3 + wins[1]) * 3 + wins[2]
+        # the reversed output wins 2 - w0, 2 - w1, 2 - w2: key 26 - key
+        ranking, reverse = ranking_of[key], ranking_of[26 - key]
+        counts = []
+        for voter in digits:
+            counts += [(ranking == voter).sum(), (reverse == voter).sum()]
+        return counts + [*(wins == 2).sum(1), *(wins == 0).sum(1)]
 
     agrees, total, _ = sampling.count(tally, 2 * G.n + 6, G.n, 3, mode="exact")
     best = int(agrees.argmax())  # first maximum: deterministic scan order
-    return Fraction(total - int(agrees[best]), total), members[best]
-
-
-def tr3_members(n: int):
-    """Every member of the transitive family at m = 3: 2n (anti-)dictators
-    plus all top/bottom-fixed functions over all 2^(2^n) free tables."""
-    for i in range(n):
-        yield TrMember("dictator", voter=i)
-        yield TrMember("anti_dictator", voter=i)
-    size = 1 << n
-    for kind in ("top_fixed", "bottom_fixed"):
-        for alt in range(3):
-            free = _free_pair(alt)
-            for code in range(1 << size):
-                h = (code >> np.arange(size) & 1).astype(bool)
-                yield TrMember(kind, alt=alt, free_pair=free, h=h)
-
-
-def gswf_disagreement(G, H, granularity: str = "triple") -> Fraction:
-    """Disagreement probability of two GSWFs over uniform profiles: the
-    chance the full output triple differs, or the mean per-pair bit
-    disagreement."""
-    if (G.m, G.n) != (H.m, H.n):
-        raise ValueError("GSWFs have different sizes")
-    if granularity not in ("triple", "bits"):
-        raise ValueError("granularity is 'triple' or 'bits'")
-    m = G.m
-    pairs = _tables.pair_list(m)
-
-    def tally(digits):
-        diff = np.zeros(digits.shape[1], np.int64)
-        for slot, (a, b) in enumerate(pairs):
-            z = column_index(digits, a, b, m)
-            diff += G.tables[slot][z] != H.tables[slot][z]
-        return [(diff > 0).sum() if granularity == "triple" else diff.sum()]
-
-    (count,), total, _ = sampling.count(tally, 1, G.n, m, mode="exact")
-    return Fraction(int(count), total * (1 if granularity == "triple" else len(pairs)))
-
-
-def dist_tr3_bruteforce(G):
-    """Full minimization over every transitive-family member; exponential in
-    2^n, intended as the n <= 3 cross-check of dist_tr3."""
-    if G.m != 3:
-        raise ValueError("the transitive family search is defined for m = 3")
-    n = G.n
-    if n > 3:
-        raise BudgetError("brute force enumerates all free tables; n <= 3 only")
-    digits = profile_digits(np.arange(6 ** n), n)
-    t01, t02, t12 = _triple3(G, digits)
-    z01, z02, z12 = (column_index(digits, a, b) for a, b in PAIRS3)
-    total = 6 ** n
-    best = None
-    for member in tr3_members(n):
-        tabs = tr_member_tables(member, n).tables
-        agree = int(((tabs[0][z01] == t01) & (tabs[1][z02] == t02)
-                     & (tabs[2][z12] == t12)).sum())
-        if best is None or agree > best[0]:
-            best = (agree, member)
-    return Fraction(total - best[0], total), best[1]
+    if best < 2 * G.n:
+        member = TrMember(("dictator", "anti_dictator")[best % 2], voter=best // 2)
+    else:
+        kind, alt = divmod(best - 2 * G.n, 3)
+        free = _free_pair(alt)
+        member = TrMember(("top_fixed", "bottom_fixed")[kind], alt=alt, free_pair=free,
+                          h=G.tables[_tables.pair_slot(3)[free]].copy())
+    return Fraction(total - int(agrees[best]), total), member
 
 
 # --- identities across alternative counts ------------------------------
@@ -477,7 +390,7 @@ def check_composition(g, m1: int = 3, m2: int = 3, *, mode="auto",
     def tally(digits):
         both = np.ones(digits.shape[1], bool)
         for block in blocks:
-            both &= _wins(tensor, digits, block).max(0) < len(block) - 1
+            both &= _no_gcw(tensor, digits, block)
         return [both.sum()]
 
     (count,), trials, mode = sampling.count(tally, 1, tensor.n, m, mode=mode,
@@ -568,7 +481,6 @@ class ChainReport:
 def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     """Build G from the SCF and verify the chain in exact arithmetic."""
     n = resolve_n(scf, n)
-    scf = scf.as_table(n)  # one rule evaluation per profile for all sweeps below
     tie = _tie_bits(tie_voter, n)
     stats = [column_stats(scf, a, b, n) for a, b in PAIRS3]  # one sweep per pair
     mab_reports = tuple(st.mab_report() for st in stats)

@@ -1,0 +1,182 @@
+"""Slow reference implementations that the tests check the engines against.
+
+They work through the object layer (``Profile``, ``LinearOrder``) or read a
+GSWF's tables at each profile's pairwise columns through
+``orders.column_index`` themselves, so no oracle calls the outcome reader
+of the engine it checks:
+
+* ``profile_to_index``, ``pairwise_column``, ``TernaryVector``,
+  ``decompose`` and ``compose``: the object-level encodings behind the
+  array kernels of ``orders``;
+* ``tr3_members`` and ``tr_member_tables``: every member of the
+  always-transitive family at m = 3, with its explicit tables;
+* ``gswf_disagreement``: the disagreement probability of two GSWFs;
+* ``dist_tr3_bruteforce``: ``dist_tr3`` by minimizing over every member.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
+
+import numpy as np
+
+from votelab import _tables
+from votelab.orders import (LinearOrder, PairwiseColumn, Profile, column_index,
+                            order_to_index, profile_digits)
+from votelab.rules import BudgetError
+from votelab.welfare import (PAIRS3, GswfIia, TrMember, _free_pair, anti_dictator_swf,
+                             dictator_swf)
+
+
+# --- object-level encodings ----------------------------------------------
+
+def profile_to_index(p: Profile) -> int:
+    """Mixed-radix profile index, voter 0 least significant."""
+    base = factorial(p.m)
+    return sum(order_to_index(v) * base ** i for i, v in enumerate(p.voters))
+
+
+def pairwise_column(p: Profile, a: int, b: int) -> PairwiseColumn:
+    """Preference bits of the ordered pair (a, b), one per voter."""
+    if a == b:
+        raise ValueError("a pairwise column needs two distinct alternatives")
+    return PairwiseColumn(tuple(int(v.prefers(a, b)) for v in p.voters))
+
+
+@dataclass(frozen=True)
+class TernaryVector:
+    """Per-voter position codes of the third alternative relative to a pair."""
+
+    digits: tuple[int, ...]
+
+    def __post_init__(self):
+        digits = tuple(int(d) for d in self.digits)
+        if any(d not in (0, 1, 2) for d in digits):
+            raise ValueError(f"digits must be in {{0,1,2}}: {digits}")
+        object.__setattr__(self, "digits", digits)
+
+    @property
+    def n(self) -> int:
+        return len(self.digits)
+
+    @property
+    def index(self) -> int:
+        return sum(d * 3 ** v for v, d in enumerate(self.digits))
+
+    @classmethod
+    def from_index(cls, t: int, n: int) -> "TernaryVector":
+        if not 0 <= t < 3 ** n:
+            raise ValueError(f"point index {t} out of range for n={n}")
+        return cls(tuple(t // 3 ** v % 3 for v in range(n)))
+
+
+def decompose(p: Profile, a: int, b: int) -> tuple[PairwiseColumn, TernaryVector]:
+    """Split an m=3 profile into its (a, b) column and the third alternative's
+    position vector; lossless, see compose."""
+    if p.m != 3:
+        raise ValueError("the ternary decomposition requires m = 3")
+    c = 3 - a - b
+    column = pairwise_column(p, a, b)
+    ternary = TernaryVector(tuple(v.ranking.index(c) for v in p.voters))
+    return column, ternary
+
+
+def compose(column: PairwiseColumn, ternary: TernaryVector, a: int, b: int) -> Profile:
+    """Rebuild the unique m=3 profile with the given (a, b) column and third
+    alternative positions."""
+    if column.n != ternary.n:
+        raise ValueError("column and ternary vector disagree on voter count")
+    c = 3 - a - b
+    voters = []
+    for bit, d in zip(column.bits, ternary.digits):
+        pair = [a, b] if bit else [b, a]
+        pair.insert(d, c)
+        voters.append(LinearOrder(tuple(pair)))
+    return Profile(tuple(voters))
+
+
+# --- the always-transitive family at m = 3 ------------------------------
+
+# (pair, output bit) of the two pairs a top-fixed or bottom-fixed member fixes
+_TOP_FIXED = {0: (((0, 1), 1), ((0, 2), 1)), 1: (((0, 1), 0), ((1, 2), 1)),
+              2: (((0, 2), 0), ((1, 2), 0))}
+_BOTTOM_FIXED = {0: (((0, 1), 0), ((0, 2), 0)), 1: (((0, 1), 1), ((1, 2), 0)),
+                 2: (((0, 2), 1), ((1, 2), 1))}
+
+
+def tr3_members(n: int):
+    """Every member of the transitive family at m = 3: 2n (anti-)dictators
+    plus all top/bottom-fixed functions over all 2^(2^n) free tables."""
+    for i in range(n):
+        yield TrMember("dictator", voter=i)
+        yield TrMember("anti_dictator", voter=i)
+    size = 1 << n
+    for kind in ("top_fixed", "bottom_fixed"):
+        for alt in range(3):
+            free = _free_pair(alt)
+            for code in range(1 << size):
+                h = (code >> np.arange(size) & 1).astype(bool)
+                yield TrMember(kind, alt=alt, free_pair=free, h=h)
+
+
+def tr_member_tables(member: TrMember, n: int) -> GswfIia:
+    """The explicit pairwise tables of a transitive-family member."""
+    if member.kind == "dictator":
+        return dictator_swf(member.voter, n)
+    if member.kind == "anti_dictator":
+        return anti_dictator_swf(member.voter, n)
+    fixed = _TOP_FIXED if member.kind == "top_fixed" else _BOTTOM_FIXED
+    tabs = np.empty((3, 1 << n), bool)
+    slot = _tables.pair_slot(3)
+    for pair, value in fixed[member.alt]:
+        tabs[slot[pair]] = bool(value)
+    tabs[slot[member.free_pair]] = np.asarray(member.h, dtype=bool)
+    return GswfIia(3, n, tabs)
+
+
+# --- GSWF distances -------------------------------------------------------
+
+def _outputs(G: GswfIia, digits) -> np.ndarray:
+    """G's output bit on each pair a < b at each profile; shape (pairs, S)."""
+    return np.array([G.tables[slot][column_index(digits, a, b, G.m)]
+                     for slot, (a, b) in enumerate(_tables.pair_list(G.m))])
+
+
+def gswf_disagreement(G, H, granularity: str = "triple") -> Fraction:
+    """Disagreement probability of two GSWFs over uniform profiles: the
+    chance the full output triple differs, or the mean per-pair bit
+    disagreement."""
+    if (G.m, G.n) != (H.m, H.n):
+        raise ValueError("GSWFs have different sizes")
+    if granularity not in ("triple", "bits"):
+        raise ValueError("granularity is 'triple' or 'bits'")
+    total = factorial(G.m) ** G.n
+    digits = profile_digits(np.arange(total), G.n, G.m)
+    diff = _outputs(G, digits) != _outputs(H, digits)
+    if granularity == "triple":
+        return Fraction(int(diff.any(0).sum()), total)
+    return Fraction(int(diff.sum()), total * diff.shape[0])
+
+
+def dist_tr3_bruteforce(G):
+    """Full minimization over every transitive-family member; exponential in
+    2^n, so n <= 3 only."""
+    if G.m != 3:
+        raise ValueError("the transitive family search is defined for m = 3")
+    n = G.n
+    if n > 3:
+        raise BudgetError("brute force enumerates all free tables; n <= 3 only")
+    total = 6 ** n
+    digits = profile_digits(np.arange(total), n)
+    columns = [column_index(digits, a, b) for a, b in PAIRS3]
+    outputs = np.array([table[z] for table, z in zip(G.tables, columns)])
+    best = None
+    for member in tr3_members(n):
+        tabs = tr_member_tables(member, n).tables
+        theirs = np.array([table[z] for table, z in zip(tabs, columns)])
+        agree = int((theirs == outputs).all(0).sum())
+        if best is None or agree > best[0]:
+            best = (agree, member)
+    return Fraction(total - best[0], total), best[1]

@@ -20,7 +20,7 @@ from votelab.lattice import (
     shift_monotone,
 )
 from votelab.metrics import mab, manipulation_power, manipulation_power_total, nab
-from votelab.orders import pairwise_column, profile_from_index
+from votelab.orders import profile_from_index
 from votelab.rules import (
     ScfRule,
     dist_to_dictatorship,
@@ -32,7 +32,6 @@ from votelab.welfare import (
     check_identities,
     check_reduction_chain,
     dist_tr3,
-    dist_tr3_bruteforce,
     majority_g,
     neutral_tensor,
     ngcw,
@@ -42,6 +41,8 @@ from votelab.welfare import (
     scf_from_gswf,
 )
 from votelab.suites import build_gswf, gswf_corpus
+
+from oracles import dist_tr3_bruteforce, pairwise_column
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 

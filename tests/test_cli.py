@@ -43,6 +43,16 @@ def test_metrics_exact_json(capsys):
     assert all(r["mode"] == "exact" for r in rows)
 
 
+@pytest.mark.parametrize("mode", [["--exact"], ["--samples", "2000"]])
+def test_metrics_one_voter_leaves_out_anonymity(capsys, mode):
+    """One voter has no pair to swap: no anonymity rows, and no 0/0."""
+    code, out, err = run(capsys, "metrics", "--scf", "borda", "--n", "1", *mode)
+    assert code == 0, err
+    metrics = [r["metric"] for r in json.loads(out)]
+    assert "is_anonymous" not in metrics and "anonymity_violations" not in metrics
+    assert "is_neutral" in metrics and "neutrality_violations" in metrics
+
+
 def test_metrics_csv_to_file(capsys, tmp_path):
     out_path = tmp_path / "m.csv"
     code, out, err = run(capsys, "metrics", "--scf", "borda", "--n", "2",

@@ -15,11 +15,12 @@ import pytest
 
 from votelab import rules
 from votelab.metrics import column_stats, manipulation_power, manipulation_power_total
-from votelab.orders import (Profile, order_from_index, pairwise_column, profile_digits,
-                            profile_from_index)
+from votelab.orders import Profile, order_from_index, profile_digits, profile_from_index
 from votelab.rules import ScfRule, _diag_counts, anonymity_counts, neutrality_counts, zoo_rules
 from votelab.sampling import CHUNK, Evaluated, Tabled
-from votelab.welfare import PAIRS3, random_iia_gswf, scf_from_gswf
+from votelab.welfare import PAIRS3, check_reduction_chain, random_iia_gswf, scf_from_gswf
+
+from oracles import pairwise_column
 
 CASES = [(rule.label, rule) for rule in zoo_rules(3)] + [
     ("random_table(seed=1)", ScfRule("random_table", seed=1)),
@@ -178,6 +179,19 @@ def test_exact_sweeps_evaluate_the_rule_once_per_profile(monkeypatch):
     neutrality_counts(scf, n)
     anonymity_counts(scf, n)
     assert sum(evaluated) == 6 ** n
+
+
+def test_reduction_chain_evaluates_the_rule_once_per_profile(monkeypatch):
+    evaluated = []
+    original = ScfRule.winners_from_digits
+
+    def counting(self, digits):
+        evaluated.append(np.shape(digits)[1])
+        return original(self, digits)
+
+    monkeypatch.setattr(ScfRule, "winners_from_digits", counting)
+    check_reduction_chain(ScfRule("borda"), n=4)
+    assert sum(evaluated) == 6 ** 4
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -22,14 +22,12 @@ from votelab.metrics import (
     nab,
     pair_reports,
 )
-from votelab.orders import (
-    decompose,
-    order_from_index,
-    pairwise_column,
-    profile_from_index,
-)
+from votelab.lattice import sets_ab
+from votelab.orders import order_from_index, profile_from_index
 from votelab.rules import ScfRule, zoo_rules
 from votelab.sampling import CHUNK
+
+from oracles import pairwise_column
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -222,6 +220,19 @@ def test_mab_requires_three_alternatives():
         mab(ScfRule("plurality", 4), 0, 1, 2)
     with pytest.raises(ValueError):
         mab(ScfRule("plurality"), 0, 0, 2)
+
+
+@pytest.mark.parametrize("b", [-1, 3, 5])
+def test_pair_metrics_reject_alternatives_outside_0_to_2(b):
+    """-1 once indexed as alternative 2 and 5 as an IndexError; both are
+    now the one ValueError of the shared pair check."""
+    borda = ScfRule("borda")
+    for call in (lambda: mab(borda, 0, b, n=3), lambda: nab(borda, 0, b, n=3),
+                 lambda: mab(borda, b, 0, n=3, mode="sampled", samples=100, seed=0),
+                 lambda: nab(borda, 0, b, n=3, mode="sampled", samples=100, seed=0),
+                 lambda: column_stats(borda, 0, b, 3), lambda: sets_ab(borda, 0, b, 0, 3)):
+        with pytest.raises(ValueError, match="0..2"):
+            call()
 
 
 def test_sampled_convergence_coverage():

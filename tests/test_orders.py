@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votelab._tables import digits_index
 from votelab.orders import (
     LinearOrder,
     PairwiseColumn,
     Profile,
-    TernaryVector,
-    compose,
-    decompose,
-    digits_to_profile_index,
     join_pair,
     order_from_index,
     order_to_index,
-    pairwise_column,
     profile_chunks,
     profile_digits,
     profile_from_index,
-    profile_to_index,
     split_pair,
 )
+
+from oracles import TernaryVector, compose, decompose, pairwise_column, profile_to_index
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -127,11 +124,11 @@ def test_array_kernels_match_object_layer():
     idx = np.arange(216)
     digits = profile_digits(idx, 3)
     assert digits.shape == (3, 216)
-    back = digits_to_profile_index(digits)
+    back = digits_index(digits, 6)
     assert (back == idx).all()
     for a, b in PAIRS:
         z, t = split_pair(digits, a, b)
-        joined = digits_to_profile_index(join_pair(z, t, 3, a, b))
+        joined = digits_index(join_pair(z, t, 3, a, b), 6)
         assert (joined == idx).all()
         for i in (0, 17, 215):
             col, ter = decompose(profile_from_index(i, 3), a, b)
@@ -143,7 +140,7 @@ def test_profile_chunks_cover_everything():
     seen = []
     for lo, hi, digits in profile_chunks(3, chunk=100):
         assert digits.shape == (3, hi - lo)
-        seen.extend(digits_to_profile_index(digits).tolist())
+        seen.extend(digits_index(digits, 6).tolist())
     assert seen == list(range(216))
 
 
@@ -152,7 +149,7 @@ def test_profile_chunks_cover_everything():
 def test_join_inverts_split_n4(idx, pair):
     digits = profile_digits(np.array([idx]), 4)
     z, t = split_pair(digits, *pair)
-    joined = digits_to_profile_index(join_pair(z, t, 4, *pair))
+    joined = digits_index(join_pair(z, t, 4, *pair), 6)
     assert int(joined[0]) == idx
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from votelab.metrics import mab
-from votelab.orders import Profile, order_from_index, pairwise_column, profile_from_index
+from votelab.orders import Profile, order_from_index, profile_from_index
 from votelab.rules import BudgetError, ScfRule
 from votelab.welfare import (
     GswfIia,
@@ -25,10 +25,8 @@ from votelab.welfare import (
     dictator_swf,
     dist_dict2,
     dist_tr3,
-    dist_tr3_bruteforce,
     gcw,
     gcw_winner_at,
-    gswf_disagreement,
     gswf_from_scf,
     is_neutral_gswf,
     is_odd,
@@ -40,10 +38,11 @@ from votelab.welfare import (
     random_odd_g,
     restrict_gswf,
     scf_from_gswf,
-    tr3_members,
-    tr_member_tables,
     _wins,
 )
+
+from oracles import (dist_tr3_bruteforce, gswf_disagreement, pairwise_column, tr3_members,
+                     tr_member_tables)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -137,6 +136,9 @@ def test_nt_matches_slow_enumeration():
     assert rep.fraction == slow_nt(G, 3) == Fraction(12, 216)
     H = random_iia_gswf(2, 3, 21)
     assert nt(H).fraction == slow_nt(H, 2)
+    for seed in range(3):
+        for G4 in (random_iia_gswf(4, 3, seed), neutral_tensor(random_odd_g(4, seed), 3)):
+            assert nt(G4).fraction == slow_nt(G4, 4), seed
 
 
 def test_dictators_never_cycle():
@@ -293,6 +295,73 @@ def test_dist_tr3_majority_frozen():
     assert member.kind == "dictator" and member.voter == 0
     bvalue, bmember = dist_tr3_bruteforce(G)
     assert bvalue == value
+
+
+# (n, kind, seed, value, member label, free pair, h as bits LSB-first) of
+# dist_tr3 on random_iia_gswf(n, 3, seed) ("iia") and on the neutral tensor
+# of random_odd_g(n, seed) ("odd"), recorded from the engine that read the
+# output triple pair by pair
+DIST_TR3_FROZEN = [
+    (1, "iia", 0, (0, 1), "bottom_fixed(1)", (0, 2), 1),
+    (1, "iia", 1, (1, 2), "top_fixed(0)", (1, 2), 0),
+    (1, "iia", 2, (1, 2), "top_fixed(2)", (0, 1), 1),
+    (1, "odd", 0, (0, 1), "anti_dictator(0)", None, None),
+    (1, "odd", 1, (0, 1), "dictator(0)", None, None),
+    (2, "iia", 0, (3, 4), "top_fixed(2)", (0, 1), 7),
+    (2, "iia", 1, (4, 9), "dictator(1)", None, None),
+    (2, "iia", 2, (4, 9), "bottom_fixed(0)", (1, 2), 14),
+    (2, "odd", 0, (0, 1), "anti_dictator(1)", None, None),
+    (2, "odd", 1, (0, 1), "dictator(0)", None, None),
+    (3, "iia", 0, (19, 54), "bottom_fixed(2)", (0, 1), 7),
+    (3, "iia", 1, (13, 18), "bottom_fixed(0)", (1, 2), 243),
+    (3, "iia", 2, (17, 24), "top_fixed(1)", (0, 2), 94),
+    (3, "odd", 0, (19, 36), "anti_dictator(0)", None, None),
+    (3, "odd", 1, (19, 36), "dictator(0)", None, None),
+    (4, "iia", 0, (61, 108), "top_fixed(0)", (1, 2), 57354),
+    (4, "iia", 1, (139, 216), "top_fixed(2)", (0, 1), 9422),
+    (4, "iia", 2, (277, 432), "top_fixed(1)", (0, 2), 40233),
+    (4, "odd", 0, (65, 216), "anti_dictator(2)", None, None),
+    (4, "odd", 1, (65, 216), "dictator(1)", None, None),
+    (5, "iia", 0, (191, 288), "top_fixed(0)", (1, 2), 3379784765),
+    (5, "iia", 1, (1721, 2592), "top_fixed(1)", (0, 2), 694911569),
+    (5, "iia", 2, (461, 648), "bottom_fixed(2)", (0, 1), 2636733985),
+    (5, "odd", 0, (347, 648), "dictator(3)", None, None),
+    (5, "odd", 1, (823, 1296), "dictator(1)", None, None),
+]
+
+
+@pytest.mark.parametrize("n, kind, seed, value, label, free_pair, h", DIST_TR3_FROZEN)
+def test_dist_tr3_witness_frozen(n, kind, seed, value, label, free_pair, h):
+    G = (random_iia_gswf(n, 3, seed) if kind == "iia"
+         else neutral_tensor(random_odd_g(n, seed), 3))
+    got, member = dist_tr3(G)
+    assert got == Fraction(*value)
+    assert (member.label, member.free_pair) == (label, free_pair)
+    got_h = None if member.h is None else sum(int(b) << z for z, b in enumerate(member.h))
+    assert got_h == h
+    # the witness is at the reported distance, counted by the independent oracle
+    assert gswf_disagreement(G, tr_member_tables(member, n)) == got
+
+
+def test_gswf_engines_read_outcomes_through_wins(monkeypatch):
+    from votelab import welfare
+    calls = []
+    original = welfare._wins
+
+    def counting(G, digits, alts):
+        calls.append(tuple(alts))
+        return original(G, digits, alts)
+
+    monkeypatch.setattr(welfare, "_wins", counting)
+    G = random_iia_gswf(2, 3, 4)
+    for engine in (nt, ngcw, dist_tr3):
+        calls.clear()
+        engine(G)
+        assert calls == [(0, 1, 2)], engine.__name__
+    calls.clear()
+    check_composition(random_odd_g(1, 0))
+    # one block's ngcw, then both blocks of the joint sweep
+    assert calls == [(0, 1, 2), (0, 1, 2), (3, 4, 5)]
 
 
 def test_dist_tr3_is_zero_on_family_members():

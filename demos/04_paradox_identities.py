@@ -62,7 +62,7 @@ def main():
     # Block independence: for the 6-alternative tensor, "no winner among
     # the first three" and "no winner among the last three" are exactly
     # independent events.  At n=2 every restriction is enumerable.
-    comp = check_composition(random_odd_g(2, 5), 3, 3)
+    comp = check_composition(random_odd_g(2, 5))
     print("\nblock independence at n=2:")
     print(f"  joint = {comp.joint.fraction}   product = "
           f"{comp.left.fraction * comp.right.fraction}   exact match: "
@@ -70,7 +70,7 @@ def main():
 
     # With three voters the blocks have positive paradox probability and
     # the identity is checked statistically (1/18 squared = 1/324).
-    comp3 = check_composition(g, 3, 3, samples=300_000, seed=9)
+    comp3 = check_composition(g, samples=300_000, seed=9)
     print("block independence at n=3 (sampled):")
     print(f"  joint ~ {comp3.joint.value:.6f}   product ~ "
           f"{comp3.left.value * comp3.right.value:.6f}   within 3 SE: "

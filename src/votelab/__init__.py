@@ -23,7 +23,6 @@ from .rules import (
     anonymity_counts,
     dist_to_antidictatorship,
     dist_to_dictatorship,
-    exact_feasible,
     is_anonymous,
     is_neutral,
     neutrality_counts,
@@ -87,6 +86,7 @@ from .welfare import (
 )
 from .fileio import read_gswf, read_scf, write_gswf, write_scf
 from .reports import report_from_dict, report_to_dict, reports_to_csv, reports_to_json
+from .sampling import exact_feasible
 from .suites import SUITES, SuiteReport, replay, run_suite
 
 __version__ = "0.1.0"

@@ -108,11 +108,11 @@ def cmd_metrics(args) -> int:
         i = int(counts.argmin())
         rows.append(metrics.count_report(metric, (i,), counts[i], trials, mode, args.seed))
 
-    for metric, rate, fn in (("neutral", "neutrality", rules.neutrality_counts),
-                             ("anonymous", "anonymity", rules.anonymity_counts)):
+    properties = [("neutral", "neutrality", rules.neutrality_counts)]
+    if n > 1:  # one voter has no pair of voters to swap: no anonymity pass
+        properties.append(("anonymous", "anonymity", rules.anonymity_counts))
+    for metric, rate, fn in properties:
         bad, checks = fn(scf, n, **kw)
-        if not checks:  # one voter: there is no pair of voters to swap
-            continue
         if mode == "exact":
             rows.append(metrics.exact_report(f"is_{metric}", (), int(bad == 0), 1))
         else:

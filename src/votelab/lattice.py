@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import _check_pairs
-from .orders import PairwiseColumn, join_pair
+from .orders import join_pair
 from .rules import resolve_n
 
 EDGE_STEPS = ((0, 1), (1, 2), (0, 2))
+DENSITIES = (0.25, 0.5, 0.75)  # the membership densities random sets draw from
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,11 +150,11 @@ def shift_monotone(s: TernarySet) -> TernarySet:
 
 
 def random_set(n: int, seed=None, rng=None, p=None) -> TernarySet:
-    """A random subset; density p defaults to a seeded draw from {1/4, 1/2, 3/4}."""
+    """A random subset; density p defaults to a seeded draw from DENSITIES."""
     if rng is None:
         rng = np.random.default_rng(seed)
     if p is None:
-        p = rng.choice((0.25, 0.5, 0.75))
+        p = rng.choice(DENSITIES)
     return TernarySet(n, rng.random(3 ** n) < p)
 
 
@@ -218,18 +219,13 @@ def check_harris(a: TernarySet, b: TernarySet) -> HarrisReport:
     return HarrisReport(a.n, a.size, b.size, inter, holds)
 
 
-def sets_ab(scf, a: int, b: int, column, n=None) -> tuple[TernarySet, TernarySet]:
-    """The winner sets A, B over completions of one (a, b) column: point v is
-    in A iff the profile with that column and third-alternative positions v
-    elects a (B likewise for b)."""
+def sets_ab(scf, a: int, b: int, column: int, n=None) -> tuple[TernarySet, TernarySet]:
+    """The winner sets A, B over completions of the (a, b) column with index
+    ``column`` (bit v = voter v prefers a to b): point v is in A iff the
+    profile with that column and third-alternative positions v elects a
+    (B likewise for b)."""
     _check_pairs(scf, [(a, b)], "winner sets")
-    if isinstance(column, PairwiseColumn):
-        n = column.n if n is None else n
-        if column.n != n:
-            raise ValueError("column length disagrees with n")
-        z = column.index
-    else:
-        z = int(column)
+    z = int(column)
     n = resolve_n(scf, n)
     if not 0 <= z < 1 << n:
         raise ValueError(f"column index {z} out of range for n={n}")

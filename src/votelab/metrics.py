@@ -322,9 +322,8 @@ def _sampled_nab(scf, pairs, n, samples, seed, workers) -> list[MetricReport]:
             sums += [mins.sum(), (mins ** 2).sum()]
         return sums
 
-    chunk = max(1024, sampling.CHUNK // NAB_INNER)
     sums = sampling.run_chunks(counter, 2 * len(pairs), samples, seed,
-                               workers=workers, chunk=chunk)
+                               workers=workers, chunk=sampling.CHUNK // NAB_INNER)
     rows = []
     for pair, total, total_sq in zip(pairs, sums[::2], sums[1::2]):
         half = sampling.normal_half_width(int(total), int(total_sq), samples) / NAB_INNER

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _tables, sampling
 from .orders import Profile, profile_block, profile_chunks
-from .sampling import EXACT_BUDGET, BudgetError, exact_feasible  # re-exported
+from .sampling import EXACT_BUDGET, BudgetError
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,20 +128,14 @@ class ScfRule:
             return cached
 
 
-@register_rule("dictatorship", ("voter",))
-def _eval_dictatorship(rule, digits):
-    i = rule.params["voter"]
-    if i >= digits.shape[0]:
-        raise ValueError(f"dictator index {i} out of range for n={digits.shape[0]}")
-    return _tables.perms(rule.m)[digits[i], 0]
-
-
 @register_rule("anti_dictatorship", ("voter",))
-def _eval_anti_dictatorship(rule, digits):
+@register_rule("dictatorship", ("voter",))  # applied first: listed before anti_dictatorship
+def _eval_dictator(rule, digits):
+    """The voter's top choice, or bottom choice for the anti-dictatorship."""
     i = rule.params["voter"]
     if i >= digits.shape[0]:
         raise ValueError(f"dictator index {i} out of range for n={digits.shape[0]}")
-    return _tables.perms(rule.m)[digits[i], -1]
+    return _tables.perms(rule.m)[digits[i], -1 if rule.name == "anti_dictatorship" else 0]
 
 
 @register_rule("constant", ("alt",))

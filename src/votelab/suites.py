@@ -19,19 +19,16 @@ import numpy as np
 
 from . import lattice, sampling, welfare
 from .metrics import column_stats, mab, manipulation_power_total
-from .rules import BudgetError, ScfRule, exact_feasible, zoo_rules
+from .rules import BudgetError, ScfRule, zoo_rules
 from .welfare import PAIRS3
 
 
 # --- corpora: descriptors and the instances they name ------------------
 
-def random_table_rules(n: int, count: int, seed: int, m: int = 3) -> list[ScfRule]:
-    """Seeded uniform-random winner tables, seeds ``seed .. seed+count-1``."""
-    return [ScfRule("random_table", m, seed=seed + k) for k in range(count)]
-
-
-def scf_corpus(n: int, trials: int, seed: int, m: int = 3) -> list[ScfRule]:
-    return zoo_rules(n, m) + random_table_rules(n, trials, seed, m)
+def scf_corpus(n: int, trials: int, seed: int) -> list[ScfRule]:
+    """The rule zoo at n voters, then seeded uniform-random winner tables
+    with seeds ``seed .. seed+trials-1``."""
+    return zoo_rules(n) + [ScfRule("random_table", seed=seed + k) for k in range(trials)]
 
 
 def scf_descriptor(rule: ScfRule) -> dict:
@@ -54,9 +51,10 @@ def gswf_corpus(n: int, trials: int, seed: int) -> list[dict]:
     for k in range(trials):
         descs.append({"kind": "odd_tensor", "seed": seed + k, "n": n})
         descs.append({"kind": "random_iia", "seed": seed + 1000 + k, "n": n})
-    for name in ("plurality", "borda", "pairwise_majority_fallback"):
-        descs.append({"kind": "from_scf", "scf": scf_descriptor(ScfRule(name)),
-                      "tie_voter": 0, "n": n})
+    for rule in zoo_rules(n):
+        if not rule.params:  # plurality, borda, pairwise_majority_fallback
+            descs.append({"kind": "from_scf", "scf": scf_descriptor(rule),
+                          "tie_voter": 0, "n": n})
     return descs
 
 
@@ -113,7 +111,7 @@ def _border_descs(trials, n, seed, samples):
                 yield {"source": "scf", "n": nz, "scf": scf, "pair": [a, b],
                        "column": z}
     for rng, nk in _random_lattice(trials, n, seed):
-        p, q = rng.choice((0.25, 0.5, 0.75), size=2)
+        p, q = rng.choice(lattice.DENSITIES, size=2)
         a = rng.random(3 ** nk) < p
         b = ~a & (rng.random(3 ** nk) < q)
         yield {"source": "random", "n": nk, "a_indices": np.flatnonzero(a).tolist(),
@@ -122,18 +120,17 @@ def _border_descs(trials, n, seed, samples):
 
 def _shifting_descs(trials, n, seed, samples):
     for rng, nk in _random_lattice(trials, n, seed):
-        p = rng.choice((0.25, 0.5, 0.75))
-        yield {"n": nk, "indices": np.flatnonzero(rng.random(3 ** nk) < p).tolist()}
+        yield {"n": nk, "indices": lattice.random_set(nk, rng=rng).indices().tolist()}
 
 
 def _arrow_descs(trials, n, seed, samples):
-    if not exact_feasible(n, 4):
+    if not sampling.exact_feasible(n, 4):
         raise BudgetError(f"exact four-alternative enumeration infeasible at n={n}")
     return _odd_g_corpus(n, trials, seed)
 
 
 def _composition_descs(trials, n, seed, samples):
-    if not exact_feasible(n, 6) and samples is None:
+    if not sampling.exact_feasible(n, 6) and samples is None:
         raise BudgetError(
             f"joint six-alternative enumeration infeasible at n={n}; pass samples")
     descs = _odd_g_corpus(n, trials, seed)

@@ -363,11 +363,10 @@ def _check_linear(lhs: MetricReport, terms) -> tuple[float, float, bool]:
 
 @dataclass(frozen=True)
 class CompositionReport:
-    """Joint no-GCW probability over two disjoint alternative blocks versus
-    the product of the per-block probabilities."""
+    """Joint no-GCW probability over the blocks {0, 1, 2} and {3, 4, 5} of
+    a six-alternative neutral tensor versus the product of the per-block
+    probabilities."""
 
-    m1: int
-    m2: int
     joint: MetricReport
     left: MetricReport
     right: MetricReport
@@ -376,29 +375,25 @@ class CompositionReport:
     holds: bool
 
 
-def check_composition(g, m1: int = 3, m2: int = 3, *, mode="auto",
-                      samples=None, seed=None, workers=1) -> CompositionReport:
-    """Verify independence of the no-GCW events of the first m1 and last m2
-    alternatives under the neutral tensor of g."""
-    m = m1 + m2
-    tensor = neutral_tensor(g, m)
-    blocks = (range(m1), range(m1, m))
-    left = ngcw(restrict_gswf(tensor, blocks[0]))
-    # the restrictions of a neutral tensor to blocks of one size are equal
-    right = left if m1 == m2 else ngcw(restrict_gswf(tensor, blocks[1]))
+def check_composition(g, *, mode="auto", samples=None, seed=None,
+                      workers=1) -> CompositionReport:
+    """Verify independence of the no-GCW events of the blocks {0, 1, 2} and
+    {3, 4, 5} under the six-alternative neutral tensor of g.  Both blocks
+    are three-alternative restrictions of one neutral tensor, so they are
+    equal and share one ngcw."""
+    tensor = neutral_tensor(g, 6)
+    block = ngcw(restrict_gswf(tensor, range(3)))
 
     def tally(digits):
-        both = np.ones(digits.shape[1], bool)
-        for block in blocks:
-            both &= _no_gcw(tensor, digits, block)
+        both = _no_gcw(tensor, digits, range(3)) & _no_gcw(tensor, digits, range(3, 6))
         return [both.sum()]
 
-    (count,), trials, mode = sampling.count(tally, 1, tensor.n, m, mode=mode,
+    (count,), trials, mode = sampling.count(tally, 1, tensor.n, 6, mode=mode,
                                             samples=samples, seed=seed, workers=workers)
     joint = count_report("ngcw_joint", (), count, trials, mode, seed)
-    product = left.fraction * right.fraction
+    product = block.fraction ** 2
     rhs = exact_report("ngcw_product", (), product.numerator, product.denominator)
-    return CompositionReport(m1, m2, joint, left, right, *_check_linear(joint, [(1, rhs, 1)]))
+    return CompositionReport(joint, block, block, *_check_linear(joint, [(1, rhs, 1)]))
 
 
 @dataclass(frozen=True)
@@ -416,13 +411,16 @@ class IdentityReport:
     four_gap: float
     four_tol: float
     four_holds: bool
-    four_exact: bool
     ngcw5: MetricReport
     ngcw6: MetricReport
     five_gap: float
     five_tol: float
     five_holds: bool
     composition: CompositionReport
+
+    @property
+    def four_exact(self) -> bool:
+        return self.ngcw3.mode == self.ngcw4.mode == "exact"
 
     @property
     def holds(self) -> bool:
@@ -438,10 +436,8 @@ def check_identities(g, *, mode="auto", samples=None, seed=None,
         reports[m] = ngcw(neutral_tensor(g, m), mode=mode, samples=samples,
                           seed=seed, workers=workers)
     r3, r4, r5, r6 = (reports[m] for m in (3, 4, 5, 6))
-    four_exact = r3.mode == "exact" and r4.mode == "exact"
-    comp = check_composition(g, 3, 3, mode=mode, samples=samples, seed=seed,
-                             workers=workers)
-    return IdentityReport(r3, r4, *_check_linear(r4, [(2, r3, 1)]), four_exact,
+    comp = check_composition(g, mode=mode, samples=samples, seed=seed, workers=workers)
+    return IdentityReport(r3, r4, *_check_linear(r4, [(2, r3, 1)]),
                           r5, r6, *_check_linear(r5, [(1, r6, 3), (5, r3, 3)]), comp)
 
 

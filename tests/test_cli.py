@@ -1,13 +1,14 @@
 """Command line interface: schemas, exit codes, and determinism."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from votelab import suites
+from votelab import rules, suites
 from votelab.cli import main
 from votelab.fileio import read_gswf, read_scf
 from votelab.rules import ScfRule
@@ -51,6 +52,23 @@ def test_metrics_one_voter_leaves_out_anonymity(capsys, mode):
     metrics = [r["metric"] for r in json.loads(out)]
     assert "is_anonymous" not in metrics and "anonymity_violations" not in metrics
     assert "is_neutral" in metrics and "neutrality_violations" in metrics
+
+
+@pytest.mark.parametrize("mode,digest", [
+    (["--exact"], "16fe20ac8c64c437446f30371e522abe891829cb34c6b4a3c4263be5ac91636c"),
+    (["--samples", "4096", "--seed", "0"],
+     "37305e4245d97d67a6787f5370f1aa5b4bce9898b58b468cfa640e4484a81f85"),
+])
+def test_metrics_one_voter_makes_no_anonymity_pass(capsys, monkeypatch, mode, digest):
+    """The n - 1 = 0 swap checks are known before any pass, so none is made;
+    the JSON is the one recorded while the pass was still made."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("anonymity pass at n = 1")
+
+    monkeypatch.setattr(rules, "anonymity_counts", refuse)
+    code, out, err = run(capsys, "metrics", "--scf", "borda", "--n", "1", *mode)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_metrics_csv_to_file(capsys, tmp_path):

@@ -15,13 +15,13 @@ from votelab.rules import (
     anonymity_counts,
     dist_to_antidictatorship,
     dist_to_dictatorship,
-    exact_feasible,
     is_anonymous,
     is_neutral,
     neutrality_counts,
     range_min_prob,
     zoo_rules,
 )
+from votelab.sampling import exact_feasible
 
 
 def P(*order_indices):

@@ -11,7 +11,6 @@ from votelab.suites import (
     build_gswf,
     build_scf,
     gswf_corpus,
-    random_table_rules,
     replay,
     run_suite,
     scf_corpus,
@@ -161,7 +160,7 @@ def test_replay_missing_field_is_value_error():
             replay(ce)
 
 
-def test_random_table_rules_are_distinct():
-    rules = random_table_rules(2, 4, seed=50)
+def test_scf_corpus_random_tables_are_distinct():
+    rules = [r for r in scf_corpus(2, 4, seed=50) if r.name == "random_table"]
     tables = [r.as_table(2) for r in rules]
     assert len({tuple(t.outputs.tolist()) for t in tables}) == 4

@@ -16,6 +16,11 @@ from .orders import Profile, profile_block, profile_chunks
 from .sampling import EXACT_BUDGET, BudgetError
 
 
+def _check_m(m) -> None:
+    if m < 2:
+        raise ValueError(f"need at least two alternatives, got m={m}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScfTable:
     """An explicit SCF: one winning alternative per profile index."""
@@ -25,6 +30,7 @@ class ScfTable:
     outputs: np.ndarray
 
     def __post_init__(self):
+        _check_m(self.m)
         out = np.ascontiguousarray(self.outputs, dtype=np.uint8)
         total = factorial(self.m) ** self.n
         if out.shape != (total,):
@@ -39,6 +45,7 @@ class ScfTable:
         return f"table[m={self.m},n={self.n}]"
 
     def winner(self, profile: Profile) -> int:
+        """The winner at one profile; ``ScfRule`` shares this body."""
         return int(self.winners_from_digits(profile_block(profile))[0])
 
     def winners_from_digits(self, digits) -> np.ndarray:
@@ -80,6 +87,7 @@ class ScfRule:
     def __init__(self, name: str, m: int = 3, **params):
         if name not in _EVALUATORS:
             raise ValueError(f"unknown rule: {name!r}")
+        _check_m(m)
         missing = [k for k in _REQUIRED[name] if k not in params]
         if missing:
             raise ValueError(f"rule {name!r} needs parameters {missing}")
@@ -102,8 +110,7 @@ class ScfRule:
     def __repr__(self):
         return f"ScfRule({self.label}, m={self.m})"
 
-    def winner(self, profile: Profile) -> int:
-        return int(self.winners_from_digits(profile_block(profile))[0])
+    winner = ScfTable.winner
 
     def winners_from_digits(self, digits) -> np.ndarray:
         digits = np.asarray(digits, dtype=np.int64)

@@ -16,6 +16,10 @@ alternatives, and ``count`` makes it in one of two modes:
   per chunk and are computed in one pass; their estimates are correlated.
 
 ``auto`` picks exact iff (m!)^n * m! <= EXACT_BUDGET (10^9).
+
+The exact no-GCW counts of ``welfare`` (``nt``, ``ngcw``, ``gcw``) choose
+their mode with ``pick_mode`` but do not visit profiles: they come from
+pairwise columns, each weighted by the number of profiles behind it.
 """
 
 from __future__ import annotations

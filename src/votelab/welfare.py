@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -42,12 +44,13 @@ class GswfIia:
 
     def pairwise(self, a: int, b: int) -> np.ndarray:
         """Output bits over all 2^n columns of the ordered pair (a, b); the
-        (b, a) query is the complement at the complemented column."""
+        (b, a) query is the complement at the complemented column, which is
+        column 2^n - 1 - z, so the table read backwards."""
         if a == b or not (0 <= a < self.m and 0 <= b < self.m):
             raise ValueError(f"bad pair ({a}, {b}) for m={self.m}")
         if a < b:
             return self.tables[_tables.pair_slot(self.m)[(a, b)]]
-        return ~self.tables[_tables.pair_slot(self.m)[(b, a)]][column_complement(self.n)]
+        return ~self.tables[_tables.pair_slot(self.m)[(b, a)]][::-1]
 
     def __eq__(self, other):
         return (isinstance(other, GswfIia) and self.m == other.m
@@ -143,8 +146,13 @@ def restrict_gswf(G, subset) -> GswfIia:
 
 # --- evaluation engines ------------------------------------------------
 #
-# Every engine (nt, ngcw, check_composition, dist_tr3, the gswf_winner rule)
-# reads pairwise outcomes only through ``_wins``.
+# Exact no-GCW counts (nt, ngcw, gcw) come from pairwise columns: whether a
+# beats every other alternative depends only on the m - 1 columns of the
+# pairs (a, b), so ``_beats_all_count`` weighs each tuple of those columns
+# by the number of profiles behind it.  Every other reader (sampled no-GCW
+# counts, check_composition's joint sweep, dist_tr3, gcw_winner_at, the
+# gswf_winner rule) reads pairwise outcomes profile by profile through
+# ``_wins``.
 
 def _wins(G: GswfIia, digits, alts) -> np.ndarray:
     """Pairwise victories of each of the increasing alternatives ``alts``
@@ -166,7 +174,42 @@ def _no_gcw(G: GswfIia, digits, alts) -> np.ndarray:
     return _wins(G, digits, alts).max(0) < len(alts) - 1
 
 
+@lru_cache(maxsize=None)
+def _column_weights(n: int, m: int) -> np.ndarray:
+    """W[z_1, ..., z_{m-1}]: the number of profiles of n voters whose columns
+    on the pairs (a, b_1), ..., (a, b_{m-1}) are z_1, ..., z_{m-1}, the same
+    for every a.  A voter who ranks k of the b_j below a has k! (m-1-k)!
+    rankings, so W is the Kronecker product over voters of that 2 x ... x 2
+    tensor; shape (2^n,) * (m - 1), int64."""
+    per_k = np.array([factorial(k) * factorial(m - 1 - k) for k in range(m)])
+    voter = per_k[np.indices((2,) * (m - 1)).sum(0)]  # bit j: voter ranks b_j below a
+    weights = np.ones((1,) * (m - 1), np.int64)
+    for _ in range(n):
+        weights = np.kron(weights, voter)
+    weights.setflags(write=False)
+    return weights
+
+
+def _beats_all_count(G: GswfIia, a: int) -> int:
+    """Number of profiles at which a beats every other alternative: the
+    column weights contracted with G's pairwise outputs, one pair at a
+    time, by summing over the columns where a beats b.  Every partial sum
+    counts a set of profiles, so it stays within (m!)^n <= EXACT_BUDGET and
+    int64 cannot overflow."""
+    acc = _column_weights(G.n, G.m)
+    for b in range(G.m):
+        if b != a:
+            acc = acc.reshape(1 << G.n, -1).sum(0, where=G.pairwise(a, b)[:, None])
+    return int(acc[0])
+
+
 def _no_gcw_report(metric, G, mode, samples, seed, workers) -> MetricReport:
+    mode = sampling.pick_mode(mode, G.n, G.m, samples, seed)
+    if mode == "exact":
+        # a GCW is unique when it exists, so the events "a beats all" are disjoint
+        total = factorial(G.m) ** G.n
+        count = total - sum(_beats_all_count(G, a) for a in range(G.m))
+        return count_report(metric, (), count, total, mode, seed)
     (count,), trials, mode = sampling.count(
         lambda digits: [_no_gcw(G, digits, range(G.m)).sum()], 1, G.n, G.m,
         mode=mode, samples=samples, seed=seed, workers=workers)

@@ -1,9 +1,10 @@
 """Slow reference implementations that the tests check the engines against.
 
-They work through the object layer (``Profile``, ``LinearOrder``) or read a
+They work through the object layer (``Profile``, ``LinearOrder``), read a
 GSWF's tables at each profile's pairwise columns through
-``orders.column_index`` themselves, so no oracle calls the outcome reader
-of the engine it checks:
+``orders.column_index`` themselves, or sweep profiles where the engine
+they check reads only columns, so no oracle calls the outcome reader of the
+engine it checks:
 
 * ``profile_to_index``, ``pairwise_column``, ``TernaryVector``,
   ``decompose`` and ``compose``: the object-level encodings behind the
@@ -11,7 +12,10 @@ of the engine it checks:
 * ``tr3_members`` and ``tr_member_tables``: every member of the
   always-transitive family at m = 3, with its explicit tables;
 * ``gswf_disagreement``: the disagreement probability of two GSWFs;
-* ``dist_tr3_bruteforce``: ``dist_tr3`` by minimizing over every member.
+* ``dist_tr3_bruteforce``: ``dist_tr3`` by minimizing over every member;
+* ``ngcw_enumerated``: the exact no-GCW probability by visiting every
+  profile, through the ``_no_gcw`` tally of the sampled path, where the
+  exact engine reads only pairwise columns.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ from math import factorial
 
 import numpy as np
 
-from votelab import _tables
+from votelab import _tables, sampling
 from votelab.orders import (LinearOrder, PairwiseColumn, Profile, column_index,
                             order_to_index, profile_digits)
 from votelab.rules import BudgetError
-from votelab.welfare import (PAIRS3, GswfIia, TrMember, _free_pair, anti_dictator_swf,
-                             dictator_swf)
+from votelab.welfare import (PAIRS3, GswfIia, TrMember, _free_pair, _no_gcw,
+                             anti_dictator_swf, dictator_swf)
 
 
 # --- object-level encodings ----------------------------------------------
@@ -180,3 +184,14 @@ def dist_tr3_bruteforce(G):
         if best is None or agree > best[0]:
             best = (agree, member)
     return Fraction(total - best[0], total), best[1]
+
+
+# --- no-GCW counts by enumeration ----------------------------------------
+
+def ngcw_enumerated(G) -> Fraction:
+    """Probability that no alternative beats every other, from one exact
+    ``sampling.count`` sweep over all (m!)^n profiles."""
+    (count,), trials, _ = sampling.count(
+        lambda digits: [_no_gcw(G, digits, range(G.m)).sum()], 1, G.n, G.m,
+        mode="exact")
+    return Fraction(int(count), trials)

@@ -145,6 +145,21 @@ def test_bad_sizes_exit_2(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("metrics", "--scf", "borda", "--n", "2", "--m", "1"),
+    ("metrics", "--scf", "borda", "--n", "2", "--m", "0"),
+    ("gen", "--scf", "borda", "--n", "2", "--m", "1"),
+])
+def test_fewer_than_two_alternatives_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "table.scf3"
+    if argv[0] == "gen":
+        argv += ("--out", str(path))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "at least two alternatives" in err
+    assert not path.exists()
+
+
 def test_table_file_with_no_voters_exits_2(capsys, tmp_path):
     path = tmp_path / "empty.scf3"
     path.write_bytes(b"SCF3\x01\x03\x00\x00\x00")  # n = 0: one profile

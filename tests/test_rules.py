@@ -91,6 +91,14 @@ def test_table_winner_matches_winners_from_digits():
         profile_from_index(idx, 3))
 
 
+def test_rule_and_table_winner_agree_on_every_profile():
+    for rule in zoo_rules(2):
+        table = rule.as_table(2)
+        for idx in range(36):
+            p = profile_from_index(idx, 2)
+            assert rule.winner(p) == table.winner(p) == int(table.outputs[idx]), rule.label
+
+
 def test_zoo_listing():
     rules = zoo_rules(3)
     names = [r.name for r in rules]
@@ -189,6 +197,16 @@ def test_table_validation():
         ScfTable(2, 3, np.zeros(35, dtype=np.uint8))
     with pytest.raises(ValueError):
         ScfTable(2, 3, np.full(36, 3, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("m", [1, 0, -2])
+def test_fewer_than_two_alternatives_rejected(m):
+    with pytest.raises(ValueError, match="at least two alternatives"):
+        ScfRule("borda", m)
+    with pytest.raises(ValueError, match="at least two alternatives"):
+        ScfRule("dictatorship", m, voter=0)
+    with pytest.raises(ValueError, match="at least two alternatives"):
+        ScfTable(2, m, np.zeros(1, dtype=np.uint8))
 
 
 # --- slow oracle for the packed tally kernels ---------------------------

@@ -16,6 +16,7 @@ import pytest
 from votelab.metrics import mab
 from votelab.orders import Profile, order_from_index, profile_from_index
 from votelab.rules import BudgetError, ScfRule
+from votelab.sampling import exact_feasible
 from votelab.welfare import (
     GswfIia,
     anti_dictator_swf,
@@ -41,8 +42,8 @@ from votelab.welfare import (
     _wins,
 )
 
-from oracles import (dist_tr3_bruteforce, gswf_disagreement, pairwise_column, tr3_members,
-                     tr_member_tables)
+from oracles import (dist_tr3_bruteforce, gswf_disagreement, ngcw_enumerated,
+                     pairwise_column, tr3_members, tr_member_tables)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -167,6 +168,44 @@ def test_ngcw_matches_column_sum_oracle():
     assert ngcw(four).fraction == column_sum_ngcw(four)
     H = random_iia_gswf(2, 3, 31)
     assert ngcw(H).fraction == column_sum_ngcw(H)
+
+
+def _largest_n(m, limit=None):
+    """The largest voter count exact mode allows at m alternatives, and
+    with at most ``limit`` profiles when given."""
+    n = 1
+    while exact_feasible(n + 1, m) and (limit is None or factorial(m) ** (n + 1) <= limit):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_column_engine_matches_enumeration(m):
+    for n in range(1, _largest_n(m, 10 ** 6) + 1):
+        cases = {"random_iia": random_iia_gswf(n, m, 17 * n + m),
+                 "neutral": neutral_tensor(random_odd_g(n, n + m), m),
+                 "dictator": dictator_swf(n - 1, n, m),
+                 "anti_dictator": anti_dictator_swf(0, n, m)}
+        if m == 3:
+            cases["from_borda"] = gswf_from_scf(ScfRule("borda"), n=n)
+            cases["from_random_table"] = gswf_from_scf(ScfRule("random_table", seed=n), n=n)
+        for name, G in cases.items():
+            want = ngcw_enumerated(G)
+            assert ngcw(G).fraction == want, (m, n, name)
+            if m == 3:
+                assert nt(G).fraction == want, (n, name)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_column_engine_closed_forms_at_largest_n(m):
+    n = _largest_n(m)
+    tabs = random_iia_gswf(n, m, m).tables.copy()
+    tabs[:m - 1] = True  # the first m - 1 slots are the pairs (0, b): 0 beats all
+    G = GswfIia(m, n, tabs)
+    assert ngcw(G).fraction == 0
+    assert gcw(G).fraction == 1
+    if m == 3:
+        assert nt(neutral_tensor(majority_g(3), 3)).fraction == Fraction(1, 18)
 
 
 def test_wins_on_a_block_matches_object_layer():
@@ -354,14 +393,19 @@ def test_gswf_engines_read_outcomes_through_wins(monkeypatch):
 
     monkeypatch.setattr(welfare, "_wins", counting)
     G = random_iia_gswf(2, 3, 4)
-    for engine in (nt, ngcw, dist_tr3):
+    for engine in (nt, ngcw):
         calls.clear()
-        engine(G)
+        engine(G)  # exact: pairwise columns only, no profile sweep
+        assert calls == [], engine.__name__
+        engine(G, mode="sampled", samples=100, seed=0)
         assert calls == [(0, 1, 2)], engine.__name__
     calls.clear()
+    dist_tr3(G)
+    assert calls == [(0, 1, 2)]
+    calls.clear()
     check_composition(random_odd_g(1, 0))
-    # one block's ngcw, then both blocks of the joint sweep
-    assert calls == [(0, 1, 2), (0, 1, 2), (3, 4, 5)]
+    # the blocks' shared ngcw reads columns; the joint sweep reads both blocks
+    assert calls == [(0, 1, 2), (3, 4, 5)]
 
 
 def test_dist_tr3_is_zero_on_family_members():

@@ -95,6 +95,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_metrics(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     scf, n = load_scf(args.scf, args.m, args.n)
     mode = "exact" if args.exact else ("sampled" if args.samples is not None else "auto")
     mode = sampling.pick_mode(mode, n, scf.m, args.samples, args.seed)

@@ -15,6 +15,7 @@ reason: all voters, or all pairs, see the same draws.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -22,7 +23,6 @@ from math import factorial
 import numpy as np
 
 from . import _tables, sampling
-from .orders import column_index
 from .rules import resolve_n
 
 
@@ -125,7 +125,8 @@ class ColumnStats:
     def mab_report(self) -> MetricReport:
         """Exact ``mab``: the mean over columns z of
         count_a[z] * count_b[z] / 9^n."""
-        num = int(np.dot(self.count_a, self.count_b))
+        # Python ints: at n = 16 the sum can reach 2^16 * 9^16 / 4 > 2^63
+        num = sum(map(operator.mul, self.count_a.tolist(), self.count_b.tolist()))
         return exact_report("mab", (self.a, self.b), num, 2 ** self.n * 9 ** self.n)
 
     def nab_report(self) -> MetricReport:
@@ -156,7 +157,7 @@ def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
 
     def tally(block):
         winners = block.winners()
-        z = column_index(block.digits, a, b)
+        z = block.columns(a, b)
         return np.concatenate([np.bincount(z[winners == a], minlength=size),
                                np.bincount(z[winners == b], minlength=size)])
 

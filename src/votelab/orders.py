@@ -1,7 +1,8 @@
 """Canonical encodings of rankings, profiles and pairwise columns, and the
-array kernels that read profiles as digit blocks: profile indices, pairwise
-column indices, and the m=3 split of a profile into one pair's column and
-the third alternative's positions (``split_pair``, inverted by
+array kernels that read profiles as digit blocks: profile indices, the
+exact sweep over all profiles (read from one resident digit table per m),
+pairwise column indices, and the m=3 split of a profile into one pair's
+column and the third alternative's positions (``split_pair``, inverted by
 ``join_pair``).
 
 Conventions, normative for file formats and profile indices:
@@ -20,6 +21,7 @@ Conventions, normative for file formats and profile indices:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -169,12 +171,68 @@ def profile_digits(idx, n: int, m: int = 3) -> np.ndarray:
     return _tables.index_digits(idx, factorial(m), n)
 
 
-def profile_chunks(n: int, m: int = 3, chunk: int = 1 << 18):
-    """Yield (lo, hi, digits) blocks covering all (m!)^n profile indices."""
+SWEEP_CHUNK = 1 << 18  # the most profiles in one block of an exact sweep
+_DIGIT_TABLES: dict[int, np.ndarray] = {}  # m -> the digit table of m
+
+
+def _digit_table(m: int, k: int) -> np.ndarray:
+    """A read-only table whose first k rows and (m!)^k columns are the
+    digits of the first (m!)^k profiles of k voters.  Row v repeats with
+    period (m!)^(v+1), so the low k digits of any profile index j are
+    column j mod (m!)^k.  One table is kept per m, rebuilt when a sweep
+    needs more voters than it holds."""
+    table = _DIGIT_TABLES.get(m)
+    if table is None or len(table) < k:
+        base = factorial(m)
+        table = _tables.index_digits(np.arange(base ** k), base, k)
+        table.setflags(write=False)
+        _DIGIT_TABLES[m] = table
+    return table
+
+
+def profile_chunks(n: int, m: int = 3, chunk: int = SWEEP_CHUNK):
+    """Yield (lo, hi, digits) blocks covering all (m!)^n profile indices in
+    order, each of at most ``chunk`` profiles; ``digits`` is read-only.
+
+    The blocks read the digit table of m instead of decoding indices.  When
+    all (m!)^n profiles fit one block, that block is a view of the table.
+    Otherwise the table holds the k voters whose profiles fit, and a block
+    is a run of whole periods of (m!)^k profiles: its low k rows are the
+    table tiled, and its other rows are constant across each period.
+    """
+    base = factorial(m)
+    k = 0  # the most voters, up to n, whose base^k profiles fit one block
+    while k < n and base ** (k + 1) <= chunk:
+        k += 1
+    period = base ** k
+    table = _digit_table(m, k)
+    if k == n:
+        yield 0, period, table[:n, :period]
+        return
+    periods, per = base ** (n - k), chunk // period
+    for first in range(0, periods, per):
+        count = min(per, periods - first)
+        digits = np.empty((n, count, period), np.int64)
+        digits[:k] = table[:k, None, :period]
+        digits[k:] = _tables.index_digits(np.arange(first, first + count), base,
+                                          n - k)[:, :, None]
+        digits = digits.reshape(n, count * period)
+        digits.setflags(write=False)
+        yield first * period, (first + count) * period, digits
+
+
+@lru_cache(maxsize=None)
+def space_columns(n: int, m: int, a: int, b: int) -> np.ndarray:
+    """``column_index`` of (a, b) at every profile, for the n whose
+    (m!)^n profiles fit one sweep block; read-only, in the narrowest
+    unsigned dtype that holds 2^n - 1."""
     total = factorial(m) ** n
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        yield lo, hi, profile_digits(np.arange(lo, hi), n, m)
+    if total > SWEEP_CHUNK:
+        raise ValueError(f"{total} profiles do not fit one sweep block")
+    z = column_index(_digit_table(m, n)[:n, :total], a, b, m)
+    z = z.astype(np.min_scalar_type((1 << n) - 1))
+    z.setflags(write=False)
+    return z
 
 
 def column_index(digits, a: int, b: int, m: int = 3) -> np.ndarray:

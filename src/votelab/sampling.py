@@ -4,10 +4,12 @@ interval helpers of sampled reports.
 Every metric is a count over uniform profiles of n voters and m
 alternatives, and ``count`` makes it in one of two modes:
 
-- exact mode visits every one of the (m!)^n profiles; a count over a
-  rule's outcomes reads them from the rule's winner table, materialized once
-  per rule and n, so a swapped, transposed or relabelled profile costs one
-  gather instead of one rule evaluation;
+- exact mode visits every one of the (m!)^n profiles, whose digits it
+  reads from one resident, read-only digit table per m
+  (``orders.profile_chunks``) instead of decoding them on every sweep; a
+  count over a rule's outcomes reads them from the rule's winner table,
+  materialized once per rule and n, so a swapped, transposed or relabelled
+  profile costs one gather instead of one rule evaluation;
 - sampled mode splits the samples into fixed-size chunks; chunk k draws
   from ``default_rng([seed, k])`` and counts are integer sums, so the
   result is the same for any worker count and schedule.  A chunk's draws
@@ -25,12 +27,13 @@ pairwise columns, each weighted by the number of profiles behind it.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from math import factorial, sqrt
 
 import numpy as np
 
 from . import _tables
-from .orders import profile_chunks
+from .orders import SWEEP_CHUNK, column_index, profile_chunks, space_columns
 
 CHUNK = 1 << 16
 Z95 = 1.959963984540054
@@ -141,14 +144,24 @@ class Tabled:
 
     def __init__(self, table, lo: int, digits, m: int):
         self.table = table
+        self.lo = lo
         self.digits = digits
         self.m = m
         self.base = factorial(m)
-        self.idx = np.arange(lo, lo + digits.shape[1], dtype=np.int64)
+        size = digits.shape[1]
+        self.idx = _counting(size) if lo == 0 else np.arange(lo, lo + size, dtype=np.int64)
 
     def winners(self):
         """The winner of each profile."""
-        return self.table[self.idx]
+        return self.table[self.lo:self.lo + self.digits.shape[1]]
+
+    def columns(self, a, b):
+        """The column index of (a, b) at each profile; read from the cached
+        columns of all (m!)^n profiles when the block holds them all."""
+        n, size = self.digits.shape
+        if self.lo == 0 and size == self.base ** n <= SWEEP_CHUNK:
+            return space_columns(n, self.m, a, b)
+        return column_index(self.digits, a, b, self.m)
 
     def moved(self, i, ballots):
         """Winners once voter i casts ``ballots`` (one ranking index, or one
@@ -166,6 +179,15 @@ class Tabled:
         return self.table[_tables.digits_index(relabeled, self.base)]
 
 
+@lru_cache(maxsize=1)
+def _counting(size: int) -> np.ndarray:
+    """``np.arange(size)``, int64 and read-only, kept for the next block of
+    the same size."""
+    idx = np.arange(size, dtype=np.int64)
+    idx.setflags(write=False)
+    return idx
+
+
 def run_chunks(counter, slots: int, samples: int, seed: int, *, workers: int = 1,
                chunk: int = CHUNK) -> np.ndarray:
     """Sum of ``counter(rng, size)`` over all chunks; shape (slots,), int64.
@@ -177,6 +199,8 @@ def run_chunks(counter, slots: int, samples: int, seed: int, *, workers: int = 1
         raise ValueError("samples must be >= 1")
     if seed is None or int(seed) < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     seed = int(seed)
     tasks = [(k, min(chunk, samples - k * chunk))
              for k in range((samples + chunk - 1) // chunk)]
@@ -189,7 +213,7 @@ def run_chunks(counter, slots: int, samples: int, seed: int, *, workers: int = 1
         return out
 
     total = np.zeros(slots, np.int64)
-    if workers <= 1:
+    if workers == 1:
         for task in tasks:
             total += one(task)
     else:

@@ -180,10 +180,12 @@ def _column_weights(n: int, m: int) -> np.ndarray:
     on the pairs (a, b_1), ..., (a, b_{m-1}) are z_1, ..., z_{m-1}, the same
     for every a.  A voter who ranks k of the b_j below a has k! (m-1-k)!
     rankings, so W is the Kronecker product over voters of that 2 x ... x 2
-    tensor; shape (2^n,) * (m - 1), int64."""
-    per_k = np.array([factorial(k) * factorial(m - 1 - k) for k in range(m)])
+    tensor; shape (2^n,) * (m - 1), in the narrowest unsigned dtype that
+    holds its largest entry ((m-1)!)^n."""
+    dtype = np.min_scalar_type(factorial(m - 1) ** n)
+    per_k = np.array([factorial(k) * factorial(m - 1 - k) for k in range(m)], dtype)
     voter = per_k[np.indices((2,) * (m - 1)).sum(0)]  # bit j: voter ranks b_j below a
-    weights = np.ones((1,) * (m - 1), np.int64)
+    weights = np.ones((1,) * (m - 1), dtype)
     for _ in range(n):
         weights = np.kron(weights, voter)
     weights.setflags(write=False)
@@ -193,9 +195,9 @@ def _column_weights(n: int, m: int) -> np.ndarray:
 def _beats_all_count(G: GswfIia, a: int) -> int:
     """Number of profiles at which a beats every other alternative: the
     column weights contracted with G's pairwise outputs, one pair at a
-    time, by summing over the columns where a beats b.  Every partial sum
-    counts a set of profiles, so it stays within (m!)^n <= EXACT_BUDGET and
-    int64 cannot overflow."""
+    time, by summing over the columns where a beats b.  The sums accumulate
+    in uint64, and every partial sum counts a set of profiles, so it stays
+    within (m!)^n <= EXACT_BUDGET and cannot overflow."""
     acc = _column_weights(G.n, G.m)
     for b in range(G.m):
         if b != a:

@@ -145,6 +145,15 @@ def test_bad_sizes_exit_2(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("mode", [("--exact",), ("--samples", "10"), ()])
+def test_metrics_workers_below_one_exit_2(capsys, mode, workers):
+    code, out, err = run(capsys, "metrics", "--scf", "borda", "--n", "3", *mode,
+                         "--seed", "1", "--workers", workers)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--workers must be >= 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("metrics", "--scf", "borda", "--n", "2", "--m", "1"),
     ("metrics", "--scf", "borda", "--n", "2", "--m", "0"),

@@ -13,9 +13,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from votelab import rules
+from votelab import rules, sampling
 from votelab.metrics import column_stats, manipulation_power, manipulation_power_total
-from votelab.orders import Profile, order_from_index, profile_digits, profile_from_index
+from votelab.orders import (Profile, column_index, order_from_index, profile_chunks,
+                            profile_digits, profile_from_index)
 from votelab.rules import ScfRule, _diag_counts, anonymity_counts, neutrality_counts, zoo_rules
 from votelab.sampling import CHUNK, Evaluated, Tabled
 from votelab.welfare import PAIRS3, check_reduction_chain, random_iia_gswf, scf_from_gswf
@@ -207,3 +208,32 @@ def test_random_table_cache_fills_once_under_workers(monkeypatch, seed):
     manipulation_power_total(ScfRule("random_table", seed=seed), 8, mode="sampled",
                              samples=2 * CHUNK, seed=1, workers=2)
     assert built == [8]
+
+
+@pytest.mark.parametrize("n", [3, 7])  # one whole-space block; two blocks
+def test_sweep_blocks_are_read_only(n):
+    def into_digits(digits):
+        digits[0, 0] = 1
+        return [0]
+
+    def into_block(block):
+        block.digits[0, 0] = 1
+        return [0]
+
+    with pytest.raises(ValueError, match="read-only"):
+        sampling.count(into_digits, 1, n, 3, mode="exact")
+    with pytest.raises(ValueError, match="read-only"):
+        sampling.count(into_block, 1, n, 3, mode="exact", scf=ScfRule("borda"))
+
+
+@pytest.mark.parametrize("n", [1, 5, 7])
+def test_tabled_columns_equal_column_index(n):
+    """A whole-space block reads cached columns, a block of a multi-block
+    sweep computes them; both equal decoding the block's own digits."""
+    table = ScfRule("plurality").as_table(n).outputs
+    blocks = list(profile_chunks(n))
+    assert (len(blocks) > 1) == (n == 7)
+    for lo, _, digits in blocks:
+        tabled = Tabled(table, lo, digits, 3)
+        for a, b in PAIRS3:
+            assert np.array_equal(tabled.columns(a, b), column_index(digits, a, b))

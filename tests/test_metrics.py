@@ -12,6 +12,7 @@ import pytest
 
 from votelab import _tables
 from votelab.metrics import (
+    ColumnStats,
     MetricReport,
     _decode_steps,
     column_stats,
@@ -293,3 +294,10 @@ def test_decode_steps_reach_each_pairs_lookup():
             assert sorted(step.tolist()) == list(range(6))
             np.take(step, codes, out=codes, mode="clip")
             assert codes.tolist() == _tables.order_of_bit_digit3(a, b).ravel().tolist()
+
+
+def test_mab_report_exact_past_int64():
+    """At n = 16 the sum of count_a * count_b exceeds 2^63."""
+    c = np.full(2 ** 16, 3 ** 16 // 2)
+    report = ColumnStats(0, 1, 16, c, c).mab_report()
+    assert report.fraction == Fraction((3 ** 16 // 2) ** 2, 9 ** 16)

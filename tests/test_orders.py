@@ -1,5 +1,7 @@
 """Ranking, profile, and pair-splitting encodings."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,18 @@ from hypothesis import strategies as st
 
 from votelab._tables import digits_index
 from votelab.orders import (
+    SWEEP_CHUNK,
     LinearOrder,
     PairwiseColumn,
     Profile,
+    column_index,
     join_pair,
     order_from_index,
     order_to_index,
     profile_chunks,
     profile_digits,
     profile_from_index,
+    space_columns,
     split_pair,
 )
 
@@ -142,6 +147,31 @@ def test_profile_chunks_cover_everything():
         assert digits.shape == (3, hi - lo)
         seen.extend(digits_index(digits, 6).tolist())
     assert seen == list(range(216))
+
+
+@pytest.mark.parametrize("n,m", [*((n, 3) for n in range(1, 8)), (3, 4), (4, 4), (2, 6)])
+def test_sweep_blocks_equal_decoded_digits(n, m):
+    """Blocks read from the digit table tile the index range in order, each
+    equal to decoding its indices, read-only and within SWEEP_CHUNK."""
+    lo_expected, blocks = 0, 0
+    for lo, hi, digits in profile_chunks(n, m):
+        assert lo == lo_expected and 0 < hi - lo <= SWEEP_CHUNK
+        assert np.array_equal(digits, profile_digits(np.arange(lo, hi), n, m))
+        assert not digits.flags.writeable
+        lo_expected, blocks = hi, blocks + 1
+    assert lo_expected == factorial(m) ** n
+    assert (blocks > 1) == (factorial(m) ** n > SWEEP_CHUNK)
+
+
+def test_space_columns_equal_column_index():
+    for n in (1, 4, 6):
+        digits = profile_digits(np.arange(6 ** n), n)
+        for a, b in PAIRS:
+            z = space_columns(n, 3, a, b)
+            assert z.dtype == np.uint8 and not z.flags.writeable
+            assert np.array_equal(z, column_index(digits, a, b))
+    with pytest.raises(ValueError, match="sweep block"):
+        space_columns(7, 3, 0, 1)
 
 
 @settings(max_examples=60, deadline=None)

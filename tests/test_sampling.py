@@ -196,6 +196,12 @@ def test_count_mode_errors(mode, samples, seed, error):
         count(lambda digits: [0], 1, 11, 3, mode=mode, samples=samples, seed=seed)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_chunks_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_chunks(counting_counter, 2, 100, seed=1, workers=workers)
+
+
 @pytest.mark.parametrize("mode,n,samples", [("sampled", 3, 0), ("sampled", 3, -5),
                                             ("auto", 11, 0)])
 def test_pick_mode_rejects_empty_samples(mode, n, samples):

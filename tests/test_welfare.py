@@ -39,6 +39,7 @@ from votelab.welfare import (
     random_odd_g,
     restrict_gswf,
     scf_from_gswf,
+    _column_weights,
     _wins,
 )
 
@@ -206,6 +207,16 @@ def test_column_engine_closed_forms_at_largest_n(m):
     assert gcw(G).fraction == 1
     if m == 3:
         assert nt(neutral_tensor(majority_g(3), 3)).fraction == Fraction(1, 18)
+
+
+@pytest.mark.parametrize("n,m,dtype", [(3, 2, np.uint8), (10, 3, np.uint16),
+                                        (5, 4, np.uint16), (2, 6, np.uint16)])
+def test_column_weights_are_narrow(n, m, dtype):
+    """The weights are stored in the narrowest dtype of ((m-1)!)^n, and
+    weigh every profile once."""
+    weights = _column_weights(n, m)
+    assert weights.dtype == dtype and weights.max() == factorial(m - 1) ** n
+    assert int(weights.sum(dtype=np.uint64)) == factorial(m) ** n
 
 
 def test_wins_on_a_block_matches_object_layer():

@@ -100,6 +100,8 @@ def cmd_metrics(args) -> int:
     scf, n = load_scf(args.scf, args.m, args.n)
     mode = "exact" if args.exact else ("sampled" if args.samples is not None else "auto")
     mode = sampling.pick_mode(mode, n, scf.m, args.samples, args.seed)
+    if mode == "sampled" and args.samples < 2:  # one sample has no interval
+        raise ValueError(f"sampled metrics need --samples >= 2, got {args.samples}")
     kw = dict(mode=mode, samples=args.samples, seed=args.seed, workers=args.workers)
     rows = metrics.manipulation_reports(scf, n, **kw)
     if scf.m == 3:

@@ -351,8 +351,10 @@ def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
 
     The sampled path is a plug-in estimate: per sampled column it counts
     winners over NAB_INNER fresh completions and averages the min, which is
-    consistent (bias O(1/sqrt(NAB_INNER))) but not unbiased; the interval
-    covers the plug-in mean.
+    consistent (bias O(1/sqrt(NAB_INNER))) but not unbiased.  Its ``ci95``
+    is the interval of the plug-in mean, not of ``nab``: min is concave, so
+    by Jensen the plug-in mean is at most ``nab``, and the interval can lie
+    wholly below it (ROADMAP item 5 plans fields that bracket ``nab``).
     """
     n = resolve_n(scf, n)
     _check_pairs(scf, [(a, b)], "minority preference")

@@ -4,6 +4,7 @@ neutrality, anonymity)."""
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,6 +151,14 @@ def _eval_constant(rule, digits):
     return np.full(digits.shape[1], rule.params["alt"], dtype=np.uint8)
 
 
+def _voter_sum(packed, digits) -> np.ndarray:
+    """``packed[digits].sum(0)``: one gather and one add per voter."""
+    acc = packed[digits[0]]
+    for row in digits[1:]:
+        acc += packed[row]
+    return acc
+
+
 def _field_sums(fields, digits) -> np.ndarray:
     """Per-profile sums over voters of a per-ranking field table.
 
@@ -168,10 +177,7 @@ def _field_sums(fields, digits) -> np.ndarray:
     mask = (1 << bits) - 1
     for lo in range(0, nfields, per):
         group = fields[:, lo:lo + per]
-        packed = (group << (bits * np.arange(group.shape[1]))).sum(1)
-        acc = packed[digits[0]]
-        for v in range(1, n):
-            acc += packed[digits[v]]
+        acc = _voter_sum((group << (bits * np.arange(group.shape[1]))).sum(1), digits)
         for j in range(group.shape[1]):
             sums[lo + j] = acc >> (bits * j) & mask
     return sums
@@ -187,31 +193,85 @@ def _first_argmax(scores) -> np.ndarray:
     return best
 
 
-@register_rule("plurality")
-def _eval_plurality(rule, digits):
-    tops = _tables.rank_in_order(rule.m) == 0
-    return _first_argmax(_field_sums(tops, digits))
+def _majority_winner(above, m, n) -> np.ndarray:
+    """The alternative beating every other by a strict majority, from the
+    tallies ``above`` of the pairs a < b in ``np.triu_indices(m, 1)`` order;
+    m where there is none.  A strict-majority Condorcet winner is unique."""
+    beats_all = np.ones((m, above.shape[1]), bool)
+    for a, b, wins in zip(*np.triu_indices(m, 1), above):
+        beats_all[a] &= 2 * wins > n
+        beats_all[b] &= 2 * wins < n
+    winners = np.full(above.shape[1], m, np.intp)
+    for a in range(m):
+        winners[beats_all[a]] = a
+    return winners
 
 
-@register_rule("borda")
-def _eval_borda(rule, digits):
-    scores = rule.m - 1 - _tables.rank_in_order(rule.m).astype(np.int64)
-    return _first_argmax(_field_sums(scores, digits))
+def _pair_fields(m):
+    """Per ranking and pair a < b (as in pair_list(m)): 1 if a is above b."""
+    first, second = np.triu_indices(m, 1)
+    return _tables.prefers(m)[:, first, second]
+
+
+# A tally rule's winner depends only on F per-voter tallies summed over the
+# voters: name -> (the (m!, F) field table of m, the decision on (F, S)
+# tallies of n voters).
+_TALLY_RULES = {
+    "plurality": (lambda m: _tables.rank_in_order(m) == 0,
+                  lambda tallies, m, n: _first_argmax(tallies)),
+    "borda": (lambda m: m - 1 - _tables.rank_in_order(m).astype(np.int64),
+              lambda tallies, m, n: _first_argmax(tallies)),
+    "pairwise_majority_fallback": (_pair_fields, _majority_winner),
+}
+_DECISION_TABLE_MAX = 1 << 16  # entries; past it the tallies are unpacked instead
+
+
+@functools.lru_cache(maxsize=None)
+def _decision_table(name, m, n):
+    """(word, decision) of a tally rule at n voters, or None past the cap.
+
+    Every tally lies in 0..n·max, so the F tallies of a profile pack without
+    carries into one mixed-radix word sum_j tally_j · R^j, R = n·max + 1:
+    ``word[r]`` is ranking r's contribution, and a profile's word is the sum
+    of its voters'.  ``decision`` holds the rule's decision at each of the
+    R^F words, unreachable tally vectors included.
+    """
+    fields_of, decide = _TALLY_RULES[name]
+    fields = np.asarray(fields_of(m), dtype=np.int64)
+    radix = int(fields.max()) * n + 1
+    size = radix ** fields.shape[1]
+    if size > _DECISION_TABLE_MAX:
+        return None
+    weights = radix ** np.arange(fields.shape[1])
+    grid = np.arange(size) // weights[:, None] % radix
+    table = fields @ weights, decide(grid, m, n).astype(np.uint8)
+    for part in table:
+        part.setflags(write=False)  # shared by every caller
+    return table
+
+
+def _decide_tallies(rule, digits) -> np.ndarray:
+    """A tally rule's decision per profile: one gather on its decision
+    table, or its decision on the unpacked tallies past the table's cap."""
+    n = digits.shape[0]
+    table = _decision_table(rule.name, rule.m, n)
+    if table is not None:
+        word, decision = table
+        return decision[_voter_sum(word, digits)]
+    fields_of, decide = _TALLY_RULES[rule.name]
+    return decide(_field_sums(fields_of(rule.m), digits), rule.m, n)
+
+
+register_rule("plurality")(_decide_tallies)
+register_rule("borda")(_decide_tallies)
 
 
 @register_rule("pairwise_majority_fallback")
 def _eval_pmf(rule, digits):
-    m = rule.m
-    n = digits.shape[0]
-    first, second = np.triu_indices(m, 1)  # the pairs a < b, as in pair_list(m)
-    above = _field_sums(_tables.prefers(m)[:, first, second], digits)
-    beats_all = np.ones((m, digits.shape[1]), bool)
-    for a, b, wins in zip(first, second, above):
-        beats_all[a] &= 2 * wins > n  # strict majority on each ordered pair
-        beats_all[b] &= 2 * wins < n
-    winners = _tables.perms(m)[digits[0], 0].astype(np.intp)  # voter 0's top
-    for a in range(m):  # a strict-majority Condorcet winner is unique
-        winners[beats_all[a]] = a
+    """The strict-majority Condorcet winner, else voter 0's top."""
+    winners = _decide_tallies(rule, digits)
+    none = winners == rule.m
+    winners[none] = _tables.perms(rule.m)[digits[0, none], 0]
     return winners
 
 

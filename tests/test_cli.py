@@ -138,6 +138,8 @@ def test_metrics_budget_exits_2(capsys):
     (("reduce", "--scf", "plurality", "--n", "0"), "at least one voter"),
     (("metrics", "--scf", "borda", "--n", "3", "--samples", "0"), "samples must be >= 1"),
     (("verify", "composition", "--n", "2", "--samples", "0"), "samples must be >= 1"),
+    (("metrics", "--scf", "borda", "--n", "4", "--samples", "1", "--seed", "0"),
+     "--samples >= 2"),
 ])
 def test_bad_sizes_exit_2(capsys, argv, message):
     code, _, err = run(capsys, *argv)

@@ -11,6 +11,9 @@ from votelab.rules import (
     BudgetError,
     ScfRule,
     ScfTable,
+    _TALLY_RULES,
+    _decide_tallies,
+    _decision_table,
     _field_sums,
     anonymity_counts,
     dist_to_antidictatorship,
@@ -230,11 +233,11 @@ def oracle_winner(name, profile):
     return scores.index(max(scores))  # the smallest alternative among the maxima
 
 
-def check_against_oracle(digits, m):
+def check_against_oracle(digits, m, names=TALLY_RULES):
     digits = np.asarray(digits)
     profiles = [Profile(tuple(order_from_index(int(k), m) for k in column))
                 for column in digits.T]
-    for name in TALLY_RULES:
+    for name in names:
         got = ScfRule(name, m).winners_from_digits(digits).tolist()
         assert got == [oracle_winner(name, p) for p in profiles], (name, digits.shape)
 
@@ -256,7 +259,7 @@ def test_tally_rules_match_oracle_many_voters():
     check_against_oracle(rng.integers(0, 24, size=(3000, 12)), 4)
 
 
-@pytest.mark.parametrize("m,copies", [(3, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("m,copies", [(3, 1), (3, 2), (3, 3), (4, 1)])
 def test_tally_rules_match_oracle_on_balanced_electorates(m, copies):
     # every ranking cast equally often: all scores and pairs tie
     rng = np.random.default_rng(m + copies)
@@ -264,6 +267,28 @@ def test_tally_rules_match_oracle_on_balanced_electorates(m, copies):
     digits = np.stack([rng.permutation(ballots) for _ in range(60)], 1)
     check_against_oracle(digits, m)
     assert (ScfRule("borda", m).winners_from_digits(digits) == 0).all()
+
+
+@pytest.mark.parametrize("name,last", [("borda", 19), ("plurality", 39),
+                                       ("pairwise_majority_fallback", 39)])
+def test_tally_rules_match_oracle_at_decision_table_cap(name, last):
+    # m = 3: n = last is the most voters whose decision table fits 2^16
+    # entries; one voter more decides on unpacked tallies
+    rng = np.random.default_rng(last)
+    for n in (last, last + 1):
+        assert (_decision_table(name, 3, n) is None) == (n > last)
+        check_against_oracle(rng.integers(0, 6, size=(n, 300)), 3, (name,))
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (3, 10), (3, 19), (4, 5)])
+def test_decision_table_matches_unpacked_tallies(m, n):
+    rng = np.random.default_rng(m * 100 + n)
+    digits = rng.integers(0, factorial(m), size=(n, 2000))
+    for name in TALLY_RULES:
+        assert _decision_table(name, m, n) is not None
+        fields_of, decide = _TALLY_RULES[name]
+        unpacked = decide(_field_sums(fields_of(m), digits), m, n)
+        assert np.array_equal(_decide_tallies(ScfRule(name, m), digits), unpacked), name
 
 
 def test_field_sums_match_plain_sum_over_words():

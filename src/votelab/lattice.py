@@ -4,11 +4,20 @@ borders, monotone shifting, and the two correlation inequalities.
 Point index = sum of digit_i * 3^i.  The three directed edges per line are
 0->1, 1->2, 0->2; a border edge has its tail inside the set and its head
 outside.  All comparisons are exact integer arithmetic.
+
+Borders of a set, in every direction at once, are one gather of its
+membership at the tails and heads of a cached per-n edge table
+(``_edge_table``: the tail and head point of each of the n 3^n directed
+edges, as intp).  It takes 16 n 3^n bytes: 288 B at n = 2, 5,184 B at
+n = 4 and 69,984 B at n = 6, the suites' largest n; 9.4 MB at n = 10 and
+102 MB at n = 12.  Shifting packs the membership array one direction at
+a time and builds one set at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,33 +99,42 @@ def _lines(memb: np.ndarray, n: int, i: int) -> np.ndarray:
     return memb.reshape(3 ** (n - 1 - i), 3, 3 ** i)
 
 
-def _exits(s: TernarySet, i: int) -> np.ndarray:
-    """Direction-i border edges as a mask of shape (step, prefix, suffix):
-    entry [k, p, q] is set iff edge step EDGE_STEPS[k] leaves the set on the
-    line (p, q)."""
-    tails, heads = zip(*EDGE_STEPS)
-    lines = _lines(s.membership, s.n, i)
-    return (lines[:, tails] & ~lines[:, heads]).transpose(1, 0, 2)
+@lru_cache(maxsize=None)
+def _edge_table(n: int) -> np.ndarray:
+    """Tail and head point of every directed edge, shape (2, n, step, 3^(n-1)):
+    entry [0, i, k, r] is the tail and [1, i, k, r] the head of the edge of
+    step EDGE_STEPS[k] in direction i on the line r = prefix * 3^i + suffix.
+    Read-only."""
+    points = np.arange(3 ** n)
+    table = np.empty((2, n, 3, 3 ** n // 3), dtype=np.intp)
+    for i in range(n):
+        lines = _lines(points, n, i)
+        for end, digits in enumerate(zip(*EDGE_STEPS)):
+            table[end, i] = lines[:, digits].transpose(1, 0, 2).reshape(3, -1)
+    table.setflags(write=False)
+    return table
 
 
 def edge_border(s: TernarySet, i: int) -> int:
     """Number of directed edges in direction i leaving the set."""
     if not 0 <= i < s.n:
         raise ValueError(f"direction {i} out of range for n={s.n}")
-    return int(np.count_nonzero(_exits(s, i)))
+    tails, heads = _edge_table(s.n)[:, i]
+    return int(np.count_nonzero(s.membership[tails] & ~s.membership[heads]))
 
 
 def border_counts(s: TernarySet, with_edges: bool = False) -> EdgeBorder:
-    """All per-direction border sizes, optionally with the explicit edges."""
-    counts = tuple(edge_border(s, i) for i in range(s.n))
+    """All per-direction border sizes, optionally with the explicit edges,
+    listed by direction, then step, then line."""
+    tails, heads = _edge_table(s.n)
+    exits = s.membership[tails] & ~s.membership[heads]
+    counts = tuple(np.count_nonzero(exits, axis=(1, 2)).tolist())
     if not with_edges:
         return EdgeBorder(counts)
-    edges = []
-    for i in range(s.n):
-        for step, prefix, suffix in zip(*np.nonzero(_exits(s, i))):
-            lo, hi = EDGE_STEPS[step]
-            edges.append((int(prefix * 3 ** (i + 1) + lo * 3 ** i + suffix), i, hi))
-    return EdgeBorder(counts, tuple(edges))
+    direction, step, line = np.nonzero(exits)
+    points = tails[direction, step, line].tolist()
+    head_digits = [EDGE_STEPS[k][1] for k in step.tolist()]
+    return EdgeBorder(counts, tuple(zip(points, direction.tolist(), head_digits)))
 
 
 def border_total(s: TernarySet) -> int:
@@ -129,24 +147,30 @@ def is_monotone(s: TernarySet) -> bool:
     return border_total(s) == 0
 
 
+# digit d of a packed line is set iff the line has more than 2 - d members
+_PACK_FLOORS = np.array([[2], [1], [0]])
+_PACK_FLOORS.setflags(write=False)
+
+
+def _pack(memb: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Each direction-i line's members moved to its top slots, flat."""
+    k = _lines(memb, n, i).sum(1, keepdims=True)
+    return (k > _PACK_FLOORS).reshape(-1)
+
+
 def shift_coordinate(s: TernarySet, i: int) -> TernarySet:
     """One shifting step: pack each direction-i line into its top slots."""
     if not 0 <= i < s.n:
         raise ValueError(f"direction {i} out of range for n={s.n}")
-    lines = _lines(s.membership, s.n, i)
-    k = lines.sum(1)
-    packed = np.empty_like(lines)
-    packed[:, 2] = k >= 1
-    packed[:, 1] = k >= 2
-    packed[:, 0] = k == 3
-    return TernarySet(s.n, packed.reshape(-1))
+    return TernarySet(s.n, _pack(s.membership, s.n, i))
 
 
 def shift_monotone(s: TernarySet) -> TernarySet:
     """The full n-step shift; same cardinality, monotone in every coordinate."""
+    memb = s.membership
     for i in range(s.n):
-        s = shift_coordinate(s, i)
-    return s
+        memb = _pack(memb, s.n, i)
+    return TernarySet(s.n, memb)
 
 
 def random_set(n: int, seed=None, rng=None, p=None) -> TernarySet:

@@ -237,7 +237,12 @@ def space_columns(n: int, m: int, a: int, b: int) -> np.ndarray:
 
 def column_index(digits, a: int, b: int, m: int = 3) -> np.ndarray:
     """Pairwise column index of (a, b) for every profile; shape (S,)."""
-    return _tables.digits_index(_tables.pair_bit(m, a, b)[digits], 2)
+    bit = _tables.pair_bit(m, a, b)
+    z = bit[digits[-1]]  # a fresh int64 array, so shifted in place
+    for row in digits[-2::-1]:
+        z <<= 1
+        z |= bit[row]
+    return z
 
 
 def voter_bits(i: int, n: int) -> np.ndarray:

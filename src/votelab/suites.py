@@ -91,8 +91,15 @@ def _build_odd_g(desc: dict) -> np.ndarray:
     raise ValueError(f"unknown odd-function descriptor kind {kind!r}")
 
 
-def _scf_descs(trials, n, seed, samples):
-    return [{"n": n, "scf": scf_descriptor(rule)} for rule in scf_corpus(n, trials, seed)]
+def _exact_scf_descs(suite: str):
+    """The rule-corpus descriptors of a suite whose check only enumerates."""
+    def descs(trials, n, seed, samples):
+        if not sampling.exact_feasible(n, 3):
+            raise BudgetError(f"exact enumeration at n={n}, m=3 exceeds the budget, "
+                              f"and the {suite} suite has no sampled path")
+        return [{"n": n, "scf": scf_descriptor(rule)}
+                for rule in scf_corpus(n, trials, seed)]
+    return descs
 
 
 def _random_lattice(trials, n, seed):
@@ -255,7 +262,7 @@ class SuiteSpec:
 
 SUITES = {
     "first-reduction": SuiteSpec(
-        _scf_descs, _check_first_reduction, 200, 3,
+        _exact_scf_descs("first-reduction"), _check_first_reduction, 200, 3,
         "pairwise manipulability is at most six times total manipulation power"),
     "border": SuiteSpec(
         _border_descs, _check_border, 2000, 4,
@@ -264,10 +271,10 @@ SUITES = {
         _shifting_descs, _check_shift, 2000, 4,
         "monotone rearrangement preserves size, yields monotone sets, never grows borders"),
     "cauchy": SuiteSpec(
-        _scf_descs, _check_cauchy, 200, 3,
+        _exact_scf_descs("cauchy"), _check_cauchy, 200, 3,
         "squared minority preference is at most pairwise manipulability"),
     "reduction-chain": SuiteSpec(
-        _scf_descs, _check_chain, 50, 3,
+        _exact_scf_descs("reduction-chain"), _check_chain, 50, 3,
         "the full quantitative chain from manipulation power to dictator distance"),
     "arrow-identity": SuiteSpec(
         _arrow_descs, _check_four_identity, 20, 3,

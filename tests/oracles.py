@@ -15,7 +15,11 @@ engine it checks:
 * ``dist_tr3_bruteforce``: ``dist_tr3`` by minimizing over every member;
 * ``ngcw_enumerated``: the exact no-GCW probability by visiting every
   profile, through the ``_no_gcw`` tally of the sampled path, where the
-  exact engine reads only pairwise columns.
+  exact engine reads only pairwise columns;
+* ``border_counts_by_direction``, ``shift_coordinate_by_lines`` and
+  ``shift_monotone_by_lines``: lattice borders and shifts one direction at
+  a time on reshaped lines, where the engine gathers every direction at
+  once from a cached edge table and packs without intermediate sets.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from math import factorial
 import numpy as np
 
 from votelab import _tables, sampling
+from votelab.lattice import EDGE_STEPS, EdgeBorder, TernarySet
 from votelab.orders import (LinearOrder, PairwiseColumn, Profile, column_index,
                             order_to_index, profile_digits)
 from votelab.rules import BudgetError
@@ -195,3 +200,50 @@ def ngcw_enumerated(G) -> Fraction:
         lambda digits: [_no_gcw(G, digits, range(G.m)).sum()], 1, G.n, G.m,
         mode="exact")
     return Fraction(int(count), trials)
+
+
+# --- lattice borders and shifts, one direction at a time ------------------
+
+def _lines(memb: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Membership reshaped to (prefix, digit_i, suffix) lines along direction i."""
+    return memb.reshape(3 ** (n - 1 - i), 3, 3 ** i)
+
+
+def direction_exits(s: TernarySet, i: int) -> np.ndarray:
+    """Direction-i border edges as a mask of shape (step, prefix, suffix):
+    entry [k, p, q] is set iff edge step EDGE_STEPS[k] leaves the set on the
+    line (p, q)."""
+    tails, heads = zip(*EDGE_STEPS)
+    lines = _lines(s.membership, s.n, i)
+    return (lines[:, tails] & ~lines[:, heads]).transpose(1, 0, 2)
+
+
+def border_counts_by_direction(s: TernarySet, with_edges: bool = False) -> EdgeBorder:
+    """``lattice.border_counts`` from one exit mask per direction."""
+    counts = tuple(int(np.count_nonzero(direction_exits(s, i))) for i in range(s.n))
+    if not with_edges:
+        return EdgeBorder(counts)
+    edges = []
+    for i in range(s.n):
+        for step, prefix, suffix in zip(*np.nonzero(direction_exits(s, i))):
+            lo, hi = EDGE_STEPS[step]
+            edges.append((int(prefix * 3 ** (i + 1) + lo * 3 ** i + suffix), i, hi))
+    return EdgeBorder(counts, tuple(edges))
+
+
+def shift_coordinate_by_lines(s: TernarySet, i: int) -> TernarySet:
+    """One shifting step: pack each direction-i line into its top slots."""
+    lines = _lines(s.membership, s.n, i)
+    k = lines.sum(1)
+    packed = np.empty_like(lines)
+    packed[:, 2] = k >= 1
+    packed[:, 1] = k >= 2
+    packed[:, 0] = k == 3
+    return TernarySet(s.n, packed.reshape(-1))
+
+
+def shift_monotone_by_lines(s: TernarySet) -> TernarySet:
+    """The full shift as n sets, one per direction."""
+    for i in range(s.n):
+        s = shift_coordinate_by_lines(s, i)
+    return s

@@ -129,6 +129,16 @@ def test_metrics_budget_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("suite", ["first-reduction", "cauchy", "reduction-chain"])
+def test_enumeration_only_suite_refuses_samples_past_budget(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--n", "12", "--samples", "4",
+                         "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert f"the {suite} suite has no sampled path" in err
+    assert "rerun" not in err and "needs samples" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (("verify", "border", "--n", "0"), "at least one voter"),
     (("verify", "shifting", "--n", "-2"), "at least one voter"),

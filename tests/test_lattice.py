@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from votelab.lattice import (
+    _PACK_FLOORS,
+    BorderReport,
+    EdgeBorder,
+    HarrisReport,
     TernarySet,
+    _edge_table,
     border_counts,
     border_total,
     check_border_inequality,
@@ -20,6 +25,9 @@ from votelab.lattice import (
 )
 from votelab.metrics import manipulation_power
 from votelab.rules import ScfRule, zoo_rules
+
+from oracles import (border_counts_by_direction, shift_coordinate_by_lines,
+                     shift_monotone_by_lines)
 
 
 def from_points(n, *points):
@@ -221,11 +229,11 @@ def slow_monotone(s):
                for i in range(s.n) if p // 3 ** i % 3 < 2)
 
 
-def shifted_except(s, j):
+def shifted_except(s, j, shift=shift_coordinate):
     """s shifted along every direction but j."""
     for i in range(s.n):
         if i != j:
-            s = shift_coordinate(s, i)
+            s = shift(s, i)
     return s
 
 
@@ -251,3 +259,76 @@ def test_border_functions_agree_with_point_walk():
 def test_random_set_reproducible():
     assert random_set(3, seed=4) == random_set(3, seed=4)
     assert random_set(3, seed=4) != random_set(3, seed=5)
+
+
+def oracle_corpus(n, rng):
+    """Random sets at each density, the empty and full sets, and each random
+    set fully shifted and shifted along every direction but one, all by the
+    per-direction oracle."""
+    sets = [TernarySet.empty(n), TernarySet.full(n)]
+    for p in (0.1, 0.25, 0.5, 0.75, 0.9):
+        s = TernarySet(n, rng.random(3 ** n) < p)
+        sets.append(s)
+        sets.append(shift_monotone_by_lines(s))
+        sets.extend(shifted_except(s, j, shift_coordinate_by_lines) for j in range(n))
+    return sets
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_edge_table_engine_equals_per_direction_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    sets = oracle_corpus(n, rng)
+    for t in sets:
+        want = border_counts_by_direction(t, with_edges=True)
+        got = border_counts(t, with_edges=True)
+        assert got == want  # edges in the same order
+        assert all(type(x) is int for edge in got.edges for x in edge)
+        assert border_counts(t) == border_counts_by_direction(t)
+        assert [edge_border(t, i) for i in range(n)] == list(want.counts)
+        assert border_total(t) == want.total
+        assert is_monotone(t) == (want.total == 0)
+        assert [shift_coordinate(t, i) for i in range(n)] == \
+            [shift_coordinate_by_lines(t, i) for i in range(n)]
+        assert shift_monotone(t) == shift_monotone_by_lines(t)
+    for a in sets:
+        b = TernarySet(n, ~a.membership & (rng.random(3 ** n) < 0.5))
+        ta = border_counts_by_direction(a).total
+        tb = border_counts_by_direction(b).total
+        assert check_border_inequality(a, b) == BorderReport(
+            n, a.size, b.size, ta, tb, 3 ** n * (ta + tb) >= a.size * b.size)
+        sa, sb = shift_monotone_by_lines(a), shift_monotone_by_lines(b)
+        inter = int((sa.membership & sb.membership).sum())
+        assert check_harris(sa, sb) == HarrisReport(
+            n, sa.size, sb.size, inter, 3 ** n * inter >= sa.size * sb.size)
+
+
+def test_zero_and_one_dimensional_borders_and_shifts():
+    for memb in ([False], [True]):
+        s = TernarySet(0, np.array(memb))
+        assert border_counts(s, with_edges=True) == EdgeBorder((), ())
+        assert border_counts(s) == EdgeBorder(())
+        assert is_monotone(s) and shift_monotone(s) == s
+        with pytest.raises(ValueError):
+            edge_border(s, 0)
+        with pytest.raises(ValueError):
+            shift_coordinate(s, 0)
+    # n = 1, every subset of {0, 1, 2}: edges (tail, direction, head digit)
+    for code in range(8):
+        s = TernarySet(1, np.array([code >> d & 1 for d in range(3)], dtype=bool))
+        want = tuple((lo, 0, hi) for lo, hi in ((0, 1), (1, 2), (0, 2))
+                     if lo in s and hi not in s)
+        assert border_counts(s, with_edges=True) == EdgeBorder((len(want),), want)
+        packed = TernarySet(1, np.arange(3) >= 3 - s.size)
+        assert shift_coordinate(s, 0) == shift_monotone(s) == packed
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_cached_tables_are_read_only(n):
+    table = _edge_table(n)
+    assert table is _edge_table(n)
+    assert table.shape == (2, n, 3, 3 ** n // 3)
+    assert table.nbytes == 16 * n * 3 ** n
+    for frozen in (table, _PACK_FLOORS):
+        assert not frozen.flags.writeable
+        with pytest.raises(ValueError):
+            frozen[...] = 0

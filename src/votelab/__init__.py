@@ -9,7 +9,6 @@ preference aggregation.
 
 from .orders import (
     LinearOrder,
-    PairwiseColumn,
     Profile,
     order_from_index,
     order_to_index,

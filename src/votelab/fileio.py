@@ -33,7 +33,7 @@ def _read_header(data: bytes, magic: bytes, what: str) -> tuple[int, int]:
         raise ValueError(f"not a {what} file: bad magic {got!r}")
     if version != VERSION:
         raise ValueError(f"unsupported {what} version {version}")
-    if m < 3:
+    if m < 2:
         raise ValueError(f"bad alternative count {m}")
     return m, n
 

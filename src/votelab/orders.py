@@ -1,9 +1,8 @@
-"""Canonical encodings of rankings, profiles and pairwise columns, and the
-array kernels that read profiles as digit blocks: profile indices, the
-exact sweep over all profiles (read from one resident digit table per m),
-pairwise column indices, and the m=3 split of a profile into one pair's
-column and the third alternative's positions (``split_pair``, inverted by
-``join_pair``).
+"""Canonical encodings of rankings and profiles, and the array kernels that
+read profiles as digit blocks: profile indices, the exact sweep over all
+profiles (read from one resident digit table per m), pairwise column
+indices, and the m=3 split of a profile into one pair's column and the
+third alternative's positions (``split_pair``, inverted by ``join_pair``).
 
 Conventions, normative for file formats and profile indices:
 
@@ -91,37 +90,6 @@ class Profile:
 
     def relabel(self, pi) -> "Profile":
         return Profile(tuple(v.relabel(pi) for v in self.voters))
-
-
-@dataclass(frozen=True)
-class PairwiseColumn:
-    """Per-voter preference bits on one ordered pair; bit = 1 means the first
-    alternative is preferred."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bits must be 0/1: {bits}")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def index(self) -> int:
-        return sum(b << v for v, b in enumerate(self.bits))
-
-    def complement(self) -> "PairwiseColumn":
-        return PairwiseColumn(tuple(1 - b for b in self.bits))
-
-    @classmethod
-    def from_index(cls, z: int, n: int) -> "PairwiseColumn":
-        if not 0 <= z < 1 << n:
-            raise ValueError(f"column index {z} out of range for n={n}")
-        return cls(tuple(z >> v & 1 for v in range(n)))
 
 
 def order_from_index(k: int, m: int = 3) -> LinearOrder:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -147,12 +146,17 @@ def restrict_gswf(G, subset) -> GswfIia:
 # --- evaluation engines ------------------------------------------------
 #
 # Exact no-GCW counts (nt, ngcw, gcw) come from pairwise columns: whether a
-# beats every other alternative depends only on the m - 1 columns of the
-# pairs (a, b), so ``_beats_all_count`` weighs each tuple of those columns
-# by the number of profiles behind it.  Every other reader (sampled no-GCW
-# counts, check_composition's joint sweep, dist_tr3, gcw_winner_at, the
-# gswf_winner rule) reads pairwise outcomes profile by profile through
-# ``_wins``.
+# beats every other alternative b_1 < ... < b_{m-1} depends only on the
+# columns of the pairs (a, b_j), and a voter whose bits on those pairs rank
+# k of the b_j below a has k! (m-1-k)! rankings.  So ``_beats_all_count``
+# weighs the outputs of G with a product of per-voter weights, contracted
+# one voter at a time without forming it: the output table of (a, b_1)
+# meets each voter's 2 x 2^(m-2) weight map in turn, in the narrowest
+# unsigned dtype of the step, and the table left over the columns of the
+# other m - 2 pairs is summed where a beats them.  Every other reader
+# (sampled no-GCW counts, check_composition's joint sweep, dist_tr3,
+# gcw_winner_at, the gswf_winner rule) reads pairwise outcomes profile by
+# profile through ``_wins``.
 
 def _wins(G: GswfIia, digits, alts) -> np.ndarray:
     """Pairwise victories of each of the increasing alternatives ``alts``
@@ -174,34 +178,28 @@ def _no_gcw(G: GswfIia, digits, alts) -> np.ndarray:
     return _wins(G, digits, alts).max(0) < len(alts) - 1
 
 
-@lru_cache(maxsize=None)
-def _column_weights(n: int, m: int) -> np.ndarray:
-    """W[z_1, ..., z_{m-1}]: the number of profiles of n voters whose columns
-    on the pairs (a, b_1), ..., (a, b_{m-1}) are z_1, ..., z_{m-1}, the same
-    for every a.  A voter who ranks k of the b_j below a has k! (m-1-k)!
-    rankings, so W is the Kronecker product over voters of that 2 x ... x 2
-    tensor; shape (2^n,) * (m - 1), in the narrowest unsigned dtype that
-    holds its largest entry ((m-1)!)^n."""
-    dtype = np.min_scalar_type(factorial(m - 1) ** n)
-    per_k = np.array([factorial(k) * factorial(m - 1 - k) for k in range(m)], dtype)
-    voter = per_k[np.indices((2,) * (m - 1)).sum(0)]  # bit j: voter ranks b_j below a
-    weights = np.ones((1,) * (m - 1), dtype)
-    for _ in range(n):
-        weights = np.kron(weights, voter)
-    weights.setflags(write=False)
-    return weights
-
-
 def _beats_all_count(G: GswfIia, a: int) -> int:
-    """Number of profiles at which a beats every other alternative: the
-    column weights contracted with G's pairwise outputs, one pair at a
-    time, by summing over the columns where a beats b.  The sums accumulate
-    in uint64, and every partial sum counts a set of profiles, so it stays
-    within (m!)^n <= EXACT_BUDGET and cannot overflow."""
-    acc = _column_weights(G.n, G.m)
-    for b in range(G.m):
-        if b != a:
-            acc = acc.reshape(1 << G.n, -1).sum(0, where=G.pairwise(a, b)[:, None])
+    """Number of profiles at which a beats every other alternative.
+
+    Each step takes the leading bit of the table (the last voter still in
+    it) and appends that voter's bits on (a, b_2), ..., (a, b_{m-1}),
+    weighted by ``per_k`` of the number of b_j the voter ranks below a.
+    After t voters an entry counts at most (m!)^t profiles, the dtype of
+    step t.  The final sums accumulate in uint64 and count sets of
+    profiles, so they stay within (m!)^n and cannot overflow."""
+    n, m = G.n, G.m
+    others = [b for b in range(m) if b != a]
+    per_k = [factorial(k) * factorial(m - 1 - k) for k in range(m)]
+    weights = np.array([[per_k[bit + y.bit_count()] for y in range(1 << (m - 2))]
+                        for bit in (0, 1)])
+    acc = G.pairwise(a, others[0]).view(np.uint8)  # bools are bytes of 0 or 1
+    for t in range(1, n + 1):
+        acc = acc.reshape(2, -1).T @ weights.astype(np.min_scalar_type(factorial(m) ** t))
+    # axes (voter, pair) -> (pair, voter): the column index of each pair
+    order = np.arange(n * (m - 2)).reshape(n, m - 2).T.ravel()
+    acc = acc.reshape((2,) * (n * (m - 2))).transpose(order).reshape(-1)
+    for b in others[1:]:
+        acc = acc.reshape(1 << n, -1).sum(0, where=G.pairwise(a, b)[:, None])
     return int(acc[0])
 
 

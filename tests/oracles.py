@@ -6,9 +6,9 @@ GSWF's tables at each profile's pairwise columns through
 they check reads only columns, so no oracle calls the outcome reader of the
 engine it checks:
 
-* ``profile_to_index``, ``pairwise_column``, ``TernaryVector``,
-  ``decompose`` and ``compose``: the object-level encodings behind the
-  array kernels of ``orders``;
+* ``profile_to_index``, ``PairwiseColumn``, ``pairwise_column``,
+  ``TernaryVector``, ``decompose`` and ``compose``: the object-level
+  encodings behind the array kernels of ``orders``;
 * ``tr3_members`` and ``tr_member_tables``: every member of the
   always-transitive family at m = 3, with its explicit tables;
 * ``gswf_disagreement``: the disagreement probability of two GSWFs;
@@ -32,8 +32,8 @@ import numpy as np
 
 from votelab import _tables, sampling
 from votelab.lattice import EDGE_STEPS, EdgeBorder, TernarySet
-from votelab.orders import (LinearOrder, PairwiseColumn, Profile, column_index,
-                            order_to_index, profile_digits)
+from votelab.orders import (LinearOrder, Profile, column_index, order_to_index,
+                            profile_digits)
 from votelab.rules import BudgetError
 from votelab.welfare import (PAIRS3, GswfIia, TrMember, _free_pair, _no_gcw,
                              anti_dictator_swf, dictator_swf)
@@ -45,6 +45,37 @@ def profile_to_index(p: Profile) -> int:
     """Mixed-radix profile index, voter 0 least significant."""
     base = factorial(p.m)
     return sum(order_to_index(v) * base ** i for i, v in enumerate(p.voters))
+
+
+@dataclass(frozen=True)
+class PairwiseColumn:
+    """Per-voter preference bits on one ordered pair; bit = 1 means the first
+    alternative is preferred."""
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self):
+        bits = tuple(int(b) for b in self.bits)
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"bits must be 0/1: {bits}")
+        object.__setattr__(self, "bits", bits)
+
+    @property
+    def n(self) -> int:
+        return len(self.bits)
+
+    @property
+    def index(self) -> int:
+        return sum(b << v for v, b in enumerate(self.bits))
+
+    def complement(self) -> "PairwiseColumn":
+        return PairwiseColumn(tuple(1 - b for b in self.bits))
+
+    @classmethod
+    def from_index(cls, z: int, n: int) -> "PairwiseColumn":
+        if not 0 <= z < 1 << n:
+            raise ValueError(f"column index {z} out of range for n={n}")
+        return cls(tuple(z >> v & 1 for v in range(n)))
 
 
 def pairwise_column(p: Profile, a: int, b: int) -> PairwiseColumn:

@@ -294,6 +294,17 @@ def test_gen_scf_round_trip(capsys, tmp_path):
     assert json.loads(out2)
 
 
+def test_gen_scf_two_alternatives_reads_back(capsys, tmp_path):
+    path = tmp_path / "b2.scf3"
+    code, _, _ = run(capsys, "gen", "--scf", "borda", "--n", "3", "--m", "2",
+                     "--out", str(path))
+    assert code == 0
+    assert read_scf(path) == ScfRule("borda", 2).as_table(3)
+    code2, out2, err2 = run(capsys, "metrics", "--scf", str(path), "--exact")
+    assert code2 == 0, err2
+    assert json.loads(out2)
+
+
 def test_gen_gswf_named(capsys, tmp_path):
     path = tmp_path / "maj.gswf"
     code, _, _ = run(capsys, "gen", "--g", "majority", "--n", "3",

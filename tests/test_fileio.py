@@ -32,6 +32,14 @@ def test_scf_round_trip_m4(tmp_path):
     assert back == table and back.m == 4
 
 
+def test_scf_round_trip_m2(tmp_path):
+    table = ScfRule("borda", 2).as_table(3)
+    path = tmp_path / "t2.scf3"
+    write_scf(table, path)
+    back = read_scf(path)
+    assert back == table and back.m == 2
+
+
 def test_scf_header_layout(tmp_path):
     table = ScfRule("constant", alt=2).as_table(2)
     path = tmp_path / "c.scf3"
@@ -47,7 +55,7 @@ def test_scf_header_layout(tmp_path):
 
 def test_gswf_round_trip(tmp_path):
     for G in (random_iia_gswf(3, 3, 2), random_iia_gswf(2, 4, 5),
-              neutral_tensor(majority_g(3), 3)):
+              random_iia_gswf(3, 2, 7), neutral_tensor(majority_g(3), 3)):
         path = tmp_path / "g.gswf"
         write_gswf(G, path)
         back = read_gswf(path)
@@ -113,6 +121,19 @@ def test_reject_bad_version(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         read_scf(bad)
+
+
+def test_reject_one_alternative(tmp_path):
+    """A header with m = 1 is refused by both readers."""
+    spath, gpath = tmp_path / "t.scf3", tmp_path / "g.gswf"
+    write_scf(ScfRule("plurality").as_table(2), spath)
+    write_gswf(random_iia_gswf(2, 3, 1), gpath)
+    for path, read in ((spath, read_scf), (gpath, read_gswf)):
+        raw = bytearray(path.read_bytes())
+        raw[5] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="alternative count 1"):
+            read(path)
 
 
 def test_reject_invalid_winner_bytes(tmp_path):

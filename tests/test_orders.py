@@ -11,7 +11,6 @@ from votelab._tables import digits_index
 from votelab.orders import (
     SWEEP_CHUNK,
     LinearOrder,
-    PairwiseColumn,
     Profile,
     column_index,
     join_pair,
@@ -24,7 +23,8 @@ from votelab.orders import (
     split_pair,
 )
 
-from oracles import TernaryVector, compose, decompose, pairwise_column, profile_to_index
+from oracles import (PairwiseColumn, TernaryVector, compose, decompose, pairwise_column,
+                     profile_to_index)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 

@@ -39,7 +39,7 @@ from votelab.welfare import (
     random_odd_g,
     restrict_gswf,
     scf_from_gswf,
-    _column_weights,
+    _beats_all_count,
     _wins,
 )
 
@@ -180,7 +180,7 @@ def _largest_n(m, limit=None):
     return n
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_column_engine_matches_enumeration(m):
     for n in range(1, _largest_n(m, 10 ** 6) + 1):
         cases = {"random_iia": random_iia_gswf(n, m, 17 * n + m),
@@ -209,14 +209,14 @@ def test_column_engine_closed_forms_at_largest_n(m):
         assert nt(neutral_tensor(majority_g(3), 3)).fraction == Fraction(1, 18)
 
 
-@pytest.mark.parametrize("n,m,dtype", [(3, 2, np.uint8), (10, 3, np.uint16),
-                                        (5, 4, np.uint16), (2, 6, np.uint16)])
-def test_column_weights_are_narrow(n, m, dtype):
-    """The weights are stored in the narrowest dtype of ((m-1)!)^n, and
-    weigh every profile once."""
-    weights = _column_weights(n, m)
-    assert weights.dtype == dtype and weights.max() == factorial(m - 1) ** n
-    assert int(weights.sum(dtype=np.uint64)) == factorial(m) ** n
+@pytest.mark.parametrize("n,m", [(24, 2), (14, 3), (8, 4), (4, 6)])
+def test_column_engine_counts_every_profile_past_the_budget(n, m):
+    """Where 0 beats everyone, it wins at all (m!)^n profiles, past the
+    exact budget at every m (past 2^32 at m = 3, n = 14): no step of the
+    contraction may wrap in a narrow dtype."""
+    G = GswfIia(m, n, np.ones((m * (m - 1) // 2, 1 << n), bool))
+    counts = [_beats_all_count(G, a) for a in range(m)]
+    assert counts == [factorial(m) ** n] + [0] * (m - 1)
 
 
 def test_wins_on_a_block_matches_object_layer():

@@ -10,7 +10,11 @@ draws the same stream; so does every pair's sampled mab, and every pair's
 sampled nab.  ``manipulation_reports`` and ``pair_reports`` therefore draw
 each chunk once for the whole family and give the per-voter and per-pair
 estimates bit for bit.  Those estimates were always correlated for the same
-reason: all voters, or all pairs, see the same draws.
+reason: all voters, or all pairs, see the same draws.  A pair pass hands the
+drawn codes and each pair's decoding table to ``rules.decoded_winners``,
+which elects all three pairs' profiles at once: a tally rule sums the three
+decodings' packed tallies over the voters in one word, any other rule is
+evaluated on each decoding in turn.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import factorial
 import numpy as np
 
 from . import _tables, sampling
-from .rules import resolve_n
+from .rules import decoded_winners, resolve_n
 
 
 @dataclass(frozen=True)
@@ -265,24 +269,10 @@ def manipulation_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
 NAB_INNER = 32  # fresh completions per sampled column of the nab estimate
 
 
-def _decode_steps(pairs) -> list[np.ndarray]:
-    """Tables that decode one drawn code 3 * bit + digit for each pair in
-    turn, in place: ``step[0]`` maps the code to the ranking of the first
-    pair's column, ``step[p]`` maps the ranking of pair p - 1 to that of
-    pair p.  Every ``order_of_bit_digit3`` is a bijection of the six codes,
-    so each step keeps the values in [0, 6)."""
-    steps, prev = [], None
-    for a, b in pairs:
-        lookup = _tables.order_of_bit_digit3(a, b).ravel()  # [3 * bit + digit]
-        steps.append(lookup if prev is None else lookup[np.argsort(prev)])
-        prev = lookup
-    return steps
-
-
 def _sampled_mab(scf, pairs, n, samples, seed, workers) -> list[MetricReport]:
     """Sampled mab of each listed pair; every pair reads the same drawn
     column bits and completions of a chunk, decoded for that pair."""
-    steps = _decode_steps(pairs)
+    decoders = [_tables.order_of_bit_digit3(a, b).ravel() for a, b in pairs]  # [3 * bit + digit]
 
     def counter(rng, size):
         z = 3 * rng.integers(0, 2, size=(n, size))
@@ -290,14 +280,10 @@ def _sampled_mab(scf, pairs, n, samples, seed, workers) -> list[MetricReport]:
         first += z
         second = rng.integers(0, 3, size=(n, size))
         second += z
-        hits = []
-        for step, (a, b) in zip(steps, pairs):
-            np.take(step, first, out=first, mode="clip")
-            np.take(step, second, out=second, mode="clip")
-            hit_a = np.asarray(scf.winners_from_digits(first)) == a
-            hit_b = np.asarray(scf.winners_from_digits(second)) == b
-            hits.append((hit_a & hit_b).sum())
-        return hits
+        del z  # the decoding needs only the two completions
+        wins_a = decoded_winners(scf, first, decoders)
+        wins_b = decoded_winners(scf, second, decoders)
+        return [((wa == a) & (wb == b)).sum() for wa, wb, (a, b) in zip(wins_a, wins_b, pairs)]
 
     counts = sampling.run_chunks(counter, len(pairs), samples, seed, workers=workers)
     return [count_report("mab", pair, count, samples, "sampled", seed)
@@ -308,18 +294,16 @@ def _sampled_nab(scf, pairs, n, samples, seed, workers) -> list[MetricReport]:
     """Sampled nab of each listed pair (the plug-in estimate of ``nab``);
     every pair reads the same drawn column bits and completions of a chunk,
     decoded for that pair."""
-    steps = _decode_steps(pairs)
+    decoders = [_tables.order_of_bit_digit3(a, b).ravel() for a, b in pairs]  # [3 * bit + digit]
 
     def counter(rng, size):
         z = 3 * rng.integers(0, 2, size=(n, size))
         codes = rng.integers(0, 3, size=(n, size, NAB_INNER))
         codes += z[:, :, None]
-        digits = codes.reshape(n, size * NAB_INNER)
+        winners = decoded_winners(scf, codes.reshape(n, size * NAB_INNER), decoders)
         sums = []
-        for step, (a, b) in zip(steps, pairs):
-            np.take(step, codes, out=codes, mode="clip")
-            winners = np.asarray(scf.winners_from_digits(digits)).reshape(size, NAB_INNER)
-            mins = np.minimum((winners == a).sum(1), (winners == b).sum(1))
+        for row, (a, b) in zip(winners.reshape(len(pairs), size, NAB_INNER), pairs):
+            mins = np.minimum((row == a).sum(1), (row == b).sum(1))
             sums += [mins.sum(), (mins ** 2).sum()]
         return sums
 
@@ -368,7 +352,8 @@ def pair_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
     """The mab report of each pair (0, 1), (0, 2), (1, 2), then their nab
     reports.  Exact mode makes one column sweep per pair for both metrics;
     sampled mode makes one pass for the three mab and one for the three
-    nab, each chunk drawn once and decoded for each pair in turn."""
+    nab, each chunk drawn once and elected for every pair by
+    ``rules.decoded_winners``."""
     n = resolve_n(scf, n)
     pairs = _tables.pair_list(3)
     _check_pairs(scf, pairs, "each pair metric")

@@ -275,6 +275,44 @@ def _eval_pmf(rule, digits):
     return winners
 
 
+def _decode_steps(decoders) -> list[np.ndarray]:
+    """Tables that decode a block of codes through each decoder in turn, in
+    place: ``step[0]`` is ``decoders[0]`` and ``step[k]`` maps
+    ``decoders[k - 1][code]`` to ``decoders[k][code]``.  Each decoder must
+    be a permutation of its codes, so each step keeps the values in range."""
+    steps, prev = [], None
+    for lookup in decoders:
+        steps.append(lookup if prev is None else lookup[np.argsort(prev)])
+        prev = lookup
+    return steps
+
+
+def decoded_winners(scf, codes, decoders) -> np.ndarray:
+    """Row k is ``scf.winners_from_digits(decoders[k][codes])``; ``codes``
+    is an (n, S) int64 block and may be overwritten.
+
+    A tally rule within its decision table sums the words of every decoding
+    over the voters at once, one slot of ``_field_sums`` per decoder, and
+    decides them with one gather.  Any other rule decodes ``codes`` in place
+    through ``_decode_steps`` and evaluates each decoding in turn."""
+    m, n = scf.m, codes.shape[0]
+    tally = isinstance(scf, ScfRule) and scf.name in _TALLY_RULES
+    table = _decision_table(scf.name, m, n) if tally else None
+    if table is None:
+        winners = []
+        for step in _decode_steps(decoders):
+            np.take(step, codes, out=codes, mode="clip")
+            winners.append(scf.winners_from_digits(codes))
+        return np.stack(winners)
+    word, decision = table
+    winners = decision[_field_sums(np.stack([word[d] for d in decoders], 1), codes)]
+    if scf.name == "pairwise_majority_fallback":  # as _eval_pmf, on voter 0's code
+        for row, d in zip(winners, decoders):
+            none = row == m
+            row[none] = _tables.perms(m)[d, 0][codes[0, none]]
+    return winners
+
+
 @register_rule("random_table", ("seed",))
 def _eval_random_table(rule, digits):
     return rule.as_table(digits.shape[0]).winners_from_digits(digits)

@@ -329,6 +329,8 @@ def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
         passes += ok
         if not ok and first is None:
             first = {"suite": name, **desc, **detail}
+    if total == 0:
+        raise ValueError(f"suite {name!r} has no instances to check at trials={trials}, n={n}")
     return SuiteReport(name, total, passes, first, time.perf_counter() - t0)
 
 

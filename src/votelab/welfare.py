@@ -192,9 +192,20 @@ def _beats_all_count(G: GswfIia, a: int) -> int:
     per_k = [factorial(k) * factorial(m - 1 - k) for k in range(m)]
     weights = np.array([[per_k[bit + y.bit_count()] for y in range(1 << (m - 2))]
                         for bit in (0, 1)])
-    acc = G.pairwise(a, others[0]).view(np.uint8)  # bools are bytes of 0 or 1
+    b1 = others[0]
+    # for b_1 < a the (a, b_1) table is the stored (b_1, a) one complemented
+    # and read backwards; reading it forwards flips every voter's bit, so the
+    # weights' bit axis flips instead and the first step takes 1 - x
+    flip = b1 < a
+    acc = G.tables[_tables.pair_slot(m)[min(a, b1), max(a, b1)]]
+    acc = acc.view(np.uint8)  # bools are bytes of 0 or 1
+    if flip:
+        weights = weights[::-1]
     for t in range(1, n + 1):
-        acc = acc.reshape(2, -1).T @ weights.astype(np.min_scalar_type(factorial(m) ** t))
+        step = weights.astype(np.min_scalar_type(factorial(m) ** t))
+        acc = acc.reshape(2, -1).T @ step
+        if flip and t == 1:
+            np.subtract(step.sum(0, dtype=step.dtype), acc, out=acc)
     # axes (voter, pair) -> (pair, voter): the column index of each pair
     order = np.arange(n * (m - 2)).reshape(n, m - 2).T.ravel()
     acc = acc.reshape((2,) * (n * (m - 2))).transpose(order).reshape(-1)

@@ -157,6 +157,17 @@ def test_bad_sizes_exit_2(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+def test_verify_that_checks_nothing_exits_2(capsys):
+    """A run whose corpus is empty must not report ok; a suite with a fixed
+    corpus still runs at --trials 0."""
+    code, out, err = run(capsys, "verify", "shifting", "--n", "3", "--trials", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "no instances" in err
+    code, out, _ = run(capsys, "verify", "border", "--n", "3", "--trials", "0")
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] is True and rep["instances"] > 0
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize("mode", [("--exact",), ("--samples", "10"), ()])
 def test_metrics_workers_below_one_exit_2(capsys, mode, workers):

@@ -14,7 +14,6 @@ from votelab import _tables
 from votelab.metrics import (
     ColumnStats,
     MetricReport,
-    _decode_steps,
     column_stats,
     mab,
     manipulation_power,
@@ -25,7 +24,7 @@ from votelab.metrics import (
 )
 from votelab.lattice import sets_ab
 from votelab.orders import order_from_index, profile_from_index
-from votelab.rules import ScfRule, zoo_rules
+from votelab.rules import ScfRule, _decode_steps, zoo_rules
 from votelab.sampling import CHUNK
 
 from oracles import pairwise_column
@@ -290,7 +289,8 @@ def test_decode_steps_reach_each_pairs_lookup():
     ordered = [(a, b) for a in range(3) for b in range(3) if a != b]
     for pairs in permutations(ordered, 3):
         codes = np.arange(6)
-        for step, (a, b) in zip(_decode_steps(pairs), pairs):
+        decoders = [_tables.order_of_bit_digit3(a, b).ravel() for a, b in pairs]
+        for step, (a, b) in zip(_decode_steps(decoders), pairs):
             assert sorted(step.tolist()) == list(range(6))
             np.take(step, codes, out=codes, mode="clip")
             assert codes.tolist() == _tables.order_of_bit_digit3(a, b).ravel().tolist()

@@ -6,15 +6,18 @@ from math import factorial
 import numpy as np
 import pytest
 
+from votelab import _tables
 from votelab.orders import Profile, order_from_index, profile_digits, profile_from_index
 from votelab.rules import (
     BudgetError,
     ScfRule,
     ScfTable,
+    _EVALUATORS,
     _TALLY_RULES,
     _decide_tallies,
     _decision_table,
     _field_sums,
+    decoded_winners,
     anonymity_counts,
     dist_to_antidictatorship,
     dist_to_dictatorship,
@@ -25,6 +28,7 @@ from votelab.rules import (
     zoo_rules,
 )
 from votelab.sampling import exact_feasible
+from votelab.welfare import random_iia_gswf, scf_from_gswf
 
 
 def P(*order_indices):
@@ -296,3 +300,59 @@ def test_field_sums_match_plain_sum_over_words():
     fields = rng.integers(0, 9, size=(24, 11))  # 15-bit sums: four per word
     digits = rng.integers(0, 24, size=(3000, 50))
     assert np.array_equal(_field_sums(fields, digits), fields[digits].sum(0).T)
+
+
+# --- decoded_winners against one rule evaluation per decoding -----------
+
+def _evaluable_rules(n):
+    """An instance of every registered rule that can be evaluated at n
+    voters, and an explicit table where one fits the budget."""
+    rules = zoo_rules(n) + [scf_from_gswf(random_iia_gswf(n, 3, n), fallback_voter=n - 1)]
+    if exact_feasible(n):
+        rules += [ScfRule("random_table", seed=n),
+                  ScfTable(n, 3, np.random.default_rng(n).integers(0, 3, 6 ** n))]
+    return rules
+
+
+def _pair_decoders(order):
+    return [_tables.order_of_bit_digit3(a, b).ravel() for a, b in order]
+
+
+def check_decoded_winners(scf, codes, decoders):
+    want = [scf.winners_from_digits(d[codes]) for d in decoders]
+    got = decoded_winners(scf, codes.copy(), decoders)
+    assert got.shape == (len(decoders), codes.shape[1])
+    for k, row in enumerate(want):
+        assert np.array_equal(got[k], row), (scf.label, codes.shape[0], k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 11])
+def test_decoded_winners_match_each_decoding(n):
+    rng = np.random.default_rng(1000 + n)
+    codes = rng.integers(0, 6, size=(n, 600))
+    orders = [_tables.pair_list(3), ((2, 1), (0, 2), (1, 0))]
+    rules = _evaluable_rules(n)
+    names = {r.name for r in rules if isinstance(r, ScfRule)}
+    assert names == set(_EVALUATORS) - ({"random_table"} if n == 11 else set())
+    for scf in rules:
+        for order in orders:
+            check_decoded_winners(scf, codes, _pair_decoders(order))
+        check_decoded_winners(scf, codes, [rng.permutation(6) for _ in range(4)])
+
+
+def test_decoded_winners_past_the_decision_table_cap():
+    n = 20
+    assert _decision_table("borda", 3, n) is None
+    codes = np.random.default_rng(20).integers(0, 6, size=(n, 2000))
+    check_decoded_winners(ScfRule("borda"), codes, _pair_decoders(_tables.pair_list(3)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 11])
+def test_decoded_winners_fall_back_to_voter_0_without_condorcet_winner(n):
+    rule = ScfRule("pairwise_majority_fallback")
+    codes = np.random.default_rng(n).integers(0, 6, size=(n, 3000))
+    decoders = _pair_decoders(_tables.pair_list(3))
+    for d in decoders:  # every block holds profiles with no Condorcet winner
+        assert (_decide_tallies(rule, d[codes]) == 3).any()
+    check_decoded_winners(rule, codes, decoders)
+

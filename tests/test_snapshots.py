@@ -1,14 +1,20 @@
-"""Byte-level snapshots of suite corpora, paradox-identity reports and the
-dictator tables.  The digests were recorded before the composition blocks,
-the suite corpora and the dictator evaluators were simplified; each must
-stay equal, so a change to a descriptor, a report field or a winner shows."""
+"""Byte-level snapshots of suite corpora, paradox-identity reports, the
+dictator tables and sampled pair reports.  The digests were recorded before
+the composition blocks, the suite corpora, the dictator evaluators and the
+sampled pair passes were simplified; each must stay equal, so a change to a
+descriptor, a report field or a winner shows."""
 
+import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from votelab.rules import ScfRule
+from votelab.fileio import read_scf, write_scf
+from votelab.metrics import mab, nab, pair_reports
+from votelab.rules import ScfRule, ScfTable
+from votelab.sampling import CHUNK
 from votelab.suites import SUITES
 from votelab.welfare import check_composition, check_identities, majority_g, random_odd_g
 
@@ -110,3 +116,73 @@ def test_dictator_tables_frozen():
             for voter in range(n):
                 h.update(ScfRule(name, voter=voter).as_table(n).outputs.tobytes())
     assert h.hexdigest() == DICTATOR_TABLES
+
+
+def _table_file(tmp_path):
+    path = tmp_path / "t.scf3"
+    write_scf(ScfTable(5, 3, np.random.default_rng(9).integers(0, 3, 6 ** 5)), path)
+    return read_scf(path)
+
+
+SAMPLED_PAIRS = {
+    # case: (rule or table builder, n, sha256 of the pair_reports rows at
+    # CHUNK + 100 samples, seed 11)
+    "borda-11": (lambda _: ScfRule("borda"), 11,
+                 "fe4abcc800ddf1ec258bf8bb1bdc854172cec2e2b8c1d3110c8c2df6c3b8c275"),
+    "plurality-11": (lambda _: ScfRule("plurality"), 11,
+                     "458315e05c8e46eceecaa6e9dd67fb3150d824b77caad05ea10d694e5377726e"),
+    "pairwise_majority_fallback-11": (
+        lambda _: ScfRule("pairwise_majority_fallback"), 11,
+        "97dc37ff551cda68f58baa0d6fbb8353456e6c2d29ac49baa41dd6bedad3f503"),
+    "borda-20": (lambda _: ScfRule("borda"), 20,  # past the decision-table cap
+                 "f284993a10b9f906ac5270dd1cf4df2f71de1873b50d0d87d9c8bcc0d49055aa"),
+    "random_table-6": (lambda _: ScfRule("random_table", seed=1), 6,
+                       "1b0a641070e3f9bff7c379ec0596b7bb6acb131bcfc3d4e07097442700d45506"),
+    "dictatorship-5": (lambda _: ScfRule("dictatorship", voter=2), 5,
+                       "ba715ec524873582223691d3e60029f1f4a079b5ee958d6f9932229ddfa8b71a"),
+    "constant-4": (lambda _: ScfRule("constant", alt=1), 4,
+                   "ba715ec524873582223691d3e60029f1f4a079b5ee958d6f9932229ddfa8b71a"),
+    "table-file-5": (_table_file, 5,
+                     "f66df1ed4dc9d6c0c06ce853bc98c223b761fab306827d0c63bf34b1fa657e29"),
+}
+
+
+def _rows_digest(rows) -> str:
+    return _digest([dataclasses.asdict(r) for r in rows])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(SAMPLED_PAIRS))
+def test_sampled_pair_reports_frozen(tmp_path, case, workers):
+    build, n, digest = SAMPLED_PAIRS[case]
+    rows = pair_reports(build(tmp_path), n, mode="sampled", samples=CHUNK + 100, seed=11,
+                        workers=workers)
+    assert _rows_digest(rows) == digest
+
+
+SAMPLED_SINGLE = {
+    # case: (report builder, sha256 of its row)
+    "mab-borda-11-02": (
+        lambda tmp, w: mab(ScfRule("borda"), 0, 2, 11, mode="sampled", samples=CHUNK + 100,
+                           seed=5, workers=w),
+        "590766bc8f33d00c630b71e71c182fe75fce79d4887a8843f5b35f8d6b43c0d9"),
+    "nab-pmf-11-12": (
+        lambda tmp, w: nab(ScfRule("pairwise_majority_fallback"), 1, 2, 11, mode="sampled",
+                           samples=CHUNK + 100, seed=5, workers=w),
+        "f9d83c75d6239e8bfb8b78a600650066a6029e6c2f3631a7e1d9845a92246ad6"),
+    "nab-table-21": (
+        lambda tmp, w: nab(_table_file(tmp), 2, 1, 5, mode="sampled", samples=5000, seed=7,
+                           workers=w),
+        "feb1947352e5ab6163857af0ed5e59f94196ffeefe65f84a020cc63ca5e08c71"),
+    "mab-plurality-11-10": (
+        lambda tmp, w: mab(ScfRule("plurality"), 1, 0, 11, mode="sampled", samples=5000,
+                           seed=7, workers=w),
+        "958841cbeb755cfac3ec5914467a6eabb85ffb312e5aded051de0e037ed9c068"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(SAMPLED_SINGLE))
+def test_sampled_single_pair_reports_frozen(tmp_path, case, workers):
+    build, digest = SAMPLED_SINGLE[case]
+    assert _rows_digest([build(tmp_path, workers)]) == digest

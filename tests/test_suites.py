@@ -86,6 +86,13 @@ def test_composition_needs_samples_at_large_n():
     assert rep.ok
 
 
+@pytest.mark.parametrize("name,n", [("shifting", 3), ("composition", 2),
+                                    ("arrow-identity", 2)])
+def test_empty_corpus_is_refused(name, n):
+    with pytest.raises(ValueError, match="no instances"):
+        run_suite(name, n=n, trials=0)
+
+
 def test_arrow_identity_budget_guard():
     with pytest.raises(BudgetError):
         run_suite("arrow-identity", n=6, trials=1)

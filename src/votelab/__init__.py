@@ -15,8 +15,6 @@ from .orders import (
     profile_from_index,
 )
 from .rules import (
-    EXACT_BUDGET,
-    BudgetError,
     ScfRule,
     ScfTable,
     anonymity_counts,
@@ -85,7 +83,7 @@ from .welfare import (
 )
 from .fileio import read_gswf, read_scf, write_gswf, write_scf
 from .reports import report_from_dict, report_to_dict, reports_to_csv, reports_to_json
-from .sampling import exact_feasible
+from .sampling import EXACT_BUDGET, BudgetError, exact_feasible
 from .suites import SUITES, SuiteReport, replay, run_suite
 
 __version__ = "0.1.0"

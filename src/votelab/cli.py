@@ -213,7 +213,7 @@ def cmd_gen(args) -> int:
         raise ValueError("give exactly one of --scf or --g")
     if args.scf:
         scf, n = load_scf(args.scf, args.m, args.n)
-        table = scf if isinstance(scf, rules.ScfTable) else scf.as_table(n)
+        table = scf.as_table(n)
         fileio.write_scf(table, args.out)
         print(f"wrote SCF table m={table.m} n={table.n} to {args.out}")
     else:

@@ -38,6 +38,13 @@ def _read_header(data: bytes, magic: bytes, what: str) -> tuple[int, int]:
     return m, n
 
 
+def _power_within(base: int, n: int, size: int) -> bool:
+    """False when base^n surely exceeds ``size``, judged from bit lengths
+    alone, so that a huge header costs no big-integer power; when True,
+    base^n < 2^(2 * size.bit_length()) is small."""
+    return n * (base.bit_length() - 1) < size.bit_length()
+
+
 def write_scf(table: ScfTable, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(SCF_MAGIC, VERSION, table.m, table.n))
@@ -49,6 +56,9 @@ def read_scf(path) -> ScfTable:
         data = fh.read()
     m, n = _read_header(data, SCF_MAGIC, "SCF table")
     body = data[_HEADER.size:]
+    if not _power_within(factorial(m), n, len(body)):
+        raise ValueError(f"table payload is {len(body)} bytes, fewer than the "
+                         f"(m!)^n that m={m}, n={n} needs")
     total = factorial(m) ** n
     if len(body) != total:
         raise ValueError(f"table payload is {len(body)} bytes, expected {total}")
@@ -66,9 +76,12 @@ def read_gswf(path) -> GswfIia:
     with open(path, "rb") as fh:
         data = fh.read()
     m, n = _read_header(data, GSWF_MAGIC, "GSWF")
+    body = data[_HEADER.size:]
+    if not _power_within(2, n, 8 * len(body)):
+        raise ValueError(f"GSWF payload is {len(body)} bytes, fewer than the "
+                         f"2^n bits per pair that m={m}, n={n} needs")
     pairs = len(pair_list(m))
     nbytes = (2 ** n + 7) // 8
-    body = data[_HEADER.size:]
     if len(body) != pairs * nbytes:
         raise ValueError(f"GSWF payload is {len(body)} bytes, expected {pairs * nbytes}")
     tabs = np.empty((pairs, 2 ** n), bool)

@@ -338,7 +338,7 @@ def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
     consistent (bias O(1/sqrt(NAB_INNER))) but not unbiased.  Its ``ci95``
     is the interval of the plug-in mean, not of ``nab``: min is concave, so
     by Jensen the plug-in mean is at most ``nab``, and the interval can lie
-    wholly below it (ROADMAP item 5 plans fields that bracket ``nab``).
+    wholly below it (ROADMAP item 3 plans fields that bracket ``nab``).
     """
     n = resolve_n(scf, n)
     _check_pairs(scf, [(a, b)], "minority preference")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _tables, sampling
 from .orders import Profile, profile_block, profile_chunks
-from .sampling import EXACT_BUDGET, BudgetError
+from .sampling import BudgetError
 
 
 def _check_m(m) -> None:
@@ -122,9 +122,9 @@ class ScfRule:
         with self._table_lock:
             cached = self._table_cache.get(n)
             if cached is None:
-                total = factorial(self.m) ** n
-                if total * self.m > EXACT_BUDGET:
+                if not sampling.exact_feasible(n, self.m):
                     raise BudgetError(f"materializing {self.label} at n={n} exceeds the budget")
+                total = factorial(self.m) ** n
                 if self.name == "random_table":
                     rng = np.random.default_rng(self.params["seed"])
                     out = rng.integers(0, self.m, size=total, dtype=np.uint8)
@@ -266,50 +266,39 @@ register_rule("plurality")(_decide_tallies)
 register_rule("borda")(_decide_tallies)
 
 
-@register_rule("pairwise_majority_fallback")
-def _eval_pmf(rule, digits):
-    """The strict-majority Condorcet winner, else voter 0's top."""
-    winners = _decide_tallies(rule, digits)
-    none = winners == rule.m
-    winners[none] = _tables.perms(rule.m)[digits[0, none], 0]
+def _fall_back_to_voter_0(winners, first, tops, m) -> np.ndarray:
+    """In place, where ``winners`` is m (no strict-majority winner), voter
+    0's top choice ``tops[first]``, given voter 0's ballot codes ``first``."""
+    none = winners == m
+    winners[none] = tops[first[none]]
     return winners
 
 
-def _decode_steps(decoders) -> list[np.ndarray]:
-    """Tables that decode a block of codes through each decoder in turn, in
-    place: ``step[0]`` is ``decoders[0]`` and ``step[k]`` maps
-    ``decoders[k - 1][code]`` to ``decoders[k][code]``.  Each decoder must
-    be a permutation of its codes, so each step keeps the values in range."""
-    steps, prev = [], None
-    for lookup in decoders:
-        steps.append(lookup if prev is None else lookup[np.argsort(prev)])
-        prev = lookup
-    return steps
+@register_rule("pairwise_majority_fallback")
+def _eval_pmf(rule, digits):
+    """The strict-majority Condorcet winner, else voter 0's top."""
+    return _fall_back_to_voter_0(_decide_tallies(rule, digits), digits[0],
+                                 _tables.perms(rule.m)[:, 0], rule.m)
 
 
 def decoded_winners(scf, codes, decoders) -> np.ndarray:
-    """Row k is ``scf.winners_from_digits(decoders[k][codes])``; ``codes``
-    is an (n, S) int64 block and may be overwritten.
+    """Row k is ``scf.winners_from_digits(decoders[k][codes])``, for an
+    (n, S) block ``codes``, which is only read.
 
     A tally rule within its decision table sums the words of every decoding
     over the voters at once, one slot of ``_field_sums`` per decoder, and
-    decides them with one gather.  Any other rule decodes ``codes`` in place
-    through ``_decode_steps`` and evaluates each decoding in turn."""
+    decides them with one gather.  Any other rule is evaluated on each
+    decoding in turn."""
     m, n = scf.m, codes.shape[0]
     tally = isinstance(scf, ScfRule) and scf.name in _TALLY_RULES
     table = _decision_table(scf.name, m, n) if tally else None
     if table is None:
-        winners = []
-        for step in _decode_steps(decoders):
-            np.take(step, codes, out=codes, mode="clip")
-            winners.append(scf.winners_from_digits(codes))
-        return np.stack(winners)
+        return np.stack([scf.winners_from_digits(d[codes]) for d in decoders])
     word, decision = table
     winners = decision[_field_sums(np.stack([word[d] for d in decoders], 1), codes)]
-    if scf.name == "pairwise_majority_fallback":  # as _eval_pmf, on voter 0's code
+    if scf.name == "pairwise_majority_fallback":
         for row, d in zip(winners, decoders):
-            none = row == m
-            row[none] = _tables.perms(m)[d, 0][codes[0, none]]
+            _fall_back_to_voter_0(row, codes[0], _tables.perms(m)[d, 0], m)
     return winners
 
 

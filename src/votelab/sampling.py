@@ -49,15 +49,17 @@ def exact_feasible(n: int, m: int = 3) -> bool:
     return factorial(m) ** n * factorial(m) <= EXACT_BUDGET
 
 
-def pick_mode(mode: str, n: int, m: int, samples, seed) -> str:
-    """Resolve ``auto`` and check that the chosen mode can run."""
+def pick_mode(mode: str, n: int, m: int, samples, seed, *, exact_only=None) -> str:
+    """Resolve ``auto`` and check that the chosen mode can run; past the
+    budget, the refusal names ``exact_only``, a caller with no sampled path."""
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "exact" if exact_feasible(n, m) else "sampled"
     if mode == "exact" and not exact_feasible(n, m):
-        raise BudgetError(f"exact enumeration at n={n}, m={m} exceeds the budget; "
-                          f"rerun with samples and a seed")
+        advice = ("; rerun with samples and a seed" if exact_only is None
+                  else f", and {exact_only} has no sampled path")
+        raise BudgetError(f"exact enumeration at n={n}, m={m} exceeds the budget{advice}")
     if mode == "sampled" and (samples is None or seed is None):
         raise ValueError("sampled mode needs samples and seed")
     if mode == "sampled" and samples < 1:

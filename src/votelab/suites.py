@@ -76,7 +76,7 @@ def build_gswf(desc: dict) -> welfare.GswfIia:
     raise ValueError(f"unknown GSWF descriptor kind {kind!r}")
 
 
-def _odd_g_corpus(n: int, trials: int, seed: int) -> list[dict]:
+def _odd_g_descs(trials, n, seed, samples) -> list[dict]:
     descs = [{"kind": "majority_g", "n": n}] if n % 2 == 1 else []
     return descs + [{"kind": "random_odd_g", "seed": seed + k, "n": n}
                     for k in range(trials)]
@@ -91,15 +91,8 @@ def _build_odd_g(desc: dict) -> np.ndarray:
     raise ValueError(f"unknown odd-function descriptor kind {kind!r}")
 
 
-def _exact_scf_descs(suite: str):
-    """The rule-corpus descriptors of a suite whose check only enumerates."""
-    def descs(trials, n, seed, samples):
-        if not sampling.exact_feasible(n, 3):
-            raise BudgetError(f"exact enumeration at n={n}, m=3 exceeds the budget, "
-                              f"and the {suite} suite has no sampled path")
-        return [{"n": n, "scf": scf_descriptor(rule)}
-                for rule in scf_corpus(n, trials, seed)]
-    return descs
+def _scf_descs(trials, n, seed, samples):
+    return [{"n": n, "scf": scf_descriptor(rule)} for rule in scf_corpus(n, trials, seed)]
 
 
 def _random_lattice(trials, n, seed):
@@ -130,17 +123,11 @@ def _shifting_descs(trials, n, seed, samples):
         yield {"n": nk, "indices": lattice.random_set(nk, rng=rng).indices().tolist()}
 
 
-def _arrow_descs(trials, n, seed, samples):
-    if not sampling.exact_feasible(n, 4):
-        raise BudgetError(f"exact four-alternative enumeration infeasible at n={n}")
-    return _odd_g_corpus(n, trials, seed)
-
-
 def _composition_descs(trials, n, seed, samples):
     if not sampling.exact_feasible(n, 6) and samples is None:
         raise BudgetError(
             f"joint six-alternative enumeration infeasible at n={n}; pass samples")
-    descs = _odd_g_corpus(n, trials, seed)
+    descs = _odd_g_descs(trials, n, seed, samples)
     if samples is not None:
         descs = [{**d, "samples": samples, "sample_seed": seed + k}
                  for k, d in enumerate(descs)]
@@ -198,7 +185,6 @@ def _check_shift(desc) -> tuple[bool, dict]:
 
 def _check_cauchy(desc) -> tuple[bool, dict]:
     scf, n = build_scf(desc["scf"]), desc["n"]
-    sampling.pick_mode("auto", n, 3, None, None)  # refuse sizes past the exact budget
     for a, b in PAIRS3:
         stats = column_stats(scf, a, b, n)  # one sweep gives both metrics
         nr, mr = stats.nab_report().fraction, stats.mab_report().fraction
@@ -251,19 +237,22 @@ def _check_converse(desc) -> tuple[bool, dict]:
 @dataclass(frozen=True)
 class SuiteSpec:
     """``descs(trials, n, seed, samples)`` lists the instance descriptors;
-    ``check(desc)`` rebuilds one instance and returns (holds, detail)."""
+    ``check(desc)`` rebuilds one instance and returns (holds, detail).  A
+    check with no sampled path enumerates profiles of ``exact_m``
+    alternatives, and ``run_suite`` refuses sizes past the exact budget."""
 
     descs: Callable[..., Iterable[dict]]
     check: Callable[[dict], tuple[bool, dict]]
     trials: int
     n: int
     summary: str
+    exact_m: int | None = None
 
 
 SUITES = {
     "first-reduction": SuiteSpec(
-        _exact_scf_descs("first-reduction"), _check_first_reduction, 200, 3,
-        "pairwise manipulability is at most six times total manipulation power"),
+        _scf_descs, _check_first_reduction, 200, 3,
+        "pairwise manipulability is at most six times total manipulation power", 3),
     "border": SuiteSpec(
         _border_descs, _check_border, 2000, 4,
         "disjoint subset pairs satisfy the directed-border inequality"),
@@ -271,20 +260,20 @@ SUITES = {
         _shifting_descs, _check_shift, 2000, 4,
         "monotone rearrangement preserves size, yields monotone sets, never grows borders"),
     "cauchy": SuiteSpec(
-        _exact_scf_descs("cauchy"), _check_cauchy, 200, 3,
-        "squared minority preference is at most pairwise manipulability"),
+        _scf_descs, _check_cauchy, 200, 3,
+        "squared minority preference is at most pairwise manipulability", 3),
     "reduction-chain": SuiteSpec(
-        _exact_scf_descs("reduction-chain"), _check_chain, 50, 3,
-        "the full quantitative chain from manipulation power to dictator distance"),
+        _scf_descs, _check_chain, 50, 3,
+        "the full quantitative chain from manipulation power to dictator distance", 3),
     "arrow-identity": SuiteSpec(
-        _arrow_descs, _check_four_identity, 20, 3,
-        "four-alternative paradox probability doubles the three-alternative one"),
+        _odd_g_descs, _check_four_identity, 20, 3,
+        "four-alternative paradox probability doubles the three-alternative one", 4),
     "composition": SuiteSpec(
         _composition_descs, _check_composition, 5, 2,
         "no-winner events of disjoint alternative blocks are independent"),
     "converse": SuiteSpec(
         _converse_descs, _check_converse, 20, 3,
-        "rules built from pairwise functions inherit a paradox-probability bound"),
+        "rules built from pairwise functions inherit a paradox-probability bound", 3),
 }
 
 
@@ -320,6 +309,9 @@ def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if spec.exact_m is not None:
+        sampling.pick_mode("exact", n, spec.exact_m, None, None,
+                           exact_only=f"the {name} suite")
     t0 = time.perf_counter()
     total = passes = 0
     first = None

@@ -5,15 +5,14 @@ constructions, and the cross-size identities they satisfy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
 from . import _tables, sampling
-from .metrics import (MetricReport, column_stats, count_report, exact_report,
-                      sampled_report)
+from .metrics import MetricReport, column_stats, count_report, exact_report
 from .orders import Profile, column_complement, column_index, profile_block, voter_bits
 from .rules import ScfRule, _diag_counts, is_neutral, register_rule, resolve_n
 
@@ -243,11 +242,8 @@ def ngcw(G, *, mode="auto", samples=None, seed=None, workers=1) -> MetricReport:
 
 def gcw(G, **kw) -> MetricReport:
     """Probability that a generalized Condorcet winner exists (1 - ngcw)."""
-    r = ngcw(G, **kw)
-    if r.mode == "exact":
-        return exact_report("gcw", (), r.den - r.num, r.den)
-    return sampled_report("gcw", (), r.samples - r.num, r.samples, r.ci95,
-                          r.samples, r.seed)
+    r = ngcw(G, **kw)  # den - num stays reduced; a sampled den is the samples
+    return replace(r, metric="gcw", num=r.den - r.num)
 
 
 def gcw_winner_at(G, profile: Profile):
@@ -532,6 +528,7 @@ def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     """Build G from the SCF and verify the chain in exact arithmetic."""
     n = resolve_n(scf, n)
     tie = _tie_bits(tie_voter, n)
+    sampling.pick_mode("exact", n, 3, None, None, exact_only="the reduction chain")
     stats = [column_stats(scf, a, b, n) for a, b in PAIRS3]  # one sweep per pair
     mab_reports = tuple(st.mab_report() for st in stats)
     nab_reports = tuple(st.nab_report() for st in stats)

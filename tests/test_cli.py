@@ -129,7 +129,8 @@ def test_metrics_budget_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
-@pytest.mark.parametrize("suite", ["first-reduction", "cauchy", "reduction-chain"])
+@pytest.mark.parametrize("suite", ["first-reduction", "cauchy", "reduction-chain",
+                                   "converse", "arrow-identity"])
 def test_enumeration_only_suite_refuses_samples_past_budget(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--n", "12", "--samples", "4",
                          "--seed", "0")
@@ -137,6 +138,13 @@ def test_enumeration_only_suite_refuses_samples_past_budget(capsys, suite):
     assert err.startswith("error:")
     assert f"the {suite} suite has no sampled path" in err
     assert "rerun" not in err and "needs samples" not in err
+
+
+def test_reduce_past_budget_says_the_chain_is_exact_only(capsys):
+    code, out, err = run(capsys, "reduce", "--scf", "borda", "--n", "11")
+    assert code == 2 and out == ""
+    assert err == ("error: exact enumeration at n=11, m=3 exceeds the budget, "
+                   "and the reduction chain has no sampled path\n")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,11 +1,16 @@
 """Binary table formats: round trips and malformed-input rejection."""
 
+import struct
+import time
+
 import numpy as np
 import pytest
 
+from votelab.cli import main
 from votelab.fileio import (
     GSWF_MAGIC,
     SCF_MAGIC,
+    VERSION,
     read_gswf,
     read_scf,
     write_gswf,
@@ -153,3 +158,21 @@ def test_reject_empty_file(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(ValueError):
         read_scf(path)
+
+
+@pytest.mark.parametrize("magic,m,n", [(SCF_MAGIC, 255, 65535), (SCF_MAGIC, 255, 3000),
+                                       (GSWF_MAGIC, 3, 65535)])
+def test_reject_huge_header_fast(tmp_path, capsys, magic, m, n):
+    """A 9-byte file whose header claims (m!)^n, or 2^n bits per pair, far
+    past its payload exits 2 at once, naming m, n and the payload length,
+    without building the header's power."""
+    argv = (["metrics", "--exact", "--scf"] if magic == SCF_MAGIC
+            else ["gen", "--out", str(tmp_path / "out.gswf"), "--g"])
+    path = tmp_path / "huge.bin"
+    path.write_bytes(struct.pack("<4sBBH", magic, VERSION, m, n) + b"\x00")
+    t0 = time.perf_counter()
+    code = main([*argv, str(path)])
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "payload is 1 bytes" in err and f"m={m}, n={n}" in err

@@ -5,12 +5,10 @@ recomputations that only use the object layer, then against frozen values.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from votelab import _tables
 from votelab.metrics import (
     ColumnStats,
     MetricReport,
@@ -24,7 +22,7 @@ from votelab.metrics import (
 )
 from votelab.lattice import sets_ab
 from votelab.orders import order_from_index, profile_from_index
-from votelab.rules import ScfRule, _decode_steps, zoo_rules
+from votelab.rules import ScfRule, zoo_rules
 from votelab.sampling import CHUNK
 
 from oracles import pairwise_column
@@ -281,19 +279,6 @@ def test_exact_family_passes_equal_per_item_reports(scf):
         voters, pairs = _per_item_reports(scf, n)
         assert manipulation_reports(scf, n) == voters
         assert pair_reports(scf, n) == pairs
-
-
-def test_decode_steps_reach_each_pairs_lookup():
-    """Each step table is a bijection of the six codes, and decoding in
-    place through the steps gives every pair's own lookup, in any order."""
-    ordered = [(a, b) for a in range(3) for b in range(3) if a != b]
-    for pairs in permutations(ordered, 3):
-        codes = np.arange(6)
-        decoders = [_tables.order_of_bit_digit3(a, b).ravel() for a, b in pairs]
-        for step, (a, b) in zip(_decode_steps(decoders), pairs):
-            assert sorted(step.tolist()) == list(range(6))
-            np.take(step, codes, out=codes, mode="clip")
-            assert codes.tolist() == _tables.order_of_bit_digit3(a, b).ravel().tolist()
 
 
 def test_mab_report_exact_past_int64():

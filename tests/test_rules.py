@@ -131,6 +131,20 @@ def test_exact_feasible_budget():
     assert not exact_feasible(3, 6)
     with pytest.raises(BudgetError):
         ScfRule("plurality").as_table(13)
+    with pytest.raises(BudgetError):  # (4!)^6 * 4 bytes fit 10^9, (4!)^6 * 4! do not
+        ScfRule("borda", 4).as_table(6)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_as_table_refuses_wherever_exact_mode_does(m):
+    """One budget: every size exact mode refuses, materializing refuses too
+    (only refusing sizes are tried, so no large table is made)."""
+    refused = [n for n in range(1, 40) if not exact_feasible(n, m)]
+    assert refused
+    for n in refused:
+        for rule in (ScfRule("borda", m), ScfRule("random_table", m, seed=0)):
+            with pytest.raises(BudgetError, match="exceeds the budget"):
+                rule.as_table(n)
 
 
 def test_dist_to_dictatorship_plurality():
@@ -320,7 +334,9 @@ def _pair_decoders(order):
 
 def check_decoded_winners(scf, codes, decoders):
     want = [scf.winners_from_digits(d[codes]) for d in decoders]
-    got = decoded_winners(scf, codes.copy(), decoders)
+    before = codes.copy()
+    got = decoded_winners(scf, codes, decoders)
+    assert np.array_equal(codes, before), "codes are only read"
     assert got.shape == (len(decoders), codes.shape[1])
     for k, row in enumerate(want):
         assert np.array_equal(got[k], row), (scf.label, codes.shape[0], k)

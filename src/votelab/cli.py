@@ -99,7 +99,7 @@ def cmd_metrics(args) -> int:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     scf, n = load_scf(args.scf, args.m, args.n)
     mode = "exact" if args.exact else ("sampled" if args.samples is not None else "auto")
-    mode = sampling.pick_mode(mode, n, scf.m, args.samples, args.seed)
+    mode = sampling.pick_mode(mode, n, scf.m, args.samples, args.seed, scf=scf)
     if mode == "sampled" and args.samples < 2:  # one sample has no interval
         raise ValueError(f"sampled metrics need --samples >= 2, got {args.samples}")
     kw = dict(mode=mode, samples=args.samples, seed=args.seed, workers=args.workers)

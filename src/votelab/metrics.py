@@ -1,9 +1,13 @@
 """Per-voter manipulation power, inter-pair dependence, and minority
 preference, exact or sampled.
 
-Exact values are integer counts over full enumerations and reduce to exact
-rationals.  Sampled values are deterministic for a given seed regardless of
-worker count (see sampling.count).
+Exact values are integer counts over all profiles and reduce to exact
+rationals: by full enumeration, or for a tally rule over three alternatives
+at n <= ``tallies.MAX_N`` from the tally-space engine, which counts the
+same profiles through the distribution of their summed tally words (each
+voter's ``M_i`` count, and ``column_stats`` per voter 0's bit and popcount
+of the others' bits).  Sampled values are deterministic for a given seed
+regardless of worker count (see sampling.count).
 
 Each metric family is computed in one pass.  Every voter's sampled M_i
 draws the same stream; so does every pair's sampled mab, and every pair's
@@ -153,8 +157,9 @@ def _check_pairs(scf, pairs, what):
 
 
 def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
-    """Exact ColumnStats by full profile enumeration (m = 3), reading the
-    winners from the rule's table."""
+    """Exact ColumnStats (m = 3): by full profile enumeration, reading the
+    winners from the rule's table, or for a tally rule from its counts per
+    voter 0's bit and popcount of the other voters' bits."""
     n = resolve_n(scf, n)
     _check_pairs(scf, [(a, b)], "column statistics")
     size = 1 << n
@@ -165,7 +170,8 @@ def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
         return np.concatenate([np.bincount(z[winners == a], minlength=size),
                                np.bincount(z[winners == b], minlength=size)])
 
-    counts, _, _ = sampling.count(tally, 2 * size, n, 3, mode="exact", scf=scf)
+    counts, _, _ = sampling.count(tally, 2 * size, n, 3, mode="exact", scf=scf,
+                                  space_tally=lambda space: space.columns(a, b))
     return ColumnStats(a, b, n, counts[:size], counts[size:])
 
 
@@ -210,8 +216,12 @@ def _voter_gains(scf, voters, n, *, mode, samples, seed, workers, fresh):
         ballots = rng.integers(0, nord, size=(fresh, size))
         return digits, np.broadcast_to(ballots, (len(voters), size))
 
+    def space_gains(space):  # no sampled interval, so no sum of squares
+        return [*(space.gains(i) for i in voters), 0]
+
     return sampling.count(_gains(voters, scf.m), len(voters) + 1, n, scf.m, mode=mode,
-                          samples=samples, seed=seed, workers=workers, draw=draw, scf=scf)
+                          samples=samples, seed=seed, workers=workers, draw=draw, scf=scf,
+                          space_tally=space_gains)
 
 
 def _m_i_reports(scf, voters, n, **kw) -> list[MetricReport]:
@@ -252,13 +262,14 @@ def manipulation_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
                          workers=1) -> list[MetricReport]:
     """The M_i report of every voter, then M_total.
 
-    Exact mode makes one gains sweep for all of them.  Sampled mode makes
+    Exact mode makes one gains sweep for all of them (one tally-engine
+    count per voter for a tally rule); M_total is their sum.  Sampled mode makes
     one pass for every M_i, whose chunks each voter would draw alike on its
     own, and one for M_total, which draws a fresh ballot per voter.
     """
     n = resolve_n(scf, n)
-    kw = dict(mode=sampling.pick_mode(mode, n, scf.m, samples, seed), samples=samples,
-              seed=seed, workers=workers)
+    kw = dict(mode=sampling.pick_mode(mode, n, scf.m, samples, seed, scf=scf),
+              samples=samples, seed=seed, workers=workers)
     rows = _m_i_reports(scf, range(n), n, **kw)
     if kw["mode"] == "exact":
         total = sum(r.fraction for r in rows)
@@ -323,7 +334,7 @@ def mab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
     the (a, b) column."""
     n = resolve_n(scf, n)
     _check_pairs(scf, [(a, b)], "inter-pair dependence")
-    if sampling.pick_mode(mode, n, 3, samples, seed) == "exact":
+    if sampling.pick_mode(mode, n, 3, samples, seed, scf=scf) == "exact":
         return column_stats(scf, a, b, n).mab_report()
     return _sampled_mab(scf, [(a, b)], n, samples, seed, workers)[0]
 
@@ -342,7 +353,7 @@ def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
     """
     n = resolve_n(scf, n)
     _check_pairs(scf, [(a, b)], "minority preference")
-    if sampling.pick_mode(mode, n, 3, samples, seed) == "exact":
+    if sampling.pick_mode(mode, n, 3, samples, seed, scf=scf) == "exact":
         return column_stats(scf, a, b, n).nab_report()
     return _sampled_nab(scf, [(a, b)], n, samples, seed, workers)[0]
 
@@ -350,14 +361,14 @@ def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
 def pair_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
                  workers=1) -> list[MetricReport]:
     """The mab report of each pair (0, 1), (0, 2), (1, 2), then their nab
-    reports.  Exact mode makes one column sweep per pair for both metrics;
+    reports.  Exact mode makes one ``column_stats`` per pair for both metrics;
     sampled mode makes one pass for the three mab and one for the three
     nab, each chunk drawn once and elected for every pair by
     ``rules.decoded_winners``."""
     n = resolve_n(scf, n)
     pairs = _tables.pair_list(3)
     _check_pairs(scf, pairs, "each pair metric")
-    if sampling.pick_mode(mode, n, 3, samples, seed) == "exact":
+    if sampling.pick_mode(mode, n, 3, samples, seed, scf=scf) == "exact":
         stats = [column_stats(scf, a, b, n) for a, b in pairs]
         return [st.mab_report() for st in stats] + [st.nab_report() for st in stats]
     return (_sampled_mab(scf, pairs, n, samples, seed, workers)

@@ -4,7 +4,6 @@ neutrality, anonymity)."""
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +14,8 @@ import numpy as np
 from . import _tables, sampling
 from .orders import Profile, profile_block, profile_chunks
 from .sampling import BudgetError
+from .tallies import (_FALLS_BACK, _TALLY_RULES, _decision_table, _fall_back_to_voter_0,
+                      _field_sums, _voter_sum)
 
 
 def _check_m(m) -> None:
@@ -151,105 +152,6 @@ def _eval_constant(rule, digits):
     return np.full(digits.shape[1], rule.params["alt"], dtype=np.uint8)
 
 
-def _voter_sum(packed, digits) -> np.ndarray:
-    """``packed[digits].sum(0)``: one gather and one add per voter."""
-    acc = packed[digits[0]]
-    for row in digits[1:]:
-        acc += packed[row]
-    return acc
-
-
-def _field_sums(fields, digits) -> np.ndarray:
-    """Per-profile sums over voters of a per-ranking field table.
-
-    ``fields`` is an (m!, F) table of nonnegative ints and ``digits`` an
-    (n, S) block of ranking indices; returns the (F, S) int64 sums
-    ``fields[digits].sum(0).T``.  Each field gets just enough bits to hold
-    its largest possible sum, as many fields as fit share one int64 word, so
-    a sum over voters is one gather and one add per voter and word.
-    """
-    fields = np.asarray(fields, dtype=np.int64)
-    n, count = digits.shape
-    nfields = fields.shape[1]
-    bits = max(int(fields.max(initial=0)) * n, 1).bit_length()
-    per = 62 // bits
-    sums = np.empty((nfields, count), np.int64)
-    mask = (1 << bits) - 1
-    for lo in range(0, nfields, per):
-        group = fields[:, lo:lo + per]
-        acc = _voter_sum((group << (bits * np.arange(group.shape[1]))).sum(1), digits)
-        for j in range(group.shape[1]):
-            sums[lo + j] = acc >> (bits * j) & mask
-    return sums
-
-
-def _first_argmax(scores) -> np.ndarray:
-    """Index of the largest row per column; the smallest index on ties."""
-    best = np.zeros(scores.shape[1], np.intp)
-    top = scores[0]
-    for a in range(1, scores.shape[0]):
-        best = np.where(scores[a] > top, a, best)
-        top = np.maximum(top, scores[a])
-    return best
-
-
-def _majority_winner(above, m, n) -> np.ndarray:
-    """The alternative beating every other by a strict majority, from the
-    tallies ``above`` of the pairs a < b in ``np.triu_indices(m, 1)`` order;
-    m where there is none.  A strict-majority Condorcet winner is unique."""
-    beats_all = np.ones((m, above.shape[1]), bool)
-    for a, b, wins in zip(*np.triu_indices(m, 1), above):
-        beats_all[a] &= 2 * wins > n
-        beats_all[b] &= 2 * wins < n
-    winners = np.full(above.shape[1], m, np.intp)
-    for a in range(m):
-        winners[beats_all[a]] = a
-    return winners
-
-
-def _pair_fields(m):
-    """Per ranking and pair a < b (as in pair_list(m)): 1 if a is above b."""
-    first, second = np.triu_indices(m, 1)
-    return _tables.prefers(m)[:, first, second]
-
-
-# A tally rule's winner depends only on F per-voter tallies summed over the
-# voters: name -> (the (m!, F) field table of m, the decision on (F, S)
-# tallies of n voters).
-_TALLY_RULES = {
-    "plurality": (lambda m: _tables.rank_in_order(m) == 0,
-                  lambda tallies, m, n: _first_argmax(tallies)),
-    "borda": (lambda m: m - 1 - _tables.rank_in_order(m).astype(np.int64),
-              lambda tallies, m, n: _first_argmax(tallies)),
-    "pairwise_majority_fallback": (_pair_fields, _majority_winner),
-}
-_DECISION_TABLE_MAX = 1 << 16  # entries; past it the tallies are unpacked instead
-
-
-@functools.lru_cache(maxsize=None)
-def _decision_table(name, m, n):
-    """(word, decision) of a tally rule at n voters, or None past the cap.
-
-    Every tally lies in 0..n·max, so the F tallies of a profile pack without
-    carries into one mixed-radix word sum_j tally_j · R^j, R = n·max + 1:
-    ``word[r]`` is ranking r's contribution, and a profile's word is the sum
-    of its voters'.  ``decision`` holds the rule's decision at each of the
-    R^F words, unreachable tally vectors included.
-    """
-    fields_of, decide = _TALLY_RULES[name]
-    fields = np.asarray(fields_of(m), dtype=np.int64)
-    radix = int(fields.max()) * n + 1
-    size = radix ** fields.shape[1]
-    if size > _DECISION_TABLE_MAX:
-        return None
-    weights = radix ** np.arange(fields.shape[1])
-    grid = np.arange(size) // weights[:, None] % radix
-    table = fields @ weights, decide(grid, m, n).astype(np.uint8)
-    for part in table:
-        part.setflags(write=False)  # shared by every caller
-    return table
-
-
 def _decide_tallies(rule, digits) -> np.ndarray:
     """A tally rule's decision per profile: one gather on its decision
     table, or its decision on the unpacked tallies past the table's cap."""
@@ -264,14 +166,6 @@ def _decide_tallies(rule, digits) -> np.ndarray:
 
 register_rule("plurality")(_decide_tallies)
 register_rule("borda")(_decide_tallies)
-
-
-def _fall_back_to_voter_0(winners, first, tops, m) -> np.ndarray:
-    """In place, where ``winners`` is m (no strict-majority winner), voter
-    0's top choice ``tops[first]``, given voter 0's ballot codes ``first``."""
-    none = winners == m
-    winners[none] = tops[first[none]]
-    return winners
 
 
 @register_rule("pairwise_majority_fallback")
@@ -296,7 +190,7 @@ def decoded_winners(scf, codes, decoders) -> np.ndarray:
         return np.stack([scf.winners_from_digits(d[codes]) for d in decoders])
     word, decision = table
     winners = decision[_field_sums(np.stack([word[d] for d in decoders], 1), codes)]
-    if scf.name == "pairwise_majority_fallback":
+    if scf.name == _FALLS_BACK:
         for row, d in zip(winners, decoders):
             _fall_back_to_voter_0(row, codes[0], _tables.perms(m)[d, 0], m)
     return winners
@@ -346,7 +240,7 @@ def _diag_counts(scf, n, mode, samples, seed, workers):
 
     counts, trials, mode = sampling.count(tally, 2 * n + m, n, m, mode=mode,
                                           samples=samples, seed=seed, workers=workers,
-                                          scf=scf)
+                                          scf=scf, space_tally=lambda space: space.diag())
     return (counts[:n], counts[n:2 * n], counts[2 * n:]), trials, mode
 
 
@@ -387,7 +281,8 @@ def neutrality_counts(scf, n=None, *, mode="auto", samples=None, seed=None, work
                     for q in range(1, nperm))]
 
     (bad,), trials, _ = sampling.count(tally, 1, n, m, mode=mode, samples=samples,
-                                       seed=seed, workers=workers, scf=scf)
+                                       seed=seed, workers=workers, scf=scf,
+                                       space_tally=lambda space: [space.neutrality()])
     return int(bad), trials * (nperm - 1)
 
 
@@ -400,7 +295,8 @@ def anonymity_counts(scf, n=None, *, mode="auto", samples=None, seed=None, worke
         return [sum(int((block.swapped(i) != winners).sum()) for i in range(n - 1))]
 
     (bad,), trials, _ = sampling.count(tally, 1, n, scf.m, mode=mode, samples=samples,
-                                       seed=seed, workers=workers, scf=scf)
+                                       seed=seed, workers=workers, scf=scf,
+                                       space_tally=lambda space: [space.anonymity()])
     return int(bad), trials * (n - 1)
 
 

@@ -9,7 +9,11 @@ alternatives, and ``count`` makes it in one of two modes:
   (``orders.profile_chunks``) instead of decoding them on every sweep; a
   count over a rule's outcomes reads them from the rule's winner table,
   materialized once per rule and n, so a swapped, transposed or relabelled
-  profile costs one gather instead of one rule evaluation;
+  profile costs one gather instead of one rule evaluation.  The exception
+  is a tally rule over three alternatives (``plurality``, ``borda``,
+  ``pairwise_majority_fallback``) at n <= ``tallies.MAX_N``: its counts
+  come from ``tallies.TallySpace``, which weighs each summed tally word by
+  the number of profiles behind it and visits no profile;
 - sampled mode splits the samples into fixed-size chunks; chunk k draws
   from ``default_rng([seed, k])`` and counts are integer sums, so the
   result is the same for any worker count and schedule.  A chunk's draws
@@ -17,7 +21,9 @@ alternatives, and ``count`` makes it in one of two modes:
   same calls (every voter's M_i, every pair's mab or nab) share one draw
   per chunk and are computed in one pass; their estimates are correlated.
 
-``auto`` picks exact iff (m!)^n * m! <= EXACT_BUDGET (10^9).
+``auto`` picks exact iff (m!)^n * m! <= EXACT_BUDGET (10^9), for every
+rule.  Explicit exact mode also runs past that budget where the tally
+engine serves the rule, and refuses everywhere else.
 
 The exact no-GCW counts of ``welfare`` (``nt``, ``ngcw``, ``gcw``) choose
 their mode with ``pick_mode`` but do not visit profiles: they come from
@@ -32,7 +38,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from . import _tables
+from . import _tables, tallies
 from .orders import SWEEP_CHUNK, column_index, profile_chunks, space_columns
 
 CHUNK = 1 << 16
@@ -46,20 +52,31 @@ class BudgetError(ValueError):
 
 def exact_feasible(n: int, m: int = 3) -> bool:
     """True when full profile enumeration fits the (m!)^n * m! budget."""
-    return factorial(m) ** n * factorial(m) <= EXACT_BUDGET
+    base = factorial(m)
+    # base^(n+1) >= 2^((n+1)·(bits - 1)): refuse on that bound before
+    # building a power of millions of digits
+    if (n + 1) * (base.bit_length() - 1) >= EXACT_BUDGET.bit_length():
+        return False
+    return base ** (n + 1) <= EXACT_BUDGET
 
 
-def pick_mode(mode: str, n: int, m: int, samples, seed, *, exact_only=None) -> str:
-    """Resolve ``auto`` and check that the chosen mode can run; past the
-    budget, the refusal names ``exact_only``, a caller with no sampled path."""
+def pick_mode(mode: str, n: int, m: int, samples, seed, *, scf=None,
+              exact_only=None) -> str:
+    """Resolve ``auto`` and check that the chosen mode can run.  Exact mode
+    runs within the enumeration budget, or where the tally engine serves
+    the rule ``scf`` at n; ``auto`` reads the budget alone.  The refusal
+    names ``exact_only``, a caller with no sampled path."""
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "exact" if exact_feasible(n, m) else "sampled"
-    if mode == "exact" and not exact_feasible(n, m):
+    reach = tallies.exact_reach(scf)
+    if mode == "exact" and not exact_feasible(n, m) and n > reach:
+        beyond = f" (the tally engine stops at n={reach})" if reach else ""
         advice = ("; rerun with samples and a seed" if exact_only is None
                   else f", and {exact_only} has no sampled path")
-        raise BudgetError(f"exact enumeration at n={n}, m={m} exceeds the budget{advice}")
+        raise BudgetError(f"exact enumeration at n={n}, m={m} exceeds the budget"
+                          f"{beyond}{advice}")
     if mode == "sampled" and (samples is None or seed is None):
         raise ValueError("sampled mode needs samples and seed")
     if mode == "sampled" and samples < 1:
@@ -68,7 +85,8 @@ def pick_mode(mode: str, n: int, m: int, samples, seed, *, exact_only=None) -> s
 
 
 def count(tally, slots: int, n: int, m: int, *, mode="auto", samples=None,
-          seed=None, workers=1, draw=None, scf=None) -> tuple[np.ndarray, int, str]:
+          seed=None, workers=1, draw=None, scf=None,
+          space_tally=None) -> tuple[np.ndarray, int, str]:
     """Sum ``tally`` over uniform profiles; returns (counts, trials, mode).
 
     ``tally(digits)`` maps an (n, S) block of ranking indices to ``slots``
@@ -78,8 +96,16 @@ def count(tally, slots: int, n: int, m: int, *, mode="auto", samples=None,
     ``trials`` is ``samples``.  Given the rule ``scf``, the block arrives
     as a view that also reads the rule's winners: ``Tabled`` on the rule's
     winner table in exact mode, ``Evaluated`` by the rule in sampled mode.
+
+    ``space_tally(space)`` makes the same exact counts from a
+    ``tallies.TallySpace``; given it, exact mode on a rule the tally engine
+    serves calls it instead of visiting profiles.
     """
-    mode = pick_mode(mode, n, m, samples, seed)
+    # a count with no engine form sweeps, so past the budget it must be refused
+    mode = pick_mode(mode, n, m, samples, seed, scf=None if space_tally is None else scf)
+    if mode == "exact" and space_tally is not None and n <= tallies.exact_reach(scf):
+        counts = space_tally(tallies.tally_space(scf.name, n))
+        return np.asarray(counts, dtype=np.int64), factorial(m) ** n, mode
     if mode == "exact":
         table = None if scf is None else scf.as_table(n).outputs
         counts = np.zeros(slots, np.int64)

@@ -1,0 +1,306 @@
+"""Tally rules: the packed per-voter words they decide from, and the
+tally-space engine that makes their exact counts.
+
+``plurality``, ``borda`` and ``pairwise_majority_fallback`` decide from F
+per-voter tallies summed over the voters (``pairwise_majority_fallback``
+also reads voter 0's top when no alternative wins every pair).  Every tally
+lies in 0..n·max, so a profile's F tallies pack without carries into one
+mixed-radix word, and a profile's word is the sum of its voters' words.
+
+So a count over the 6^n uniform profiles at m = 3 is a count over the
+distribution of that sum (IAC-style anonymous counting): ``TallySpace``
+fixes the ballots of the voters a count distinguishes (voter 0 always, and
+the voter whose ballot moves), convolves the others' words into a
+histogram over word sums, and weighs each outcome by it.  It serves n up
+to ``MAX_N``.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from . import _tables
+
+# At n = 20 every histogram entry and count is at most 6 · 6^20 < 2^55, a
+# ColumnStats holds 2 x 8 MiB, and borda's words span 41^3 sums.
+MAX_N = 20
+
+
+def _voter_sum(packed, digits) -> np.ndarray:
+    """``packed[digits].sum(0)``: one gather and one add per voter."""
+    acc = packed[digits[0]]
+    for row in digits[1:]:
+        acc += packed[row]
+    return acc
+
+
+def _field_sums(fields, digits) -> np.ndarray:
+    """Per-profile sums over voters of a per-ranking field table.
+
+    ``fields`` is an (m!, F) table of nonnegative ints and ``digits`` an
+    (n, S) block of ranking indices; returns the (F, S) int64 sums
+    ``fields[digits].sum(0).T``.  Each field gets just enough bits to hold
+    its largest possible sum, as many fields as fit share one int64 word, so
+    a sum over voters is one gather and one add per voter and word.
+    """
+    fields = np.asarray(fields, dtype=np.int64)
+    n, count = digits.shape
+    nfields = fields.shape[1]
+    bits = max(int(fields.max(initial=0)) * n, 1).bit_length()
+    per = 62 // bits
+    sums = np.empty((nfields, count), np.int64)
+    mask = (1 << bits) - 1
+    for lo in range(0, nfields, per):
+        group = fields[:, lo:lo + per]
+        acc = _voter_sum((group << (bits * np.arange(group.shape[1]))).sum(1), digits)
+        for j in range(group.shape[1]):
+            sums[lo + j] = acc >> (bits * j) & mask
+    return sums
+
+
+def _first_argmax(scores) -> np.ndarray:
+    """Index of the largest row per column; the smallest index on ties."""
+    best = np.zeros(scores.shape[1], np.intp)
+    top = scores[0]
+    for a in range(1, scores.shape[0]):
+        best = np.where(scores[a] > top, a, best)
+        top = np.maximum(top, scores[a])
+    return best
+
+
+def _majority_winner(above, m, n) -> np.ndarray:
+    """The alternative beating every other by a strict majority, from the
+    tallies ``above`` of the pairs a < b in ``np.triu_indices(m, 1)`` order;
+    m where there is none.  A strict-majority Condorcet winner is unique."""
+    beats_all = np.ones((m, above.shape[1]), bool)
+    for a, b, wins in zip(*np.triu_indices(m, 1), above):
+        beats_all[a] &= 2 * wins > n
+        beats_all[b] &= 2 * wins < n
+    winners = np.full(above.shape[1], m, np.intp)
+    for a in range(m):
+        winners[beats_all[a]] = a
+    return winners
+
+
+def _pair_fields(m):
+    """Per ranking and pair a < b (as in pair_list(m)): 1 if a is above b."""
+    first, second = np.triu_indices(m, 1)
+    return _tables.prefers(m)[:, first, second]
+
+
+# A tally rule's winner depends only on F per-voter tallies summed over the
+# voters: name -> (the (m!, F) field table of m, the decision on (F, S)
+# tallies of n voters).
+_TALLY_RULES = {
+    "plurality": (lambda m: _tables.rank_in_order(m) == 0,
+                  lambda tallies, m, n: _first_argmax(tallies)),
+    "borda": (lambda m: m - 1 - _tables.rank_in_order(m).astype(np.int64),
+              lambda tallies, m, n: _first_argmax(tallies)),
+    "pairwise_majority_fallback": (_pair_fields, _majority_winner),
+}
+_FALLS_BACK = "pairwise_majority_fallback"  # the one tally rule reading voter 0's top
+_DECISION_TABLE_MAX = 1 << 16  # entries; past it the tallies are unpacked instead
+
+
+def _fields(name, m) -> np.ndarray:
+    return np.asarray(_TALLY_RULES[name][0](m), dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _decision_table(name, m, n, capped=True):
+    """(word, decision) of a tally rule at n voters, or None past the cap
+    unless ``capped`` is false.
+
+    Every tally lies in 0..n·max, so the F tallies of a profile pack without
+    carries into one mixed-radix word sum_j tally_j · R^j, R = n·max + 1:
+    ``word[r]`` is ranking r's contribution, and a profile's word is the sum
+    of its voters'.  ``decision`` holds the rule's decision at each of the
+    R^F words, unreachable tally vectors included.
+    """
+    fields = _fields(name, m)
+    radix = int(fields.max()) * n + 1
+    size = radix ** fields.shape[1]
+    if capped and size > _DECISION_TABLE_MAX:
+        return None
+    weights = radix ** np.arange(fields.shape[1])
+    grid = np.arange(size) // weights[:, None] % radix
+    table = fields @ weights, _TALLY_RULES[name][1](grid, m, n).astype(np.uint8)
+    for part in table:
+        part.setflags(write=False)  # shared by every caller
+    return table
+
+
+def _fall_back_to_voter_0(winners, first, tops, m) -> np.ndarray:
+    """In place, where ``winners`` is m (no strict-majority winner), voter
+    0's top choice ``tops[first]``, given voter 0's ballot codes ``first``."""
+    none = winners == m
+    winners[none] = tops[first[none]]
+    return winners
+
+
+def exact_reach(scf) -> int:
+    """The largest n at which ``TallySpace`` makes the exact counts of
+    ``scf``: ``MAX_N`` for a tally rule over three alternatives, else 0."""
+    return MAX_N if getattr(scf, "name", None) in _TALLY_RULES and scf.m == 3 else 0
+
+
+@functools.lru_cache(maxsize=8)
+def tally_space(name: str, n: int) -> "TallySpace":
+    """The engine of tally rule ``name`` at n voters, built once."""
+    return TallySpace(name, n)
+
+
+class TallySpace:
+    """Exact counts over the 6^n profiles of a tally rule at m = 3, made
+    over the distribution of the voters' summed words.
+
+    A profile's winner is ``outcome[word sum, voter 0's ballot]``.  A count
+    fixes the ballots of j distinguished voters (voter 0 first), sums over
+    the word histogram of the other n - j, and weighs each outcome by the
+    number of profiles behind it.  Every method returns what the matching
+    profile sweep counts (see ``rules`` and ``metrics``).
+    """
+
+    def __init__(self, name: str, n: int):
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"the tally engine serves 1 <= n <= {MAX_N}, got n={n}")
+        self.n = n
+        self.fields = _fields(name, 3)
+        self.top = int(self.fields.max())
+        self.radix = self.top * n + 1
+        self.weights = self.radix ** np.arange(self.fields.shape[1])
+        self.word, decision = _decision_table(name, 3, n, capped=False)
+        outcome = np.repeat(decision[:, None], 6, axis=1)  # [word sum, voter 0's ballot]
+        if name == _FALLS_BACK:
+            _fall_back_to_voter_0(outcome, np.broadcast_to(np.arange(6), outcome.shape),
+                                  _tables.perms(3)[:, 0], 3)
+        outcome.setflags(write=False)  # shared by every caller of ``tally_space``
+        self.outcome = outcome
+        self._fixed_cache = {}
+
+    def _spread(self, dist, k, ballots) -> np.ndarray:
+        """The histogram ``dist`` of word sums after adding k voters, each
+        casting any of ``ballots``.  No sum carries past a field's radix,
+        so a shift by a word on the flat index is exact."""
+        for _ in range(k):
+            out = np.zeros_like(dist)
+            for w in self.word[ballots]:
+                out[w:] += dist[:dist.size - w]
+            dist = out
+        return dist
+
+    def _empty(self) -> np.ndarray:
+        """The histogram of zero voters: one profile, word sum 0."""
+        dist = np.zeros(self.radix ** self.fields.shape[1], np.int64)
+        dist[0] = 1
+        return dist
+
+    def _fixed(self, j):
+        """(state, weight, ballots): ``state[t, c]`` is the word sum of the
+        profiles in which voters 0..j-1 cast ``ballots[:, t]`` (t = b_0 +
+        6·b_1) and the other voters sum to their c-th reachable sum,
+        ``weight[c]`` of those profiles per tuple."""
+        if j not in self._fixed_cache:
+            dist = self._spread(self._empty(), self.n - j, np.arange(6))
+            support = np.flatnonzero(dist)
+            ballots = _tables.index_digits(np.arange(6 ** j), 6, j)
+            state = support + self.word[ballots].sum(0)[:, None]
+            self._fixed_cache[j] = state, dist[support], ballots
+        return self._fixed_cache[j]
+
+    def _ballot_winners(self, i):
+        """(winners, weight): ``winners[r, c]`` is the winner once voter i
+        casts ballot r in the c-th context of the other voters, which
+        ``weight[c]`` profiles share."""
+        j = 1 if i == 0 else 2
+        state, weight, ballots = self._fixed(j)
+        winners = self.outcome[state, ballots[0][:, None]].reshape(6, -1)  # rows: b_{j-1}
+        return winners, np.tile(weight, 6 ** (j - 1))
+
+    def gains(self, i) -> int:
+        """The (profile, ballot) pairs at which voter i casting the ballot
+        instead elects an alternative the voter ranks higher."""
+        winners, weight = self._ballot_winners(i)
+        own = np.arange(6)[:, None, None]
+        improves = _tables.prefers(3)[own, winners[None], winners[:, None]]  # [own, fresh, c]
+        return int(improves.sum((0, 1)) @ weight)
+
+    def diag(self) -> np.ndarray:
+        """``rules._diag_counts``' counts: per voter, the profiles electing
+        other than the voter's top, then than its bottom; per alternative,
+        the profiles electing it."""
+        perms = _tables.perms(3)
+        top, bottom = [], []
+        for i in range(self.n):
+            winners, weight = self._ballot_winners(i)
+            top.append((winners != perms[:, :1]).sum(0) @ weight)
+            bottom.append((winners != perms[:, -1:]).sum(0) @ weight)
+        winners, weight = self._ballot_winners(0)
+        elected = [(winners == a).sum(0) @ weight for a in range(3)]
+        return np.array(top + bottom + elected, np.int64)
+
+    def _relabeled(self, state, q) -> np.ndarray:
+        """The word sum of each profile of word sum ``state`` once every
+        ballot is relabelled by ``perms(3)[q]``: each field of a relabelled
+        ranking is a field of the ranking, or that field's complement."""
+        moved = self.fields[_tables.relabel_action(3)[q]]
+        out = np.zeros_like(state)
+        for j, column in enumerate(moved.T):
+            for k, field in enumerate(self.fields.T):
+                if (column == field).all():
+                    out += (state // self.weights[k] % self.radix) * self.weights[j]
+                    break
+                if (column == self.top - field).all():
+                    out += (self.top * self.n - state // self.weights[k] % self.radix) \
+                        * self.weights[j]
+                    break
+            else:
+                raise AssertionError(f"relabelling {q} does not act on the fields")
+        return out
+
+    def neutrality(self) -> int:
+        """Relabelling violations, F(pi o x) != pi(F(x)), summed over the
+        five non-identity relabelings pi."""
+        state, weight, (first,) = self._fixed(1)
+        perms, act = _tables.perms(3).astype(np.intp), _tables.relabel_action(3)
+        winners = self.outcome[state, first[:, None]]
+        bad = 0
+        for q in range(1, 6):
+            moved = self.outcome[self._relabeled(state, q), act[q][first][:, None]]
+            bad += int((moved != perms[q][winners]).sum(0) @ weight)
+        return bad
+
+    def anonymity(self) -> int:
+        """Violations of invariance under the n - 1 adjacent voter swaps.
+        A swap of voters i, i + 1 >= 1 keeps the word sum and voter 0's
+        ballot, so only the swap of voters 0 and 1 can differ."""
+        if self.n < 2:
+            return 0
+        state, weight, (first, second) = self._fixed(2)
+        swapped = self.outcome[state, second[:, None]] != self.outcome[state, first[:, None]]
+        return int(swapped.sum(0) @ weight)
+
+    def columns(self, a, b) -> np.ndarray:
+        """``metrics.column_stats``' counts: per column z of the pair
+        (a, b), the completions electing a, then per column those electing
+        b.  A column's counts depend only on voter 0's bit and on how many
+        other voters put a above b."""
+        n = self.n
+        bit = _tables.pair_bit(3, a, b)
+        sides = np.flatnonzero(bit == 0), np.flatnonzero(bit)  # ballots by bit
+        per = np.zeros((2, 2, n), np.int64)  # [a or b, voter 0's bit, others above]
+        above = self._empty()  # histogram of the others putting a above b
+        for k in range(n):
+            dist = self._spread(above, n - 1 - k, sides[0])
+            support = np.flatnonzero(dist)
+            for bit0, ballots in enumerate(sides):
+                winners = self.outcome[support + self.word[ballots][:, None], ballots[:, None]]
+                per[0, bit0, k] = (winners == a).sum(0) @ dist[support]
+                per[1, bit0, k] = (winners == b).sum(0) @ dist[support]
+            above = self._spread(above, 1, sides[1])
+        popcount = np.zeros(1 << (n - 1), np.intp)  # of the others' bits, z >> 1
+        for v in range(n - 1):
+            popcount[1 << v:2 << v] = popcount[:1 << v] + 1
+        return per[:, :, popcount].transpose(0, 2, 1).reshape(-1)

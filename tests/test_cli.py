@@ -124,9 +124,17 @@ def test_metrics_missing_n_exits_2(capsys):
 
 
 def test_metrics_budget_exits_2(capsys):
-    code, _, err = run(capsys, "metrics", "--scf", "plurality", "--n", "13",
+    code, _, err = run(capsys, "metrics", "--scf", "random_table:0", "--n", "13",
                        "--exact")
-    assert code == 2 and "error:" in err
+    assert code == 2 and err == ("error: exact enumeration at n=13, m=3 exceeds the "
+                                 "budget; rerun with samples and a seed\n")
+
+
+def test_metrics_past_the_tally_engine_cap_exits_2(capsys):
+    code, out, err = run(capsys, "metrics", "--scf", "borda", "--n", "21", "--exact")
+    assert code == 2 and out == ""
+    assert err == ("error: exact enumeration at n=21, m=3 exceeds the budget (the "
+                   "tally engine stops at n=20); rerun with samples and a seed\n")
 
 
 @pytest.mark.parametrize("suite", ["first-reduction", "cauchy", "reduction-chain",

@@ -161,7 +161,8 @@ def test_tabled_reads_equal_evaluated_reads(label):
     assert np.array_equal(digits, profile_digits(np.arange(lo, lo + size), n))  # unedited
 
 
-def test_exact_sweeps_evaluate_the_rule_once_per_profile(monkeypatch):
+def _count_evaluations(monkeypatch):
+    """The profile counts of every rule evaluation made from now on."""
     evaluated = []
     original = ScfRule.winners_from_digits
 
@@ -170,7 +171,10 @@ def test_exact_sweeps_evaluate_the_rule_once_per_profile(monkeypatch):
         return original(self, digits)
 
     monkeypatch.setattr(ScfRule, "winners_from_digits", counting)
-    scf, n = ScfRule("borda"), 4
+    return evaluated
+
+
+def _every_exact_count(scf, n):
     for i in range(n):
         manipulation_power(scf, i, n)
     manipulation_power_total(scf, n)
@@ -179,20 +183,27 @@ def test_exact_sweeps_evaluate_the_rule_once_per_profile(monkeypatch):
     _diag_counts(scf, n, "exact", None, None, 1)
     neutrality_counts(scf, n)
     anonymity_counts(scf, n)
+
+
+def test_exact_sweeps_evaluate_the_rule_once_per_profile(monkeypatch):
+    """A rule outside the tally engine is evaluated once per profile; a
+    tally rule's exact counts evaluate it at no profile."""
+    evaluated = _count_evaluations(monkeypatch)
+    n = 4
+    _every_exact_count(scf_from_gswf(random_iia_gswf(n, 3, 5), fallback_voter=1), n)
     assert sum(evaluated) == 6 ** n
+    evaluated.clear()
+    _every_exact_count(ScfRule("borda"), n)
+    assert evaluated == []
 
 
 def test_reduction_chain_evaluates_the_rule_once_per_profile(monkeypatch):
-    evaluated = []
-    original = ScfRule.winners_from_digits
-
-    def counting(self, digits):
-        evaluated.append(np.shape(digits)[1])
-        return original(self, digits)
-
-    monkeypatch.setattr(ScfRule, "winners_from_digits", counting)
-    check_reduction_chain(ScfRule("borda"), n=4)
+    evaluated = _count_evaluations(monkeypatch)
+    check_reduction_chain(scf_from_gswf(random_iia_gswf(4, 3, 5), fallback_voter=1), n=4)
     assert sum(evaluated) == 6 ** 4
+    evaluated.clear()
+    check_reduction_chain(ScfRule("borda"), n=4)  # counts from the tally engine
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("seed", range(3))

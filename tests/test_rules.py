@@ -13,10 +13,7 @@ from votelab.rules import (
     ScfRule,
     ScfTable,
     _EVALUATORS,
-    _TALLY_RULES,
     _decide_tallies,
-    _decision_table,
-    _field_sums,
     decoded_winners,
     anonymity_counts,
     dist_to_antidictatorship,
@@ -28,6 +25,7 @@ from votelab.rules import (
     zoo_rules,
 )
 from votelab.sampling import exact_feasible
+from votelab.tallies import _TALLY_RULES, _decision_table, _field_sums
 from votelab.welfare import random_iia_gswf, scf_from_gswf
 
 

@@ -1,0 +1,116 @@
+"""The tally-space exact engine.
+
+Every exact count of a tally rule over three alternatives comes from the
+distribution of its voters' summed tally words (``tallies.TallySpace``).
+The counts are pinned against the profile sweep over the rule's winner
+table (``sampling.count`` over ``Tabled``), which an ``ScfTable`` of the
+same outcomes always takes.
+"""
+
+from math import factorial
+
+import numpy as np
+import pytest
+
+from votelab import metrics, rules, sampling, tallies
+from votelab.metrics import column_stats
+from votelab.rules import ScfRule
+from votelab.sampling import BudgetError, exact_feasible, pick_mode
+
+TALLY = ("plurality", "borda", "pairwise_majority_fallback")
+
+
+def exact_counts(scf, n):
+    """Every exact count behind ``votelab metrics``, keyed by what it counts."""
+    counts = {f"M_{i}": metrics.manipulation_power(scf, i, n, mode="exact").fraction
+              for i in range(n)}
+    counts["M_total"] = metrics.manipulation_power_total(scf, n, mode="exact").fraction
+    for a, b in ((0, 1), (0, 2), (1, 2), (2, 0)):
+        st = column_stats(scf, a, b, n)
+        counts[f"columns{a}{b}"] = (st.count_a.tolist(), st.count_b.tolist())
+    diag, trials, mode = rules._diag_counts(scf, n, "exact", None, None, 1)
+    counts["diag"] = ([part.tolist() for part in diag], trials, mode)
+    counts["neutrality"] = rules.neutrality_counts(scf, n, mode="exact")
+    counts["anonymity"] = rules.anonymity_counts(scf, n, mode="exact")
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("name", TALLY)
+def test_engine_counts_equal_the_table_sweep(name, n):
+    rule = ScfRule(name)
+    engine = exact_counts(rule, n)
+    swept = exact_counts(rule.as_table(n), n)  # a table always sweeps its profiles
+    assert engine.keys() == swept.keys()
+    for key in swept:
+        assert engine[key] == swept[key], key
+
+
+@pytest.mark.parametrize("name", TALLY)
+def test_engine_at_its_cap(name):
+    """At n = 20: M_total is the sum of the per-voter M_i, voters who play
+    the same part have the same M_i, and the elected counts cover all 6^20
+    profiles."""
+    rule, n = ScfRule(name), tallies.MAX_N
+    rows = metrics.manipulation_reports(rule, n, mode="exact")
+    m_i = [r.fraction for r in rows[:-1]]
+    assert (metrics.manipulation_power_total(rule, n, mode="exact").fraction
+            == rows[-1].fraction == sum(m_i))
+    # only pairwise_majority_fallback sets voter 0 apart
+    assert len(set(m_i[name == "pairwise_majority_fallback":])) == 1
+    (top, bottom, elected), trials, mode = rules._diag_counts(rule, n, "exact", None, None, 1)
+    assert mode == "exact" and trials == 6 ** n
+    assert sum(int(c) for c in elected) == 6 ** n
+    assert all(0 <= int(c) <= 6 ** n for c in (*top, *bottom))
+
+
+def test_engine_serves_tally_rules_at_three_alternatives_only():
+    assert [tallies.exact_reach(ScfRule(name)) for name in TALLY] == [tallies.MAX_N] * 3
+    others = [ScfRule("borda", 4), ScfRule("plurality", 2), ScfRule("dictatorship", voter=0),
+              ScfRule("random_table", seed=0), ScfRule("borda").as_table(2), None]
+    assert [tallies.exact_reach(scf) for scf in others] == [0] * len(others)
+
+
+def test_exact_mode_runs_to_the_cap_and_auto_keeps_the_budget():
+    borda, n = ScfRule("borda"), 12
+    assert pick_mode("exact", n, 3, None, None, scf=borda) == "exact"
+    assert pick_mode("auto", n, 3, 10, 0, scf=borda) == "sampled"
+    with pytest.raises(BudgetError, match="stops at n=20"):
+        pick_mode("exact", tallies.MAX_N + 1, 3, None, None, scf=borda)
+    with pytest.raises(BudgetError, match="exceeds the budget; rerun"):
+        pick_mode("exact", n, 3, None, None, scf=ScfRule("random_table", seed=0))
+    with pytest.raises(BudgetError):  # the chain asks for no engine
+        pick_mode("exact", n, 3, None, None, exact_only="the reduction chain")
+    report = metrics.mab(borda, 0, 1, n, mode="exact")
+    assert report.mode == "exact" and 0 < report.fraction < 1
+
+
+def test_count_without_an_engine_form_sweeps():
+    """A count that gives no ``space_tally`` sweeps even a tally rule, and
+    past the budget it is refused as an enumeration."""
+    def elected(block):
+        return np.bincount(block.winners(), minlength=3)
+
+    borda = ScfRule("borda")
+    counts, trials, _ = sampling.count(elected, 3, 4, 3, mode="exact", scf=borda)
+    assert counts.tolist() == rules._diag_counts(borda, 4, "exact", None, None, 1)[0][2].tolist()
+    with pytest.raises(BudgetError, match="exceeds the budget; rerun"):
+        sampling.count(elected, 3, 11, 3, mode="exact", scf=borda)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_exact_feasible_equals_the_big_integer_formula(m):
+    for n in range(1, 61):
+        assert exact_feasible(n, m) == (factorial(m) ** n * factorial(m)
+                                        <= sampling.EXACT_BUDGET), (n, m)
+
+
+def test_exact_feasible_answers_without_the_power():
+    assert not exact_feasible(4_000_000, 3)
+    assert not exact_feasible(65535, 255)
+    assert exact_feasible(10 ** 9, 1)  # 1! = 1: every power fits
+
+
+def test_engine_rejects_sizes_past_its_cap():
+    with pytest.raises(ValueError, match="1 <= n <= 20"):
+        tallies.TallySpace("borda", tallies.MAX_N + 1)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._tables import pair_list
 from .rules import ScfTable
+from .sampling import power_surely_exceeds
 from .welfare import GswfIia
 
 SCF_MAGIC = b"SCF3"
@@ -38,13 +39,6 @@ def _read_header(data: bytes, magic: bytes, what: str) -> tuple[int, int]:
     return m, n
 
 
-def _power_within(base: int, n: int, size: int) -> bool:
-    """False when base^n surely exceeds ``size``, judged from bit lengths
-    alone, so that a huge header costs no big-integer power; when True,
-    base^n < 2^(2 * size.bit_length()) is small."""
-    return n * (base.bit_length() - 1) < size.bit_length()
-
-
 def write_scf(table: ScfTable, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(SCF_MAGIC, VERSION, table.m, table.n))
@@ -56,7 +50,7 @@ def read_scf(path) -> ScfTable:
         data = fh.read()
     m, n = _read_header(data, SCF_MAGIC, "SCF table")
     body = data[_HEADER.size:]
-    if not _power_within(factorial(m), n, len(body)):
+    if power_surely_exceeds(factorial(m), n, len(body)):
         raise ValueError(f"table payload is {len(body)} bytes, fewer than the "
                          f"(m!)^n that m={m}, n={n} needs")
     total = factorial(m) ** n
@@ -77,7 +71,7 @@ def read_gswf(path) -> GswfIia:
         data = fh.read()
     m, n = _read_header(data, GSWF_MAGIC, "GSWF")
     body = data[_HEADER.size:]
-    if not _power_within(2, n, 8 * len(body)):
+    if power_surely_exceeds(2, n, 8 * len(body)):
         raise ValueError(f"GSWF payload is {len(body)} bytes, fewer than the "
                          f"2^n bits per pair that m={m}, n={n} needs")
     pairs = len(pair_list(m))

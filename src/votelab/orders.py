@@ -158,9 +158,9 @@ def _digit_table(m: int, k: int) -> np.ndarray:
     return table
 
 
-def profile_chunks(n: int, m: int = 3, chunk: int = SWEEP_CHUNK):
+def profile_chunks(n: int, m: int = 3):
     """Yield (lo, hi, digits) blocks covering all (m!)^n profile indices in
-    order, each of at most ``chunk`` profiles; ``digits`` is read-only.
+    order, each of at most ``SWEEP_CHUNK`` profiles; ``digits`` is read-only.
 
     The blocks read the digit table of m instead of decoding indices.  When
     all (m!)^n profiles fit one block, that block is a view of the table.
@@ -170,14 +170,14 @@ def profile_chunks(n: int, m: int = 3, chunk: int = SWEEP_CHUNK):
     """
     base = factorial(m)
     k = 0  # the most voters, up to n, whose base^k profiles fit one block
-    while k < n and base ** (k + 1) <= chunk:
+    while k < n and base ** (k + 1) <= SWEEP_CHUNK:
         k += 1
     period = base ** k
     table = _digit_table(m, k)
     if k == n:
         yield 0, period, table[:n, :period]
         return
-    periods, per = base ** (n - k), chunk // period
+    periods, per = base ** (n - k), SWEEP_CHUNK // period
     for first in range(0, periods, per):
         count = min(per, periods - first)
         digits = np.empty((n, count, period), np.int64)
@@ -215,6 +215,8 @@ def column_index(digits, a: int, b: int, m: int = 3) -> np.ndarray:
 
 def voter_bits(i: int, n: int) -> np.ndarray:
     """Voter i's bit in every one of the 2^n column indices."""
+    if not 0 <= i < n:
+        raise ValueError(f"voter {i} out of range for n={n}")
     return (np.arange(1 << n) >> i & 1).astype(bool)
 
 

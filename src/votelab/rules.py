@@ -152,27 +152,25 @@ def _eval_constant(rule, digits):
     return np.full(digits.shape[1], rule.params["alt"], dtype=np.uint8)
 
 
-def _decide_tallies(rule, digits) -> np.ndarray:
-    """A tally rule's decision per profile: one gather on its decision
-    table, or its decision on the unpacked tallies past the table's cap."""
+def _eval_tallies(rule, digits) -> np.ndarray:
+    """A tally rule's decision per profile (one gather on its decision
+    table, or its decision on the unpacked tallies past the table's cap),
+    then for ``_FALLS_BACK`` voter 0's top where no alternative wins."""
     n = digits.shape[0]
     table = _decision_table(rule.name, rule.m, n)
     if table is not None:
         word, decision = table
-        return decision[_voter_sum(word, digits)]
-    fields_of, decide = _TALLY_RULES[rule.name]
-    return decide(_field_sums(fields_of(rule.m), digits), rule.m, n)
+        winners = decision[_voter_sum(word, digits)]
+    else:
+        fields_of, decide = _TALLY_RULES[rule.name]
+        winners = decide(_field_sums(fields_of(rule.m), digits), rule.m, n)
+    if rule.name == _FALLS_BACK:
+        _fall_back_to_voter_0(winners, digits[0], _tables.perms(rule.m)[:, 0], rule.m)
+    return winners
 
 
-register_rule("plurality")(_decide_tallies)
-register_rule("borda")(_decide_tallies)
-
-
-@register_rule("pairwise_majority_fallback")
-def _eval_pmf(rule, digits):
-    """The strict-majority Condorcet winner, else voter 0's top."""
-    return _fall_back_to_voter_0(_decide_tallies(rule, digits), digits[0],
-                                 _tables.perms(rule.m)[:, 0], rule.m)
+for _name in _TALLY_RULES:
+    register_rule(_name)(_eval_tallies)
 
 
 def decoded_winners(scf, codes, decoders) -> np.ndarray:
@@ -206,8 +204,7 @@ def zoo_rules(n: int, m: int = 3) -> list[ScfRule]:
     rules = [ScfRule("dictatorship", m, voter=i) for i in range(n)]
     rules += [ScfRule("anti_dictatorship", m, voter=i) for i in range(n)]
     rules += [ScfRule("constant", m, alt=a) for a in range(m)]
-    rules += [ScfRule("plurality", m), ScfRule("borda", m),
-              ScfRule("pairwise_majority_fallback", m)]
+    rules += [ScfRule(name, m) for name in _TALLY_RULES]
     return rules
 
 

@@ -22,8 +22,9 @@ alternatives, and ``count`` makes it in one of two modes:
   per chunk and are computed in one pass; their estimates are correlated.
 
 ``auto`` picks exact iff (m!)^n * m! <= EXACT_BUDGET (10^9), for every
-rule.  Explicit exact mode also runs past that budget where the tally
-engine serves the rule, and refuses everywhere else.
+rule, and past it sampled mode, or refuses when given no samples.
+Explicit exact mode also runs past that budget where the tally engine
+serves the rule, and refuses everywhere else.
 
 The exact no-GCW counts of ``welfare`` (``nt``, ``ngcw``, ``gcw``) choose
 their mode with ``pick_mode`` but do not visit profiles: they come from
@@ -33,7 +34,6 @@ pairwise columns, each weighted by the number of profiles behind it.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 from math import factorial, sqrt
 
 import numpy as np
@@ -50,28 +50,38 @@ class BudgetError(ValueError):
     """An exact enumeration would exceed the evaluation budget."""
 
 
+def power_surely_exceeds(base: int, k: int, limit: int) -> bool:
+    """True when base^k > ``limit`` follows from bit lengths alone, as
+    base^k >= 2^(k·(bit_length(base) - 1)), so that a huge power is refused
+    without being built.  When False, base^k < 2^(2·bit_length(limit))."""
+    return k * (base.bit_length() - 1) >= limit.bit_length()
+
+
 def exact_feasible(n: int, m: int = 3) -> bool:
     """True when full profile enumeration fits the (m!)^n * m! budget."""
     base = factorial(m)
-    # base^(n+1) >= 2^((n+1)·(bits - 1)): refuse on that bound before
-    # building a power of millions of digits
-    if (n + 1) * (base.bit_length() - 1) >= EXACT_BUDGET.bit_length():
-        return False
-    return base ** (n + 1) <= EXACT_BUDGET
+    return (not power_surely_exceeds(base, n + 1, EXACT_BUDGET)
+            and base ** (n + 1) <= EXACT_BUDGET)
 
 
 def pick_mode(mode: str, n: int, m: int, samples, seed, *, scf=None,
               exact_only=None) -> str:
     """Resolve ``auto`` and check that the chosen mode can run.  Exact mode
     runs within the enumeration budget, or where the tally engine serves
-    the rule ``scf`` at n; ``auto`` reads the budget alone.  The refusal
-    names ``exact_only``, a caller with no sampled path."""
+    the rule ``scf`` at n; ``auto`` reads the budget alone, and past it
+    refuses when given no samples.  The refusal of exact mode names
+    ``exact_only``, a caller with no sampled path."""
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if exact_feasible(n, m) else "sampled"
+    feasible = exact_feasible(n, m)
     reach = tallies.exact_reach(scf)
-    if mode == "exact" and not exact_feasible(n, m) and n > reach:
+    if mode == "auto":
+        if not feasible and samples is None:
+            runs = " (exact mode runs here, on the tally engine)" if n <= reach else ""
+            raise BudgetError(f"exact enumeration at n={n}, m={m} exceeds the budget; "
+                              f"rerun with samples and a seed{runs}")
+        mode = "exact" if feasible else "sampled"
+    if mode == "exact" and not feasible and n > reach:
         beyond = f" (the tally engine stops at n={reach})" if reach else ""
         advice = ("; rerun with samples and a seed" if exact_only is None
                   else f", and {exact_only} has no sampled path")
@@ -177,7 +187,7 @@ class Tabled:
         self.m = m
         self.base = factorial(m)
         size = digits.shape[1]
-        self.idx = _counting(size) if lo == 0 else np.arange(lo, lo + size, dtype=np.int64)
+        self.idx = np.arange(lo, lo + size, dtype=np.int64)
 
     def winners(self):
         """The winner of each profile."""
@@ -205,15 +215,6 @@ class Tabled:
         """Winners once every ballot is relabelled by ``perms(m)[q]``."""
         relabeled = _tables.relabel_action(self.m)[q][self.digits]
         return self.table[_tables.digits_index(relabeled, self.base)]
-
-
-@lru_cache(maxsize=1)
-def _counting(size: int) -> np.ndarray:
-    """``np.arange(size)``, int64 and read-only, kept for the next block of
-    the same size."""
-    idx = np.arange(size, dtype=np.int64)
-    idx.setflags(write=False)
-    return idx
 
 
 def run_chunks(counter, slots: int, samples: int, seed: int, *, workers: int = 1,

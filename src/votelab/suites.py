@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lattice, sampling, welfare
 from .metrics import column_stats, mab, manipulation_power_total
-from .rules import BudgetError, ScfRule, zoo_rules
+from .rules import ScfRule, zoo_rules
 from .welfare import PAIRS3
 
 
@@ -52,7 +52,7 @@ def gswf_corpus(n: int, trials: int, seed: int) -> list[dict]:
         descs.append({"kind": "odd_tensor", "seed": seed + k, "n": n})
         descs.append({"kind": "random_iia", "seed": seed + 1000 + k, "n": n})
     for rule in zoo_rules(n):
-        if not rule.params:  # plurality, borda, pairwise_majority_fallback
+        if not rule.params:  # the tally rules
             descs.append({"kind": "from_scf", "scf": scf_descriptor(rule),
                           "tie_voter": 0, "n": n})
     return descs
@@ -124,9 +124,6 @@ def _shifting_descs(trials, n, seed, samples):
 
 
 def _composition_descs(trials, n, seed, samples):
-    if not sampling.exact_feasible(n, 6) and samples is None:
-        raise BudgetError(
-            f"joint six-alternative enumeration infeasible at n={n}; pass samples")
     descs = _odd_g_descs(trials, n, seed, samples)
     if samples is not None:
         descs = [{**d, "samples": samples, "sample_seed": seed + k}

@@ -13,6 +13,11 @@ fixes the ballots of the voters a count distinguishes (voter 0 always, and
 the voter whose ballot moves), convolves the others' words into a
 histogram over word sums, and weighs each outcome by it.  It serves n up
 to ``MAX_N``.
+
+The engine and the rules' evaluators read one cached decision table per
+(rule, m, n), a rule's decision at every word.  At m = 3 it holds borda up
+to n = 20 and the other two rules up to n = 40; past that an evaluator
+decides on the unpacked tallies.
 """
 
 from __future__ import annotations
@@ -101,7 +106,9 @@ _TALLY_RULES = {
     "pairwise_majority_fallback": (_pair_fields, _majority_winner),
 }
 _FALLS_BACK = "pairwise_majority_fallback"  # the one tally rule reading voter 0's top
-_DECISION_TABLE_MAX = 1 << 16  # entries; past it the tallies are unpacked instead
+# Borda's table at m = 3 and n = MAX_N, the largest any tally rule needs
+# within the engine's reach; past it the tallies are unpacked instead
+_DECISION_TABLE_MAX = (2 * MAX_N + 1) ** 3
 
 
 def _fields(name, m) -> np.ndarray:
@@ -109,9 +116,10 @@ def _fields(name, m) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _decision_table(name, m, n, capped=True):
-    """(word, decision) of a tally rule at n voters, or None past the cap
-    unless ``capped`` is false.
+def _decision_table(name, m, n):
+    """(word, decision) of a tally rule at n voters, or None past
+    ``_DECISION_TABLE_MAX`` entries.  ``TallySpace`` and the rule's
+    evaluator read the same cached table.
 
     Every tally lies in 0..n·max, so the F tallies of a profile pack without
     carries into one mixed-radix word sum_j tally_j · R^j, R = n·max + 1:
@@ -122,7 +130,7 @@ def _decision_table(name, m, n, capped=True):
     fields = _fields(name, m)
     radix = int(fields.max()) * n + 1
     size = radix ** fields.shape[1]
-    if capped and size > _DECISION_TABLE_MAX:
+    if size > _DECISION_TABLE_MAX:
         return None
     weights = radix ** np.arange(fields.shape[1])
     grid = np.arange(size) // weights[:, None] % radix
@@ -171,7 +179,7 @@ class TallySpace:
         self.top = int(self.fields.max())
         self.radix = self.top * n + 1
         self.weights = self.radix ** np.arange(self.fields.shape[1])
-        self.word, decision = _decision_table(name, 3, n, capped=False)
+        self.word, decision = _decision_table(name, 3, n)
         outcome = np.repeat(decision[:, None], 6, axis=1)  # [word sum, voter 0's ballot]
         if name == _FALLS_BACK:
             _fall_back_to_voter_0(outcome, np.broadcast_to(np.arange(6), outcome.shape),

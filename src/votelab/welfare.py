@@ -108,15 +108,11 @@ def random_iia_gswf(n: int, m: int, seed) -> GswfIia:
 
 def dictator_swf(i: int, n: int, m: int = 3) -> GswfIia:
     """Every pairwise output copies voter i's preference bit."""
-    if not 0 <= i < n:
-        raise ValueError(f"voter {i} out of range for n={n}")
     return neutral_tensor(voter_bits(i, n), m)
 
 
 def anti_dictator_swf(i: int, n: int, m: int = 3) -> GswfIia:
     """Every pairwise output negates voter i's preference bit."""
-    if not 0 <= i < n:
-        raise ValueError(f"voter {i} out of range for n={n}")
     return neutral_tensor(~voter_bits(i, n), m)
 
 

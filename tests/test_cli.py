@@ -137,6 +137,21 @@ def test_metrics_past_the_tally_engine_cap_exits_2(capsys):
                    "tally engine stops at n=20); rerun with samples and a seed\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("metrics", "--scf", "borda", "--n", "15"),
+     "exact enumeration at n=15, m=3 exceeds the budget; rerun with samples and a "
+     "seed (exact mode runs here, on the tally engine)"),
+    (("metrics", "--scf", "random_table:1", "--n", "12"),
+     "exact enumeration at n=12, m=3 exceeds the budget; rerun with samples and a seed"),
+    (("verify", "composition", "--n", "3"),
+     "exact enumeration at n=3, m=6 exceeds the budget; rerun with samples and a seed"),
+])
+def test_auto_past_budget_without_samples_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("suite", ["first-reduction", "cauchy", "reduction-chain",
                                    "converse", "arrow-identity"])
 def test_enumeration_only_suite_refuses_samples_past_budget(capsys, suite):

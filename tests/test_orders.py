@@ -21,6 +21,7 @@ from votelab.orders import (
     profile_from_index,
     space_columns,
     split_pair,
+    voter_bits,
 )
 
 from oracles import (PairwiseColumn, TernaryVector, compose, decompose, pairwise_column,
@@ -143,7 +144,7 @@ def test_array_kernels_match_object_layer():
 
 def test_profile_chunks_cover_everything():
     seen = []
-    for lo, hi, digits in profile_chunks(3, chunk=100):
+    for lo, hi, digits in profile_chunks(3):
         assert digits.shape == (3, hi - lo)
         seen.extend(digits_index(digits, 6).tolist())
     assert seen == list(range(216))
@@ -189,3 +190,9 @@ def test_order_round_trip_m4(k1, k2):
     p = Profile((order_from_index(k1, 4), order_from_index(k2, 4)))
     assert profile_to_index(p) == k1 + 24 * k2
     assert profile_from_index(k1 + 24 * k2, 2, 4) == p
+
+
+@pytest.mark.parametrize("i", [3, -1])
+def test_voter_bits_refuses_voters_outside_the_profile(i):
+    with pytest.raises(ValueError, match=f"voter {i} out of range for n=3"):
+        voter_bits(i, 3)

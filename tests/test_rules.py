@@ -13,7 +13,6 @@ from votelab.rules import (
     ScfRule,
     ScfTable,
     _EVALUATORS,
-    _decide_tallies,
     decoded_winners,
     anonymity_counts,
     dist_to_antidictatorship,
@@ -285,11 +284,11 @@ def test_tally_rules_match_oracle_on_balanced_electorates(m, copies):
     assert (ScfRule("borda", m).winners_from_digits(digits) == 0).all()
 
 
-@pytest.mark.parametrize("name,last", [("borda", 19), ("plurality", 39),
-                                       ("pairwise_majority_fallback", 39)])
+@pytest.mark.parametrize("name,last", [("borda", 20), ("plurality", 40),
+                                       ("pairwise_majority_fallback", 40)])
 def test_tally_rules_match_oracle_at_decision_table_cap(name, last):
-    # m = 3: n = last is the most voters whose decision table fits 2^16
-    # entries; one voter more decides on unpacked tallies
+    # m = 3: n = last is the most voters whose decision table fits
+    # _DECISION_TABLE_MAX entries; one voter more decides on unpacked tallies
     rng = np.random.default_rng(last)
     for n in (last, last + 1):
         assert (_decision_table(name, 3, n) is None) == (n > last)
@@ -301,10 +300,10 @@ def test_decision_table_matches_unpacked_tallies(m, n):
     rng = np.random.default_rng(m * 100 + n)
     digits = rng.integers(0, factorial(m), size=(n, 2000))
     for name in TALLY_RULES:
-        assert _decision_table(name, m, n) is not None
+        word, decision = _decision_table(name, m, n)
         fields_of, decide = _TALLY_RULES[name]
         unpacked = decide(_field_sums(fields_of(m), digits), m, n)
-        assert np.array_equal(_decide_tallies(ScfRule(name, m), digits), unpacked), name
+        assert np.array_equal(decision[word[digits].sum(0)], unpacked), name
 
 
 def test_field_sums_match_plain_sum_over_words():
@@ -355,7 +354,7 @@ def test_decoded_winners_match_each_decoding(n):
 
 
 def test_decoded_winners_past_the_decision_table_cap():
-    n = 20
+    n = 21
     assert _decision_table("borda", 3, n) is None
     codes = np.random.default_rng(20).integers(0, 6, size=(n, 2000))
     check_decoded_winners(ScfRule("borda"), codes, _pair_decoders(_tables.pair_list(3)))
@@ -366,7 +365,8 @@ def test_decoded_winners_fall_back_to_voter_0_without_condorcet_winner(n):
     rule = ScfRule("pairwise_majority_fallback")
     codes = np.random.default_rng(n).integers(0, 6, size=(n, 3000))
     decoders = _pair_decoders(_tables.pair_list(3))
+    word, decision = _decision_table(rule.name, 3, n)
     for d in decoders:  # every block holds profiles with no Condorcet winner
-        assert (_decide_tallies(rule, d[codes]) == 3).any()
+        assert (decision[word[d[codes]].sum(0)] == 3).any()
     check_decoded_winners(rule, codes, decoders)
 

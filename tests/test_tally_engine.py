@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from votelab import metrics, rules, sampling, tallies
+from votelab.lattice import sets_ab
 from votelab.metrics import column_stats
 from votelab.rules import ScfRule
 from votelab.sampling import BudgetError, exact_feasible, pick_mode
@@ -109,6 +110,20 @@ def test_exact_feasible_answers_without_the_power():
     assert not exact_feasible(4_000_000, 3)
     assert not exact_feasible(65535, 255)
     assert exact_feasible(10 ** 9, 1)  # 1! = 1: every power fits
+
+
+def test_engine_and_evaluator_share_one_decision_table():
+    """The engine (exact column counts) and the rule's evaluator (``sets_ab``
+    evaluates the rule) read one cached table per (rule, m, n), and every
+    tally rule has one at the engine's reach."""
+    tallies._decision_table.cache_clear()
+    tallies.tally_space.cache_clear()
+    borda = ScfRule("borda")
+    column_stats(borda, 0, 1, 5)
+    sets_ab(borda, 0, 1, 3, 5)
+    assert tallies._decision_table.cache_info().currsize == 1
+    for name in TALLY:
+        assert tallies._decision_table(name, 3, tallies.MAX_N) is not None
 
 
 def test_engine_rejects_sizes_past_its_cap():

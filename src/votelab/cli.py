@@ -106,11 +106,10 @@ def cmd_metrics(args) -> int:
     rows = metrics.manipulation_reports(scf, n, **kw)
     if scf.m == 3:
         rows += metrics.pair_reports(scf, n, **kw)
-    diag, trials, _ = rules._diag_counts(scf, n, **kw)
-    for metric, counts in zip(("dist_dictatorship", "dist_antidictatorship", "range_min"),
-                              diag):
-        i = int(counts.argmin())
-        rows.append(metrics.count_report(metric, (i,), counts[i], trials, mode, args.seed))
+    mins, trials, _ = rules._diag_mins(scf, n, **kw)
+    for metric, (count, i) in zip(("dist_dictatorship", "dist_antidictatorship",
+                                   "range_min"), mins):
+        rows.append(metrics.count_report(metric, (i,), count, trials, mode, args.seed))
 
     properties = [("neutral", "neutrality", rules.neutrality_counts)]
     if n > 1:  # one voter has no pair of voters to swap: no anonymity pass
@@ -190,17 +189,10 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         text = json.dumps(rep.to_dict(), indent=2) + "\n"
     else:
-        import csv as _csv
-        import io as _io
-        buf = _io.StringIO()
-        w = _csv.writer(buf, lineterminator="\n")
-        w.writerow(["suite", "instances", "passes", "ok", "wall_time",
-                    "counterexample"])
-        w.writerow([rep.suite, rep.instances, rep.passes, rep.ok,
-                    repr(rep.wall_time),
-                    "" if rep.counterexample is None
-                    else json.dumps(rep.counterexample)])
-        text = buf.getvalue()
+        text = reports.csv_text(
+            ["suite", "instances", "passes", "ok", "wall_time", "counterexample"],
+            [[rep.suite, rep.instances, rep.passes, rep.ok, repr(rep.wall_time),
+              "" if rep.counterexample is None else json.dumps(rep.counterexample)]])
     _emit(text, args.out)
     if not rep.ok:
         print(f"{rep.suite}: {rep.instances - rep.passes} of "

@@ -14,11 +14,9 @@ draws the same stream; so does every pair's sampled mab, and every pair's
 sampled nab.  ``manipulation_reports`` and ``pair_reports`` therefore draw
 each chunk once for the whole family and give the per-voter and per-pair
 estimates bit for bit.  Those estimates were always correlated for the same
-reason: all voters, or all pairs, see the same draws.  A pair pass hands the
-drawn codes and each pair's decoding table to ``rules.decoded_winners``,
-which elects all three pairs' profiles at once: a tally rule sums the three
-decodings' packed tallies over the voters in one word, any other rule is
-evaluated on each decoding in turn.
+reason: all voters, or all pairs, see the same draws.  A pair pass elects
+the drawn codes under all three pairs' decodings with one
+``tallies.decoded_winners`` call.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ from math import factorial
 import numpy as np
 
 from . import _tables, sampling
-from .rules import decoded_winners, resolve_n
+from .rules import resolve_n
+from .tallies import decoded_winners
 
 
 @dataclass(frozen=True)
@@ -328,14 +327,22 @@ def _sampled_nab(scf, pairs, n, samples, seed, workers) -> list[MetricReport]:
     return rows
 
 
+def _pair_split(scf, pairs, n, what, mode, samples, seed):
+    """(n, each pair's ``column_stats`` in exact mode, None in sampled)."""
+    n = resolve_n(scf, n)
+    _check_pairs(scf, pairs, what)
+    if sampling.pick_mode(mode, n, 3, samples, seed, scf=scf) == "exact":
+        return n, [column_stats(scf, a, b, n) for a, b in pairs]
+    return n, None
+
+
 def mab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
         workers=1) -> MetricReport:
     """Probability the winner is a, then b, after redrawing everything but
     the (a, b) column."""
-    n = resolve_n(scf, n)
-    _check_pairs(scf, [(a, b)], "inter-pair dependence")
-    if sampling.pick_mode(mode, n, 3, samples, seed, scf=scf) == "exact":
-        return column_stats(scf, a, b, n).mab_report()
+    n, stats = _pair_split(scf, [(a, b)], n, "inter-pair dependence", mode, samples, seed)
+    if stats:
+        return stats[0].mab_report()
     return _sampled_mab(scf, [(a, b)], n, samples, seed, workers)[0]
 
 
@@ -351,10 +358,9 @@ def nab(scf, a: int, b: int, n=None, *, mode="auto", samples=None, seed=None,
     by Jensen the plug-in mean is at most ``nab``, and the interval can lie
     wholly below it (ROADMAP item 3 plans fields that bracket ``nab``).
     """
-    n = resolve_n(scf, n)
-    _check_pairs(scf, [(a, b)], "minority preference")
-    if sampling.pick_mode(mode, n, 3, samples, seed, scf=scf) == "exact":
-        return column_stats(scf, a, b, n).nab_report()
+    n, stats = _pair_split(scf, [(a, b)], n, "minority preference", mode, samples, seed)
+    if stats:
+        return stats[0].nab_report()
     return _sampled_nab(scf, [(a, b)], n, samples, seed, workers)[0]
 
 
@@ -364,12 +370,10 @@ def pair_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
     reports.  Exact mode makes one ``column_stats`` per pair for both metrics;
     sampled mode makes one pass for the three mab and one for the three
     nab, each chunk drawn once and elected for every pair by
-    ``rules.decoded_winners``."""
-    n = resolve_n(scf, n)
+    ``tallies.decoded_winners``."""
     pairs = _tables.pair_list(3)
-    _check_pairs(scf, pairs, "each pair metric")
-    if sampling.pick_mode(mode, n, 3, samples, seed, scf=scf) == "exact":
-        stats = [column_stats(scf, a, b, n) for a, b in pairs]
+    n, stats = _pair_split(scf, pairs, n, "each pair metric", mode, samples, seed)
+    if stats:
         return [st.mab_report() for st in stats] + [st.nab_report() for st in stats]
     return (_sampled_mab(scf, pairs, n, samples, seed, workers)
             + _sampled_nab(scf, pairs, n, samples, seed, workers))

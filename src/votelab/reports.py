@@ -50,13 +50,18 @@ def reports_to_json(reports, extra: dict | None = None) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def reports_to_csv(reports) -> str:
+def csv_text(header, rows) -> str:
+    """A header line and the rows as CSV text."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FIELDS)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+def reports_to_csv(reports) -> str:
+    rows = []
     for r in reports:
         d = report_to_dict(r)
-        writer.writerow([
+        rows.append([
             d["metric"],
             ";".join(str(i) for i in d["indices"]),
             d["mode"],
@@ -67,4 +72,4 @@ def reports_to_csv(reports) -> str:
             "" if d["samples"] is None else d["samples"],
             "" if d["seed"] is None else d["seed"],
         ])
-    return buf.getvalue()
+    return csv_text(FIELDS, rows)

@@ -14,8 +14,7 @@ import numpy as np
 from . import _tables, sampling
 from .orders import Profile, profile_block, profile_chunks
 from .sampling import BudgetError
-from .tallies import (_FALLS_BACK, _TALLY_RULES, _decision_table, _fall_back_to_voter_0,
-                      _field_sums, _voter_sum)
+from .tallies import _TALLY_RULES, decoded_winners
 
 
 def _check_m(m) -> None:
@@ -153,45 +152,12 @@ def _eval_constant(rule, digits):
 
 
 def _eval_tallies(rule, digits) -> np.ndarray:
-    """A tally rule's decision per profile (one gather on its decision
-    table, or its decision on the unpacked tallies past the table's cap),
-    then for ``_FALLS_BACK`` voter 0's top where no alternative wins."""
-    n = digits.shape[0]
-    table = _decision_table(rule.name, rule.m, n)
-    if table is not None:
-        word, decision = table
-        winners = decision[_voter_sum(word, digits)]
-    else:
-        fields_of, decide = _TALLY_RULES[rule.name]
-        winners = decide(_field_sums(fields_of(rule.m), digits), rule.m, n)
-    if rule.name == _FALLS_BACK:
-        _fall_back_to_voter_0(winners, digits[0], _tables.perms(rule.m)[:, 0], rule.m)
-    return winners
+    """A tally rule's winners: its one decoding, the identity."""
+    return decoded_winners(rule, digits, [np.arange(factorial(rule.m))])[0]
 
 
 for _name in _TALLY_RULES:
     register_rule(_name)(_eval_tallies)
-
-
-def decoded_winners(scf, codes, decoders) -> np.ndarray:
-    """Row k is ``scf.winners_from_digits(decoders[k][codes])``, for an
-    (n, S) block ``codes``, which is only read.
-
-    A tally rule within its decision table sums the words of every decoding
-    over the voters at once, one slot of ``_field_sums`` per decoder, and
-    decides them with one gather.  Any other rule is evaluated on each
-    decoding in turn."""
-    m, n = scf.m, codes.shape[0]
-    tally = isinstance(scf, ScfRule) and scf.name in _TALLY_RULES
-    table = _decision_table(scf.name, m, n) if tally else None
-    if table is None:
-        return np.stack([scf.winners_from_digits(d[codes]) for d in decoders])
-    word, decision = table
-    winners = decision[_field_sums(np.stack([word[d] for d in decoders], 1), codes)]
-    if scf.name == _FALLS_BACK:
-        for row, d in zip(winners, decoders):
-            _fall_back_to_voter_0(row, codes[0], _tables.perms(m)[d, 0], m)
-    return winners
 
 
 @register_rule("random_table", ("seed",))
@@ -241,12 +207,18 @@ def _diag_counts(scf, n, mode, samples, seed, workers):
     return (counts[:n], counts[n:2 * n], counts[2 * n:]), trials, mode
 
 
+def _diag_mins(scf, n, mode, samples, seed, workers):
+    """The smallest count of each of ``_diag_counts``' parts (top, bottom,
+    elected) and its first index: ([(count, index)] * 3, trials, mode)."""
+    diag, trials, mode = _diag_counts(scf, n, mode, samples, seed, workers)
+    return [(int(part.min()), int(part.argmin())) for part in diag], trials, mode
+
+
 def _diag_min(scf, which, n, mode, samples, seed, workers):
-    """The smallest count of ``_diag_counts``' part ``which`` (0 top, 1
-    bottom, 2 elected) as a probability, a Fraction when exact, and its index."""
-    diag, trials, used = _diag_counts(scf, n, mode, samples, seed, workers)
-    i = int(diag[which].argmin())
-    count = int(diag[which][i])
+    """``_diag_mins``' part ``which`` (0 top, 1 bottom, 2 elected) as a
+    probability, a Fraction when exact, and its index."""
+    mins, trials, used = _diag_mins(scf, n, mode, samples, seed, workers)
+    count, i = mins[which]
     return (Fraction(count, trials) if used == "exact" else count / trials), i
 
 

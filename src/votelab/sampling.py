@@ -167,7 +167,8 @@ class Evaluated:
         return self._eval(swapped)
 
     def relabeled(self, q):
-        return self._eval(_tables.relabel_action(self.scf.m)[q][self.digits])
+        return tallies.decoded_winners(self.scf, self.digits,
+                                       [_tables.relabel_action(self.scf.m)[q]])[0]
 
 
 class Tabled:

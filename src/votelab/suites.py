@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import lattice, sampling, welfare
-from .metrics import column_stats, mab, manipulation_power_total
+from .metrics import mab, manipulation_power_total, pair_reports
 from .rules import ScfRule, zoo_rules
 from .welfare import PAIRS3
 
@@ -181,12 +181,10 @@ def _check_shift(desc) -> tuple[bool, dict]:
 
 
 def _check_cauchy(desc) -> tuple[bool, dict]:
-    scf, n = build_scf(desc["scf"]), desc["n"]
-    for a, b in PAIRS3:
-        stats = column_stats(scf, a, b, n)  # one sweep gives both metrics
-        nr, mr = stats.nab_report().fraction, stats.mab_report().fraction
-        if nr * nr > mr:
-            return False, {"pair": [a, b], "nab": str(nr), "mab": str(mr)}
+    rows = pair_reports(build_scf(desc["scf"]), desc["n"], mode="exact")
+    for (a, b), mr, nr in zip(PAIRS3, rows[:3], rows[3:]):  # one sweep per pair
+        if nr.fraction ** 2 > mr.fraction:
+            return False, {"pair": [a, b], "nab": str(nr.fraction), "mab": str(mr.fraction)}
     return True, {}
 
 

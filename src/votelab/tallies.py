@@ -14,10 +14,11 @@ the voter whose ballot moves), convolves the others' words into a
 histogram over word sums, and weighs each outcome by it.  It serves n up
 to ``MAX_N``.
 
-The engine and the rules' evaluators read one cached decision table per
-(rule, m, n), a rule's decision at every word.  At m = 3 it holds borda up
-to n = 20 and the other two rules up to n = 40; past that an evaluator
-decides on the unpacked tallies.
+The engine and ``decoded_winners``, the one path by which a sampled pass
+or a rule's own evaluation elects a block under decodings of its ballots,
+read one cached decision table per (rule, m, n), a rule's decision at every
+word.  At m = 3 it holds borda up to n = 20 and the other two rules up to
+n = 40; past that ``decoded_winners`` decides on the unpacked tallies.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def _field_sums(fields, digits) -> np.ndarray:
     fields = np.asarray(fields, dtype=np.int64)
     n, count = digits.shape
     nfields = fields.shape[1]
+    if nfields == 1:  # nothing to pack
+        return _voter_sum(fields[:, 0], digits)[None]
     bits = max(int(fields.max(initial=0)) * n, 1).bit_length()
     per = 62 // bits
     sums = np.empty((nfields, count), np.int64)
@@ -118,8 +121,7 @@ def _fields(name, m) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _decision_table(name, m, n):
     """(word, decision) of a tally rule at n voters, or None past
-    ``_DECISION_TABLE_MAX`` entries.  ``TallySpace`` and the rule's
-    evaluator read the same cached table.
+    ``_DECISION_TABLE_MAX`` entries; read-only and shared.
 
     Every tally lies in 0..n·max, so the F tallies of a profile pack without
     carries into one mixed-radix word sum_j tally_j · R^j, R = n·max + 1:
@@ -145,6 +147,30 @@ def _fall_back_to_voter_0(winners, first, tops, m) -> np.ndarray:
     0's top choice ``tops[first]``, given voter 0's ballot codes ``first``."""
     none = winners == m
     winners[none] = tops[first[none]]
+    return winners
+
+
+def decoded_winners(scf, codes, decoders) -> np.ndarray:
+    """Row k is ``scf.winners_from_digits(decoders[k][codes])``; the (n, S)
+    block ``codes`` is only read.  A tally rule composes each decoding into
+    its per-ranking words (one ``_field_sums`` slot each, then one decision
+    gather), or past the table's cap into its per-ranking fields, so the
+    voters are summed once for all; any other rule elects each decoding."""
+    name = getattr(scf, "name", None)
+    if name not in _TALLY_RULES:
+        return np.stack([scf.winners_from_digits(d[codes]) for d in decoders])
+    m, n = scf.m, codes.shape[0]
+    table = _decision_table(name, m, n)
+    if table is not None:
+        word, decision = table
+        winners = decision[_field_sums(np.stack([word[d] for d in decoders], 1), codes)]
+    else:
+        fields, decide = _fields(name, m), _TALLY_RULES[name][1]
+        sums = _field_sums(np.concatenate([fields[d] for d in decoders], 1), codes)
+        winners = np.stack([decide(part, m, n) for part in np.split(sums, len(decoders))])
+    if name == _FALLS_BACK:
+        for row, d in zip(winners, decoders):
+            _fall_back_to_voter_0(row, codes[0], _tables.perms(m)[d, 0], m)
     return winners
 
 

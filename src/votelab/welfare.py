@@ -12,9 +12,9 @@ from math import factorial
 import numpy as np
 
 from . import _tables, sampling
-from .metrics import MetricReport, column_stats, count_report, exact_report
+from .metrics import MetricReport, column_stats, count_report
 from .orders import Profile, column_complement, column_index, profile_block, voter_bits
-from .rules import ScfRule, _diag_counts, is_neutral, register_rule, resolve_n
+from .rules import ScfRule, _diag_mins, is_neutral, register_rule, resolve_n
 
 PAIRS3 = _tables.pair_list(3)
 
@@ -426,9 +426,10 @@ def check_composition(g, *, mode="auto", samples=None, seed=None,
     """Verify independence of the no-GCW events of the blocks {0, 1, 2} and
     {3, 4, 5} under the six-alternative neutral tensor of g.  Both blocks
     are three-alternative restrictions of one neutral tensor, so they are
-    equal and share one ngcw."""
+    equal and share one ngcw, exact within the budget (``auto``)."""
     tensor = neutral_tensor(g, 6)
-    block = ngcw(restrict_gswf(tensor, range(3)))
+    block = ngcw(restrict_gswf(tensor, range(3)), samples=samples, seed=seed,
+                 workers=workers)
 
     def tally(digits):
         both = _no_gcw(tensor, digits, range(3)) & _no_gcw(tensor, digits, range(3, 6))
@@ -437,8 +438,9 @@ def check_composition(g, *, mode="auto", samples=None, seed=None,
     (count,), trials, mode = sampling.count(tally, 1, tensor.n, 6, mode=mode,
                                             samples=samples, seed=seed, workers=workers)
     joint = count_report("ngcw_joint", (), count, trials, mode, seed)
-    product = block.fraction ** 2
-    rhs = exact_report("ngcw_product", (), product.numerator, product.denominator)
+    # p^2 (reduced when p is), with the delta method's half-width 2 p ci95
+    rhs = replace(block, metric="ngcw_product", num=block.num ** 2, den=block.den ** 2,
+                  ci95=None if block.ci95 is None else 2 * block.value * block.ci95)
     return CompositionReport(joint, block, block, *_check_linear(joint, [(1, rhs, 1)]))
 
 
@@ -529,8 +531,8 @@ def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     mab_reports = tuple(st.mab_report() for st in stats)
     nab_reports = tuple(st.nab_report() for st in stats)
     eps1 = max(r.fraction for r in mab_reports)
-    diag, trials, _ = _diag_counts(scf, n, "exact", None, None, 1)
-    dd, da, rm = (Fraction(int(counts.min()), trials) for counts in diag)
+    mins, trials, _ = _diag_mins(scf, n, "exact", None, None, 1)
+    dd, da, rm = (Fraction(count, trials) for count, _ in mins)
     eps2 = min(dd, da, rm)
     G = _gswf_from_stats(stats, tie)
     nt_report = nt(G)

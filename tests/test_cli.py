@@ -152,6 +152,15 @@ def test_auto_past_budget_without_samples_exits_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_composition_past_the_budget_runs_on_samples(capsys):
+    # the three-alternative block is sampled too at n = 11; the corpus is
+    # the five random functions and, at odd n, the majority function
+    code, out, err = run(capsys, "verify", "composition", "--n", "11",
+                         "--samples", "4096", "--seed", "0")
+    assert code in (0, 1), err
+    assert json.loads(out)["instances"] == 6
+
+
 @pytest.mark.parametrize("suite", ["first-reduction", "cauchy", "reduction-chain",
                                    "converse", "arrow-identity"])
 def test_enumeration_only_suite_refuses_samples_past_budget(capsys, suite):

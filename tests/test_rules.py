@@ -23,7 +23,7 @@ from votelab.rules import (
     range_min_prob,
     zoo_rules,
 )
-from votelab.sampling import exact_feasible
+from votelab.sampling import Evaluated, exact_feasible
 from votelab.tallies import _TALLY_RULES, _decision_table, _field_sums
 from votelab.welfare import random_iia_gswf, scf_from_gswf
 
@@ -311,6 +311,8 @@ def test_field_sums_match_plain_sum_over_words():
     fields = rng.integers(0, 9, size=(24, 11))  # 15-bit sums: four per word
     digits = rng.integers(0, 24, size=(3000, 50))
     assert np.array_equal(_field_sums(fields, digits), fields[digits].sum(0).T)
+    single = fields[:, :1]  # one field: a plain voter sum, nothing packed
+    assert np.array_equal(_field_sums(single, digits), single[digits].sum(0).T)
 
 
 # --- decoded_winners against one rule evaluation per decoding -----------
@@ -351,13 +353,25 @@ def test_decoded_winners_match_each_decoding(n):
         for order in orders:
             check_decoded_winners(scf, codes, _pair_decoders(order))
         check_decoded_winners(scf, codes, [rng.permutation(6) for _ in range(4)])
+        check_decoded_winners(scf, codes, list(_tables.relabel_action(3)[1:]))
 
 
 def test_decoded_winners_past_the_decision_table_cap():
-    n = 21
-    assert _decision_table("borda", 3, n) is None
-    codes = np.random.default_rng(20).integers(0, 6, size=(n, 2000))
-    check_decoded_winners(ScfRule("borda"), codes, _pair_decoders(_tables.pair_list(3)))
+    for name, n in (("borda", 21), ("plurality", 41), ("pairwise_majority_fallback", 41)):
+        assert _decision_table(name, 3, n) is None
+        codes = np.random.default_rng(n - 1).integers(0, 6, size=(n, 2000))
+        for decoders in (_pair_decoders(_tables.pair_list(3)),
+                         list(_tables.relabel_action(3)[1:])):
+            check_decoded_winners(ScfRule(name), codes, decoders)
+
+
+def test_sampled_relabelling_elects_each_relabelled_profile():
+    rule = ScfRule("borda")
+    digits = np.random.default_rng(21).integers(0, 6, size=(21, 1000))
+    block = Evaluated(rule, digits)
+    for q in range(6):
+        want = rule.winners_from_digits(_tables.relabel_action(3)[q][digits])
+        assert np.array_equal(block.relabeled(q), want), q
 
 
 @pytest.mark.parametrize("n", [3, 4, 11])

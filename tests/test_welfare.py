@@ -578,6 +578,15 @@ def test_budget_guards():
         dist_tr3_bruteforce(random_iia_gswf(4, 3, 0))
 
 
+def test_composition_samples_its_block_past_the_budget():
+    rep = check_composition(majority_g(11), samples=4096, seed=0)
+    assert rep.left.mode == rep.joint.mode == "sampled" and rep.left.samples == 4096
+    p = rep.left.value  # p^2 carries the delta method's half-width 2 p ci95
+    se = np.hypot(rep.joint.ci95, 2 * p * rep.left.ci95) / 1.959963984540054
+    assert rep.gap == pytest.approx(abs(rep.joint.value - p * p))
+    assert rep.tol == pytest.approx(3 * se)
+
+
 def test_sampled_nt_deterministic_and_near_exact():
     G = neutral_tensor(majority_g(3), 3)
     r1 = nt(G, mode="sampled", samples=100_000, seed=6, workers=1)

@@ -84,17 +84,15 @@ def pair_slot(m):
 
 
 def index_digits(idx, base, n):
-    """Mixed-radix digits of each index; shape (n, len(idx)), digit 0 least significant."""
-    rem = np.array(idx, dtype=np.int64, copy=True)
-    quot = np.empty_like(rem)
-    out = np.empty((n, rem.size), dtype=np.int64)
-    for v in range(n):
-        # rem - base * (rem // base): numpy's integer remainder is several
-        # times slower than its division by a scalar
-        np.floor_divide(rem, base, out=quot)
-        np.multiply(quot, base, out=out[v])
-        np.subtract(rem, out[v], out=out[v])
-        rem, quot = quot, rem
+    """Mixed-radix digits of each index; shape (n, len(idx)), digit 0 least
+    significant.  numpy unravels the k digits whose place values fit int64;
+    an int64 index has one more at most."""
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    k = next(k for k in range(n + 1) if k == n or base ** (k + 1) >= 1 << 63)
+    out = np.zeros((n, idx.size), np.int64)
+    out[k:k + 1], low = np.divmod(idx, base ** k)
+    if k:
+        out[:k] = np.unravel_index(low, (base,) * k, order="F")
     return out
 
 

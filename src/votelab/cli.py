@@ -48,12 +48,18 @@ def _parse_named(src: str) -> tuple[str, int | None]:
     return name, None
 
 
-def load_scf(src: str, m: int, n: int | None):
-    """A rule registry name with optional ``:int`` argument, or a table file."""
+def _check_agrees(loaded, what: str, n: int | None, m: int | None):
+    """Refuse a given --n or --m that differs from what was loaded."""
+    for flag, given, found in (("n", n, loaded.n), ("m", m, loaded.m)):
+        if given is not None and given != found:
+            raise ValueError(f"--{flag} {given} disagrees with {what} ({flag}={found})")
+    return loaded
+
+
+def load_scf(src: str, m: int | None, n: int | None):
+    """A rule name, optionally ``name:int`` (m = 3 unless given), or a table file."""
     if _looks_like_path(src):
-        table = fileio.read_scf(src)
-        if n is not None and n != table.n:
-            raise ValueError(f"--n {n} disagrees with table file (n={table.n})")
+        table = _check_agrees(fileio.read_scf(src), "table file", n, m)
         return table, rules.resolve_n(table)
     name, arg = _parse_named(src)
     # the nameable rules: registered ones taking at most one parameter
@@ -67,16 +73,13 @@ def load_scf(src: str, m: int, n: int | None):
         params[required[name][0]] = arg
     if n is None:
         raise ValueError("--n is required for rule names")
-    rule = rules.ScfRule(name, m, **params)
+    rule = rules.ScfRule(name, 3 if m is None else m, **params)
     return rule, rules.resolve_n(rule, n)
 
 
 def load_gswf(src: str, n: int | None):
     if _looks_like_path(src):
-        G = fileio.read_gswf(src)
-        if n is not None and n != G.n:
-            raise ValueError(f"--n {n} disagrees with GSWF file (n={G.n})")
-        return G
+        return _check_agrees(fileio.read_gswf(src), "GSWF file", n, None)
     if n is None:
         raise ValueError("--n is required for named preference functions")
     name, arg = _parse_named(src)
@@ -131,7 +134,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    scf, n = load_scf(args.scf, 3, args.n)
+    scf, n = load_scf(args.scf, None, args.n)
     if scf.m != 3:
         raise ValueError("the pairwise reduction is defined for m = 3")
     chain = welfare.check_reduction_chain(scf, tie_voter=args.tie_voter, n=n)
@@ -209,7 +212,7 @@ def cmd_gen(args) -> int:
         fileio.write_scf(table, args.out)
         print(f"wrote SCF table m={table.m} n={table.n} to {args.out}")
     else:
-        G = load_gswf(args.g, args.n)
+        G = _check_agrees(load_gswf(args.g, args.n), f"GSWF {args.g}", None, args.m)
         fileio.write_gswf(G, args.out)
         print(f"wrote GSWF m={G.m} n={G.n} to {args.out}")
     return 0
@@ -230,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--m", type=int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--samples", type=int)
@@ -257,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scf")
     p.add_argument("--g", help="preference function name or file")
     p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--m", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
     return top

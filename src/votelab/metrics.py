@@ -21,7 +21,6 @@ the drawn codes under all three pairs' decodings with one
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -132,8 +131,10 @@ class ColumnStats:
     def mab_report(self) -> MetricReport:
         """Exact ``mab``: the mean over columns z of
         count_a[z] * count_b[z] / 9^n."""
-        # Python ints: at n = 16 the sum can reach 2^16 * 9^16 / 4 > 2^63
-        num = sum(map(operator.mul, self.count_a.tolist(), self.count_b.tolist()))
+        w = (63 - self.n) // 2  # w-bit limbs: each limb product summed over 2^n columns is < 2^63
+        shifts = np.arange(0, (3 ** self.n).bit_length(), w)[:, None]  # counts are <= 3^n
+        a, b = ((c >> shifts) & ((1 << w) - 1) for c in (self.count_a, self.count_b))
+        num = sum(int(v) << w * (i + j) for (i, j), v in np.ndenumerate(a @ b.T))
         return exact_report("mab", (self.a, self.b), num, 2 ** self.n * 9 ** self.n)
 
     def nab_report(self) -> MetricReport:

@@ -39,7 +39,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from . import _tables, tallies
-from .orders import SWEEP_CHUNK, column_index, profile_chunks, space_columns
+from .orders import column_index, profile_chunks, space_columns
 
 CHUNK = 1 << 16
 Z95 = 1.959963984540054
@@ -147,24 +147,19 @@ class Evaluated:
         self.digits = digits
         self._edited = None  # one scratch copy, restored after each edit
 
-    def _eval(self, digits):
-        return np.asarray(self.scf.winners_from_digits(digits))
-
     def winners(self):
-        return self._eval(self.digits)
+        return np.asarray(self.scf.winners_from_digits(self.digits))
 
     def moved(self, i, ballots):
         if self._edited is None:
             self._edited = self.digits.copy()
         self._edited[i] = ballots
-        out = self._eval(self._edited)
+        out = np.asarray(self.scf.winners_from_digits(self._edited))
         self._edited[i] = self.digits[i]
         return out
 
     def swapped(self, i):
-        swapped = self.digits.copy()
-        swapped[[i, i + 1]] = swapped[[i + 1, i]]
-        return self._eval(swapped)
+        return self.moved([i, i + 1], self.digits[[i + 1, i]])
 
     def relabeled(self, q):
         return tallies.decoded_winners(self.scf, self.digits,
@@ -196,9 +191,9 @@ class Tabled:
 
     def columns(self, a, b):
         """The column index of (a, b) at each profile; read from the cached
-        columns of all (m!)^n profiles when the block holds them all."""
+        columns of all (m!)^n profiles when the block, a sweep's only one, holds them all."""
         n, size = self.digits.shape
-        if self.lo == 0 and size == self.base ** n <= SWEEP_CHUNK:
+        if size == self.base ** n:
             return space_columns(n, self.m, a, b)
         return column_index(self.digits, a, b, self.m)
 

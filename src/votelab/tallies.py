@@ -68,16 +68,6 @@ def _field_sums(fields, digits) -> np.ndarray:
     return sums
 
 
-def _first_argmax(scores) -> np.ndarray:
-    """Index of the largest row per column; the smallest index on ties."""
-    best = np.zeros(scores.shape[1], np.intp)
-    top = scores[0]
-    for a in range(1, scores.shape[0]):
-        best = np.where(scores[a] > top, a, best)
-        top = np.maximum(top, scores[a])
-    return best
-
-
 def _majority_winner(above, m, n) -> np.ndarray:
     """The alternative beating every other by a strict majority, from the
     tallies ``above`` of the pairs a < b in ``np.triu_indices(m, 1)`` order;
@@ -86,10 +76,7 @@ def _majority_winner(above, m, n) -> np.ndarray:
     for a, b, wins in zip(*np.triu_indices(m, 1), above):
         beats_all[a] &= 2 * wins > n
         beats_all[b] &= 2 * wins < n
-    winners = np.full(above.shape[1], m, np.intp)
-    for a in range(m):
-        winners[beats_all[a]] = a
-    return winners
+    return np.where(beats_all.any(0), beats_all.argmax(0), m)
 
 
 def _pair_fields(m):
@@ -100,12 +87,10 @@ def _pair_fields(m):
 
 # A tally rule's winner depends only on F per-voter tallies summed over the
 # voters: name -> (the (m!, F) field table of m, the decision on (F, S)
-# tallies of n voters).
+# tallies of n voters).  argmax elects the first of tied alternatives.
 _TALLY_RULES = {
-    "plurality": (lambda m: _tables.rank_in_order(m) == 0,
-                  lambda tallies, m, n: _first_argmax(tallies)),
-    "borda": (lambda m: m - 1 - _tables.rank_in_order(m).astype(np.int64),
-              lambda tallies, m, n: _first_argmax(tallies)),
+    "plurality": (lambda m: _tables.rank_in_order(m) == 0, lambda t, m, n: t.argmax(0)),
+    "borda": (lambda m: m - 1 - _tables.rank_in_order(m), lambda t, m, n: t.argmax(0)),
     "pairwise_majority_fallback": (_pair_fields, _majority_winner),
 }
 _FALLS_BACK = "pairwise_majority_fallback"  # the one tally rule reading voter 0's top

@@ -9,6 +9,8 @@ engine it checks:
 * ``profile_to_index``, ``PairwiseColumn``, ``pairwise_column``,
   ``TernaryVector``, ``decompose`` and ``compose``: the object-level
   encodings behind the array kernels of ``orders``;
+* ``index_digits_divmod``: mixed-radix digits by repeated division, where
+  ``_tables.index_digits`` unravels them with numpy;
 * ``tr3_members`` and ``tr_member_tables``: every member of the
   always-transitive family at m = 3, with its explicit tables;
 * ``gswf_disagreement``: the disagreement probability of two GSWFs;
@@ -45,6 +47,19 @@ def profile_to_index(p: Profile) -> int:
     """Mixed-radix profile index, voter 0 least significant."""
     base = factorial(p.m)
     return sum(order_to_index(v) * base ** i for i, v in enumerate(p.voters))
+
+
+def index_digits_divmod(idx, base: int, n: int) -> np.ndarray:
+    """``_tables.index_digits`` by n divisions: shape (n, len(idx))."""
+    rem = np.array(idx, dtype=np.int64, copy=True)
+    quot = np.empty_like(rem)
+    out = np.empty((n, rem.size), dtype=np.int64)
+    for v in range(n):
+        np.floor_divide(rem, base, out=quot)  # rem - base * (rem // base)
+        np.multiply(quot, base, out=out[v])
+        np.subtract(rem, out[v], out=out[v])
+        rem, quot = quot, rem
+    return out
 
 
 @dataclass(frozen=True)

@@ -402,6 +402,25 @@ def test_file_n_mismatch_exits_2(capsys, tmp_path):
     assert code == 2 and "disagrees" in err
 
 
+def test_m_that_disagrees_with_what_is_loaded_exits_2(capsys, tmp_path):
+    """A given --m must match a table file or a named GSWF (m = 3); a rule
+    name takes it, and reduce keeps its own m = 3 refusal."""
+    path = tmp_path / "b2.scf3"
+    code, _, _ = run(capsys, "gen", "--scf", "borda", "--n", "3", "--m", "2",
+                     "--out", str(path))
+    assert code == 0
+    code, _, err = run(capsys, "metrics", "--scf", str(path), "--m", "4", "--exact")
+    assert code == 2 and "--m 4 disagrees with table file (m=2)" in err
+    code, _, _ = run(capsys, "metrics", "--scf", str(path), "--m", "2", "--exact")
+    assert code == 0
+    code, _, err = run(capsys, "gen", "--g", "majority", "--n", "3", "--m", "4",
+                       "--out", str(tmp_path / "maj.gswf"))
+    assert code == 2 and "--m 4 disagrees with GSWF majority (m=3)" in err
+    assert not (tmp_path / "maj.gswf").exists()
+    code, _, err = run(capsys, "reduce", "--scf", str(path))
+    assert code == 2 and "defined for m = 3" in err
+
+
 def test_mutually_exclusive_modes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["metrics", "--scf", "plurality", "--n", "2", "--exact",

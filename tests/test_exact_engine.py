@@ -161,6 +161,23 @@ def test_tabled_reads_equal_evaluated_reads(label):
     assert np.array_equal(digits, profile_digits(np.arange(lo, lo + size), n))  # unedited
 
 
+@pytest.mark.parametrize("scf,n", [(ScfRule("borda"), 11), (ScfRule("borda"), 21),
+                                   (ScfRule("random_table", seed=1).as_table(5), 5)])
+def test_repeated_swaps_equal_swaps_of_fresh_copies(scf, n):
+    """``Evaluated.swapped`` edits one scratch copy shared with ``moved``
+    and restores it: each swap, repeated or after a move, elects what the
+    swap of a fresh copy of the block elects, and the block is unedited."""
+    digits = np.random.default_rng(n).integers(0, 6, size=(n, 500))
+    original = digits.copy()
+    block = Evaluated(scf, digits)
+    for i in (0, n - 2, 0, 1, n // 2, 1):
+        fresh = digits.copy()
+        fresh[[i, i + 1]] = fresh[[i + 1, i]]
+        assert np.array_equal(block.swapped(i), scf.winners_from_digits(fresh))
+        block.moved(i, 3)
+    assert np.array_equal(digits, original)
+
+
 def _count_evaluations(monkeypatch):
     """The profile counts of every rule evaluation made from now on."""
     evaluated = []

@@ -286,3 +286,25 @@ def test_mab_report_exact_past_int64():
     c = np.full(2 ** 16, 3 ** 16 // 2)
     report = ColumnStats(0, 1, 16, c, c).mab_report()
     assert report.fraction == Fraction((3 ** 16 // 2) ** 2, 9 ** 16)
+
+
+def _python_int_mab(stats):
+    """``mab`` summed as Python ints, a slice of columns at a time."""
+    num = 0
+    for lo in range(0, 1 << stats.n, 1 << 16):
+        a, b = stats.count_a[lo:lo + (1 << 16)], stats.count_b[lo:lo + (1 << 16)]
+        num += sum(x * y for x, y in zip(a.tolist(), b.tolist()))
+    return Fraction(num, 2 ** stats.n * 9 ** stats.n)
+
+
+@pytest.mark.parametrize("n", [16, 20, 21])
+def test_mab_report_equals_the_python_int_sum(n):
+    """Random counts, and every column's 3^n completions split evenly or
+    all electing a; n = 21 is past every engine, so built directly."""
+    rng = np.random.default_rng(n)
+    count_a = rng.integers(0, 3 ** n + 1, size=1 << n)
+    count_b = (rng.random(1 << n) * (3 ** n - count_a)).astype(np.int64)
+    half, every = np.full(1 << n, 3 ** n // 2), np.full(1 << n, 3 ** n)
+    for a, b in ((count_a, count_b), (half, every - half), (every, every * 0)):
+        stats = ColumnStats(0, 1, n, a, b)
+        assert stats.mab_report().fraction == _python_int_mab(stats)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votelab._tables import digits_index
+from votelab._tables import digits_index, index_digits
 from votelab.orders import (
     SWEEP_CHUNK,
     LinearOrder,
@@ -24,8 +24,8 @@ from votelab.orders import (
     voter_bits,
 )
 
-from oracles import (PairwiseColumn, TernaryVector, compose, decompose, pairwise_column,
-                     profile_to_index)
+from oracles import (PairwiseColumn, TernaryVector, compose, decompose, index_digits_divmod,
+                     pairwise_column, profile_to_index)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -140,6 +140,29 @@ def test_array_kernels_match_object_layer():
             col, ter = decompose(profile_from_index(i, 3), a, b)
             assert col.index == int(z[i])
             assert ter.index == int(t[i])
+
+
+@pytest.mark.parametrize("base", [2, 3, 6, 720])
+def test_index_digits_equal_repeated_division(base):
+    """numpy's unravelling gives the digits of n divisions, also where
+    base^n passes the int64 range and for a lone index."""
+    rng = np.random.default_rng(base)
+    for n in range(1, 13):
+        top = min(base ** n, 2 ** 63 - 1)
+        idx = np.concatenate([[0, top - 1], rng.integers(0, top, size=200)])
+        assert np.array_equal(index_digits(idx, base, n), index_digits_divmod(idx, base, n))
+        single = int(idx[2])
+        assert np.array_equal(index_digits(single, base, n),
+                              index_digits_divmod(single, base, n))
+
+
+def test_index_digits_of_join_pairs_broadcast_input():
+    """``join_pair`` decodes one column broadcast against many points."""
+    for n in (1, 4, 6):
+        z = np.broadcast_to(np.int64((1 << n) - 2), (3 ** n,))
+        assert np.array_equal(index_digits(z, 2, n), index_digits_divmod(z, 2, n))
+        t = np.arange(3 ** n)
+        assert np.array_equal(index_digits(t, 3, n), index_digits_divmod(t, 3, n))
 
 
 def test_profile_chunks_cover_everything():

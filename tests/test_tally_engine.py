@@ -7,6 +7,7 @@ table (``sampling.count`` over ``Tabled``), which an ``ScfTable`` of the
 same outcomes always takes.
 """
 
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -129,3 +130,40 @@ def test_engine_and_evaluator_share_one_decision_table():
 def test_engine_rejects_sizes_past_its_cap():
     with pytest.raises(ValueError, match="1 <= n <= 20"):
         tallies.TallySpace("borda", tallies.MAX_N + 1)
+
+
+def _grid(word, radix, nfields):
+    """The tallies packed in one decision-table word."""
+    return [word // radix ** j % radix for j in range(nfields)]
+
+
+@pytest.mark.parametrize("name", ["plurality", "borda"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_argmax_decisions_elect_the_first_maximum(name, m):
+    """Every tally vector of the decision table, ties included, elects the
+    first alternative of largest tally."""
+    n = 4
+    fields = tallies._fields(name, m)
+    radix = int(fields.max()) * n + 1
+    word, decision = tallies._decision_table(name, m, n)
+    assert decision.size == radix ** m
+    for w in range(decision.size):
+        tally = _grid(w, radix, m)
+        assert decision[w] == tally.index(max(tally)), (w, tally)
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_majority_decisions_say_m_without_a_strict_majority_winner(m, n):
+    pairs = list(combinations(range(m), 2))
+    _, decision = tallies._decision_table("pairwise_majority_fallback", m, n)
+
+    def beats(tally, a, b):
+        above = tally[pairs.index((a, b))] if a < b else n - tally[pairs.index((b, a))]
+        return 2 * above > n
+
+    for w in range(decision.size):
+        tally = _grid(w, n + 1, len(pairs))
+        winners = [a for a in range(m) if all(beats(tally, a, b) for b in range(m) if b != a)]
+        assert decision[w] == (winners[0] if winners else m), (w, tally)
+    cycle = np.array([[2], [1], [2]])  # 0 beats 1, 2 beats 0, 1 beats 2
+    assert tallies._majority_winner(cycle, 3, 3).tolist() == [3]

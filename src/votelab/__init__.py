@@ -42,11 +42,13 @@ from .lattice import (
     BorderReport,
     EdgeBorder,
     HarrisReport,
+    SetStack,
     TernarySet,
     border_counts,
     border_total,
     check_border_inequality,
     check_harris,
+    direction_counts,
     edge_border,
     is_monotone,
     random_set,

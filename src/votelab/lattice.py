@@ -5,13 +5,15 @@ Point index = sum of digit_i * 3^i.  The three directed edges per line are
 0->1, 1->2, 0->2; a border edge has its tail inside the set and its head
 outside.  All comparisons are exact integer arithmetic.
 
-Borders of a set, in every direction at once, are one gather of its
-membership at the tails and heads of a cached per-n edge table
-(``_edge_table``: the tail and head point of each of the n 3^n directed
-edges, as intp).  It takes 16 n 3^n bytes: 288 B at n = 2, 5,184 B at
-n = 4 and 69,984 B at n = 6, the suites' largest n; 9.4 MB at n = 10 and
-102 MB at n = 12.  Shifting packs the membership array one direction at
-a time and builds one set at the end.
+Borders and shifts run on stacked memberships: a ``SetStack`` holds K
+subsets of one cube as a (K, 3^n) array, and the kernels take a
+``TernarySet`` as a stack of one.  Borders of every set of a stack, in every direction at once, are
+one gather of the stack at the tails and heads of a cached per-n edge
+table (``_edge_table``: the tail and head point of each of the n 3^n
+directed edges, as intp).  It takes 16 n 3^n bytes: 288 B at n = 2,
+5,184 B at n = 4 and 69,984 B at n = 6, the suites' largest n; 9.4 MB at
+n = 10 and 102 MB at n = 12.  Shifting packs the stacked membership one
+direction at a time and builds one set or stack at the end.
 """
 
 from __future__ import annotations
@@ -27,6 +29,40 @@ from .rules import resolve_n
 
 EDGE_STEPS = ((0, 1), (1, 2), (0, 2))
 DENSITIES = (0.25, 0.5, 0.75)  # the membership densities random sets draw from
+# Largest dimension a set is built in from its points: its edge table takes
+# 9.4 MB (102 MB at n = 12, growing 3n/(n-1)-fold per dimension) and a
+# membership row 59,049 bytes, while every suite stays at n <= 6.
+MAX_N = 10
+
+
+def check_dimension(n) -> int:
+    """n itself, if it is an integer in 0..MAX_N; a ValueError otherwise."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= MAX_N:
+        raise ValueError(f"lattice dimension must be an integer in 0..{MAX_N}, got {n!r}")
+    return int(n)
+
+
+def _scatter(n, index_lists) -> np.ndarray:
+    """(K, 3^n) membership stack with row k set at the points index_lists[k]."""
+    n = check_dimension(n)
+    idx = [np.asarray(points, dtype=np.int64).reshape(-1) for points in index_lists]
+    lengths = [len(points) for points in idx]
+    flat = np.concatenate(idx) if idx else np.zeros(0, np.int64)
+    if flat.size and (flat.min() < 0 or flat.max() >= 3 ** n):
+        raise ValueError("point index out of range")
+    memb = np.zeros((len(idx), 3 ** n), dtype=bool)
+    memb[np.repeat(np.arange(len(idx)), lengths), flat] = True
+    return memb
+
+
+def _freeze_membership(s, ndim: int) -> None:
+    """Store s.membership as a read-only boolean array of ndim axes whose
+    last axis holds the 3^n points."""
+    memb = np.ascontiguousarray(s.membership, dtype=bool)
+    if memb.ndim != ndim or memb.shape[-1] != 3 ** s.n:
+        raise ValueError(f"need 3^{s.n} membership flags per set, got shape {memb.shape}")
+    memb.setflags(write=False)
+    object.__setattr__(s, "membership", memb)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,20 +73,11 @@ class TernarySet:
     membership: np.ndarray
 
     def __post_init__(self):
-        memb = np.ascontiguousarray(self.membership, dtype=bool)
-        if memb.shape != (3 ** self.n,):
-            raise ValueError(f"need 3^{self.n} membership flags, got shape {memb.shape}")
-        memb.setflags(write=False)
-        object.__setattr__(self, "membership", memb)
+        _freeze_membership(self, 1)
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "TernarySet":
-        memb = np.zeros(3 ** n, dtype=bool)
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= 3 ** n):
-            raise ValueError("point index out of range")
-        memb[idx] = True
-        return cls(n, memb)
+        return cls(n, _scatter(n, [indices])[0])
 
     @classmethod
     def empty(cls, n: int) -> "TernarySet":
@@ -81,6 +108,32 @@ class TernarySet:
                 and np.array_equal(self.membership, other.membership))
 
 
+@dataclass(frozen=True, eq=False)
+class SetStack:
+    """K subsets of {0,1,2}^n as a (K, 3^n) membership stack, one row per
+    set.  ``direction_counts``, ``border_total``, ``shift_monotone`` and
+    ``check_border_inequality`` take a stack as they take a set, row by row."""
+
+    n: int
+    membership: np.ndarray
+
+    def __post_init__(self):
+        _freeze_membership(self, 2)
+
+    @classmethod
+    def from_indices(cls, n: int, index_lists) -> "SetStack":
+        """Row k holds the points index_lists[k]."""
+        return cls(n, _scatter(n, index_lists))
+
+    @property
+    def size(self) -> np.ndarray:
+        return np.count_nonzero(self.membership, axis=1)
+
+    def is_disjoint(self, other: "SetStack") -> bool:
+        """True iff each row is disjoint from the same row of the other stack."""
+        return not (self.membership & other.membership).any()
+
+
 @dataclass(frozen=True)
 class EdgeBorder:
     """Directed border sizes per direction, with an optional explicit edge
@@ -95,8 +148,9 @@ class EdgeBorder:
 
 
 def _lines(memb: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Membership reshaped to (prefix, digit_i, suffix) lines along direction i."""
-    return memb.reshape(3 ** (n - 1 - i), 3, 3 ** i)
+    """Membership reshaped to (..., prefix, digit_i, suffix) lines along
+    direction i; leading axes index the sets of a stack."""
+    return memb.reshape(*memb.shape[:-1], 3 ** (n - 1 - i), 3, 3 ** i)
 
 
 @lru_cache(maxsize=None)
@@ -115,30 +169,44 @@ def _edge_table(n: int) -> np.ndarray:
     return table
 
 
+def _exits(memb: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Exit flag of each edge of ``edges`` (tails, heads = edges) for every
+    set of a membership stack: the tail is a member and the head is not,
+    which on booleans is tail > head."""
+    tails, heads = edges
+    return memb[..., tails] > memb[..., heads]
+
+
 def edge_border(s: TernarySet, i: int) -> int:
     """Number of directed edges in direction i leaving the set."""
     if not 0 <= i < s.n:
         raise ValueError(f"direction {i} out of range for n={s.n}")
-    tails, heads = _edge_table(s.n)[:, i]
-    return int(np.count_nonzero(s.membership[tails] & ~s.membership[heads]))
+    return int(np.count_nonzero(_exits(s.membership, _edge_table(s.n)[:, i])))
+
+
+def direction_counts(s) -> np.ndarray:
+    """Border size per direction: shape (n,) for a set, (K, n) for a stack."""
+    return np.count_nonzero(_exits(s.membership, _edge_table(s.n)), axis=(-2, -1))
 
 
 def border_counts(s: TernarySet, with_edges: bool = False) -> EdgeBorder:
     """All per-direction border sizes, optionally with the explicit edges,
     listed by direction, then step, then line."""
-    tails, heads = _edge_table(s.n)
-    exits = s.membership[tails] & ~s.membership[heads]
+    table = _edge_table(s.n)
+    exits = _exits(s.membership, table)
     counts = tuple(np.count_nonzero(exits, axis=(1, 2)).tolist())
     if not with_edges:
         return EdgeBorder(counts)
     direction, step, line = np.nonzero(exits)
-    points = tails[direction, step, line].tolist()
+    points = table[0, direction, step, line].tolist()
     head_digits = [EDGE_STEPS[k][1] for k in step.tolist()]
     return EdgeBorder(counts, tuple(zip(points, direction.tolist(), head_digits)))
 
 
-def border_total(s: TernarySet) -> int:
-    return border_counts(s).total
+def border_total(s):
+    """Border size of a set, or an array of one per set of a stack."""
+    total = direction_counts(s).sum(-1)
+    return int(total) if total.ndim == 0 else total
 
 
 def is_monotone(s: TernarySet) -> bool:
@@ -153,9 +221,10 @@ _PACK_FLOORS.setflags(write=False)
 
 
 def _pack(memb: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Each direction-i line's members moved to its top slots, flat."""
-    k = _lines(memb, n, i).sum(1, keepdims=True)
-    return (k > _PACK_FLOORS).reshape(-1)
+    """Each direction-i line's members moved to its top slots, in the shape
+    of ``memb`` (a set's membership or a stack's)."""
+    k = _lines(memb, n, i).sum(-2, keepdims=True)
+    return (k > _PACK_FLOORS).reshape(memb.shape)
 
 
 def shift_coordinate(s: TernarySet, i: int) -> TernarySet:
@@ -165,12 +234,13 @@ def shift_coordinate(s: TernarySet, i: int) -> TernarySet:
     return TernarySet(s.n, _pack(s.membership, s.n, i))
 
 
-def shift_monotone(s: TernarySet) -> TernarySet:
-    """The full n-step shift; same cardinality, monotone in every coordinate."""
+def shift_monotone(s):
+    """The full n-step shift of a set, or of each set of a stack (returned
+    as the same kind); same cardinality, monotone in every coordinate."""
     memb = s.membership
     for i in range(s.n):
         memb = _pack(memb, s.n, i)
-    return TernarySet(s.n, memb)
+    return type(s)(s.n, memb)
 
 
 def random_set(n: int, seed=None, rng=None, p=None) -> TernarySet:
@@ -202,15 +272,15 @@ class BorderReport:
         return self.size_a * self.size_b
 
 
-def check_border_inequality(a: TernarySet, b: TernarySet) -> BorderReport:
-    """Check 3^n (|dA| + |dB|) >= |A| |B| for disjoint A, B."""
+def check_border_inequality(a, b) -> BorderReport:
+    """Check 3^n (|dA| + |dB|) >= |A| |B| for disjoint A, B.  Two stacks
+    are checked row by row; the report's fields are then arrays."""
     if a.n != b.n:
         raise ValueError("sets live in different dimensions")
     if not a.is_disjoint(b):
         raise ValueError("sets must be disjoint")
-    ba, bb = border_total(a), border_total(b)
-    holds = 3 ** a.n * (ba + bb) >= a.size * b.size
-    return BorderReport(a.n, a.size, b.size, ba, bb, holds)
+    ba, bb, sa, sb = border_total(a), border_total(b), a.size, b.size
+    return BorderReport(a.n, sa, sb, ba, bb, 3 ** a.n * (ba + bb) >= sa * sb)
 
 
 @dataclass(frozen=True)
@@ -243,16 +313,20 @@ def check_harris(a: TernarySet, b: TernarySet) -> HarrisReport:
     return HarrisReport(a.n, a.size, b.size, inter, holds)
 
 
-def sets_ab(scf, a: int, b: int, column: int, n=None) -> tuple[TernarySet, TernarySet]:
+def sets_ab(scf, a: int, b: int, column, n=None):
     """The winner sets A, B over completions of the (a, b) column with index
     ``column`` (bit v = voter v prefers a to b): point v is in A iff the
     profile with that column and third-alternative positions v elects a
-    (B likewise for b)."""
+    (B likewise for b).  For a sequence of column indices, A and B are
+    stacks with one row per column."""
     _check_pairs(scf, [(a, b)], "winner sets")
-    z = int(column)
+    z = np.asarray(column, dtype=np.int64)
     n = resolve_n(scf, n)
-    if not 0 <= z < 1 << n:
-        raise ValueError(f"column index {z} out of range for n={n}")
-    digits = join_pair(z, np.arange(3 ** n), n, a, b)
-    winners = np.asarray(scf.winners_from_digits(digits))
-    return (TernarySet(n, winners == a), TernarySet(n, winners == b))
+    bad = z[(z < 0) | (z >= 1 << n)]
+    if bad.size:
+        raise ValueError(f"column index {bad.flat[0]} out of range for n={n}")
+    points = np.broadcast_to(np.arange(3 ** n), (*z.shape, 3 ** n))
+    digits = join_pair(np.broadcast_to(z[..., None], points.shape), points, n, a, b)
+    winners = np.asarray(scf.winners_from_digits(digits)).reshape(points.shape)
+    kind = TernarySet if z.ndim == 0 else SetStack
+    return kind(n, winners == a), kind(n, winners == b)

@@ -152,7 +152,9 @@ def _digit_table(m: int, k: int) -> np.ndarray:
     table = _DIGIT_TABLES.get(m)
     if table is None or len(table) < k:
         base = factorial(m)
-        table = _tables.index_digits(np.arange(base ** k), base, k)
+        table = np.empty((k, base ** k), np.int64)
+        for v, row in enumerate(table):  # digit v steps every base^v profiles
+            row.reshape(-1, base, base ** v)[:] = np.arange(base)[:, None]
         table.setflags(write=False)
         _DIGIT_TABLES[m] = table
     return table

@@ -3,16 +3,21 @@
 A suite is a descriptor corpus plus one check.  ``descs`` lists plain,
 JSON-ready dicts, one per instance (a rule, a pairwise preference function,
 or a pair of ternary subsets, named by its construction and seed or by its
-points); ``check`` rebuilds one instance from its descriptor and re-checks
-one family of inequalities or identities on it.  ``run_suite`` runs the
-check over the corpus and reports the first failing descriptor; ``replay``
-runs that same check on a serialized one.
+points); ``check`` takes a block of descriptors, rebuilds their instances
+and re-checks one family of inequalities or identities on each, returning
+one verdict per descriptor.  Most checks take the block one instance at a
+time; ``border`` and ``shifting`` group it by dimension and check each
+group as one stack of sets.  ``run_suite`` feeds the corpus to the check in
+blocks of ``BLOCK`` and reports the first failing descriptor in corpus
+order; ``replay`` runs that same check on a serialized one, a block of one.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby, islice
 from typing import Callable, Iterable
 
 import numpy as np
@@ -21,6 +26,8 @@ from . import lattice, sampling, welfare
 from .metrics import mab, manipulation_power_total, pair_reports
 from .rules import ScfRule, zoo_rules
 from .welfare import PAIRS3
+
+BLOCK = 128  # descriptors per check call, so a corpus is never held whole
 
 
 # --- corpora: descriptors and the instances they name ------------------
@@ -135,7 +142,21 @@ def _converse_descs(trials, n, seed, samples):
     return gswf_corpus(n, trials, seed)
 
 
-# --- per-instance checks: descriptor -> (holds, failure detail) --------
+# --- checks: block of descriptors -> one (holds, failure detail) each ---
+
+def _each(check):
+    """A block check that runs a per-instance check on each descriptor."""
+    return lambda block: [check(desc) for desc in block]
+
+
+def _by_dimension(block, kind=lambda desc: None) -> dict:
+    """Positions of the block's descriptors, grouped by (n, kind(desc))
+    in first-seen order; each n is checked to be a lattice dimension."""
+    groups = defaultdict(list)
+    for k, desc in enumerate(block):
+        groups[lattice.check_dimension(desc["n"]), kind(desc)].append(k)
+    return groups
+
 
 def _check_first_reduction(desc) -> tuple[bool, dict]:
     scf, n = build_scf(desc["scf"]), desc["n"]
@@ -148,32 +169,52 @@ def _check_first_reduction(desc) -> tuple[bool, dict]:
     return True, {}
 
 
-def _check_border(desc) -> tuple[bool, dict]:
-    n = desc["n"]
-    if desc["source"] == "scf":
-        A, B = lattice.sets_ab(build_scf(desc["scf"]), *desc["pair"], desc["column"], n)
-    else:
-        A = lattice.TernarySet.from_indices(n, desc["a_indices"])
-        B = lattice.TernarySet.from_indices(n, desc["b_indices"])
-    rep = lattice.check_border_inequality(A, B)
-    if rep.holds:
-        return True, {}
-    return False, {"lhs": str(rep.lhs), "rhs": str(rep.rhs)}
+def _border_stacks(block, rows, n, scf_source):
+    """The stacks of sets A and B of the descriptors at ``rows``: winner
+    sets of rule columns, or the points of random pairs."""
+    descs = [block[k] for k in rows]
+    if not scf_source:
+        return (lattice.SetStack.from_indices(n, [d[key] for d in descs])
+                for key in ("a_indices", "b_indices"))
+    # one call per run of columns of the same rule and pair
+    runs = [lattice.sets_ab(build_scf(scf), *pair, [d["column"] for d in run], n)
+            for (scf, pair), run in groupby(descs, lambda d: (d["scf"], d["pair"]))]
+    return (lattice.SetStack(n, np.concatenate([r[side].membership for r in runs]))
+            for side in (0, 1))
 
 
-def _check_shift(desc) -> tuple[bool, dict]:
-    s = lattice.TernarySet.from_indices(desc["n"], desc["indices"])
-    t = lattice.shift_monotone(s)
-    if t.size != s.size:
-        return False, {"reason": "size changed", "before": s.size, "after": t.size}
-    after = lattice.border_counts(t)
-    if after.total:  # lattice.is_monotone's test: the border is empty
+def _check_border(block) -> list[tuple[bool, dict]]:
+    out: list = [None] * len(block)
+    for (n, scf_source), rows in _by_dimension(block, lambda d: d["source"] == "scf").items():
+        A, B = _border_stacks(block, rows, n, scf_source)
+        rep = lattice.check_border_inequality(A, B)
+        for k, holds, lhs, rhs in zip(rows, rep.holds.tolist(), rep.lhs.tolist(),
+                                      rep.rhs.tolist()):
+            out[k] = (True, {}) if holds else (False, {"lhs": str(lhs), "rhs": str(rhs)})
+    return out
+
+
+def _check_shift(block) -> list[tuple[bool, dict]]:
+    out: list = [None] * len(block)
+    for (n, _), rows in _by_dimension(block).items():
+        s = lattice.SetStack.from_indices(n, [block[k]["indices"] for k in rows])
+        t = lattice.shift_monotone(s)
+        before, after = lattice.direction_counts(s), lattice.direction_counts(t)
+        moved = np.count_nonzero(t.membership & ~s.membership, axis=1)
+        for k, *row in zip(rows, s.size.tolist(), t.size.tolist(), before.tolist(),
+                           after.tolist(), moved.tolist()):
+            out[k] = _shift_verdict(*row)
+    return out
+
+
+def _shift_verdict(size_s, size_t, before, after, moved) -> tuple[bool, dict]:
+    if size_t != size_s:
+        return False, {"reason": "size changed", "before": size_s, "after": size_t}
+    if any(after):  # lattice.is_monotone's test: the border is empty
         return False, {"reason": "result not monotone"}
-    before = lattice.border_counts(s).counts
-    if any(a > b for a, b in zip(after.counts, before)):
+    if any(a > b for a, b in zip(after, before)):
         return False, {"reason": "a border direction grew",
-                       "before": list(before), "after": list(after.counts)}
-    moved = int((t.membership & ~s.membership).sum())
+                       "before": before, "after": after}
     if moved > sum(before):
         return False, {"reason": "moved more cells than the border size",
                        "moved": moved, "border": sum(before)}
@@ -232,12 +273,13 @@ def _check_converse(desc) -> tuple[bool, dict]:
 @dataclass(frozen=True)
 class SuiteSpec:
     """``descs(trials, n, seed, samples)`` lists the instance descriptors;
-    ``check(desc)`` rebuilds one instance and returns (holds, detail).  A
-    check with no sampled path enumerates profiles of ``exact_m``
-    alternatives, and ``run_suite`` refuses sizes past the exact budget."""
+    ``check(block)`` rebuilds the instances of a list of descriptors and
+    returns one (holds, detail) per descriptor, in order.  A check with no
+    sampled path enumerates profiles of ``exact_m`` alternatives, and
+    ``run_suite`` refuses sizes past the exact budget."""
 
     descs: Callable[..., Iterable[dict]]
-    check: Callable[[dict], tuple[bool, dict]]
+    check: Callable[[list[dict]], list[tuple[bool, dict]]]
     trials: int
     n: int
     summary: str
@@ -246,7 +288,7 @@ class SuiteSpec:
 
 SUITES = {
     "first-reduction": SuiteSpec(
-        _scf_descs, _check_first_reduction, 200, 3,
+        _scf_descs, _each(_check_first_reduction), 200, 3,
         "pairwise manipulability is at most six times total manipulation power", 3),
     "border": SuiteSpec(
         _border_descs, _check_border, 2000, 4,
@@ -255,19 +297,19 @@ SUITES = {
         _shifting_descs, _check_shift, 2000, 4,
         "monotone rearrangement preserves size, yields monotone sets, never grows borders"),
     "cauchy": SuiteSpec(
-        _scf_descs, _check_cauchy, 200, 3,
+        _scf_descs, _each(_check_cauchy), 200, 3,
         "squared minority preference is at most pairwise manipulability", 3),
     "reduction-chain": SuiteSpec(
-        _scf_descs, _check_chain, 50, 3,
+        _scf_descs, _each(_check_chain), 50, 3,
         "the full quantitative chain from manipulation power to dictator distance", 3),
     "arrow-identity": SuiteSpec(
-        _odd_g_descs, _check_four_identity, 20, 3,
+        _odd_g_descs, _each(_check_four_identity), 20, 3,
         "four-alternative paradox probability doubles the three-alternative one", 4),
     "composition": SuiteSpec(
-        _composition_descs, _check_composition, 5, 2,
+        _composition_descs, _each(_check_composition), 5, 2,
         "no-winner events of disjoint alternative blocks are independent"),
     "converse": SuiteSpec(
-        _converse_descs, _check_converse, 20, 3,
+        _converse_descs, _each(_check_converse), 20, 3,
         "rules built from pairwise functions inherit a paradox-probability bound", 3),
 }
 
@@ -310,12 +352,13 @@ def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
     t0 = time.perf_counter()
     total = passes = 0
     first = None
-    for desc in spec.descs(trials, n, seed, samples):
-        ok, detail = spec.check(desc)
-        total += 1
-        passes += ok
-        if not ok and first is None:
-            first = {"suite": name, **desc, **detail}
+    descs = iter(spec.descs(trials, n, seed, samples))
+    while block := list(islice(descs, BLOCK)):
+        for desc, (ok, detail) in zip(block, spec.check(block), strict=True):
+            passes += ok
+            if not ok and first is None:
+                first = {"suite": name, **desc, **detail}
+        total += len(block)
     if total == 0:
         raise ValueError(f"suite {name!r} has no instances to check at trials={trials}, n={n}")
     return SuiteReport(name, total, passes, first, time.perf_counter() - t0)
@@ -328,6 +371,6 @@ def replay(counterexample: dict) -> bool:
         suite = counterexample["suite"]
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r} in counterexample")
-        return SUITES[suite].check(counterexample)[0]
+        return SUITES[suite].check([counterexample])[0][0]
     except KeyError as exc:
         raise ValueError(f"counterexample lacks field {exc.args[0]!r}") from None

@@ -21,7 +21,11 @@ engine it checks:
 * ``border_counts_by_direction``, ``shift_coordinate_by_lines`` and
   ``shift_monotone_by_lines``: lattice borders and shifts one direction at
   a time on reshaped lines, where the engine gathers every direction at
-  once from a cached edge table and packs without intermediate sets.
+  once from a cached edge table and packs without intermediate sets;
+* ``border_check_by_instance`` and ``shift_check_by_instance``: the
+  ``border`` and ``shifting`` suite checks one descriptor at a time on
+  those per-direction borders and shifts, where the suites check a block's
+  sets as stacks, one dimension at a time.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ import numpy as np
 
 from votelab import _tables, sampling
 from votelab.lattice import EDGE_STEPS, EdgeBorder, TernarySet
-from votelab.orders import (LinearOrder, Profile, column_index, order_to_index,
-                            profile_digits)
+from votelab.orders import (LinearOrder, Profile, column_index, join_pair,
+                            order_to_index, profile_digits)
 from votelab.rules import BudgetError
 from votelab.welfare import (PAIRS3, GswfIia, TrMember, _free_pair, _no_gcw,
                              anti_dictator_swf, dictator_swf)
@@ -293,3 +297,54 @@ def shift_monotone_by_lines(s: TernarySet) -> TernarySet:
     for i in range(s.n):
         s = shift_coordinate_by_lines(s, i)
     return s
+
+
+# --- the border and shifting suite checks, one instance at a time ---------
+
+def _set_of_points(n: int, points) -> TernarySet:
+    memb = np.zeros(3 ** n, dtype=bool)
+    memb[list(points)] = True
+    return TernarySet(n, memb)
+
+
+def sets_ab_by_column(scf, a: int, b: int, column: int, n: int):
+    """``lattice.sets_ab`` of one column, from its own profiles' winners."""
+    winners = np.asarray(scf.winners_from_digits(join_pair(column, np.arange(3 ** n),
+                                                           n, a, b)))
+    return TernarySet(n, winners == a), TernarySet(n, winners == b)
+
+
+def border_check_by_instance(desc, borders=border_counts_by_direction):
+    """The ``border`` suite's (holds, detail) of one descriptor."""
+    from votelab.suites import build_scf
+    n = desc["n"]
+    if desc["source"] == "scf":
+        A, B = sets_ab_by_column(build_scf(desc["scf"]), *desc["pair"], desc["column"], n)
+    else:
+        A, B = _set_of_points(n, desc["a_indices"]), _set_of_points(n, desc["b_indices"])
+    assert not (A.membership & B.membership).any()
+    lhs = 3 ** n * (borders(A).total + borders(B).total)
+    rhs = A.size * B.size
+    return (True, {}) if lhs >= rhs else (False, {"lhs": str(lhs), "rhs": str(rhs)})
+
+
+def shift_check_by_instance(desc, shift=shift_monotone_by_lines,
+                            borders=border_counts_by_direction):
+    """The ``shifting`` suite's (holds, detail) of one descriptor, testing
+    its four conditions in order and reporting the first that fails."""
+    s = _set_of_points(desc["n"], desc["indices"])
+    t = shift(s)
+    if t.size != s.size:
+        return False, {"reason": "size changed", "before": s.size, "after": t.size}
+    after = borders(t)
+    if after.total:
+        return False, {"reason": "result not monotone"}
+    before = borders(s).counts
+    if any(a > b for a, b in zip(after.counts, before)):
+        return False, {"reason": "a border direction grew",
+                       "before": list(before), "after": list(after.counts)}
+    moved = int((t.membership & ~s.membership).sum())
+    if moved > sum(before):
+        return False, {"reason": "moved more cells than the border size",
+                       "moved": moved, "border": sum(before)}
+    return True, {}

@@ -328,6 +328,25 @@ def test_verify_replay_unknown_kind_exits_2(capsys, tmp_path):
     assert "error:" in err and "'nonsense'" in err
 
 
+@pytest.mark.parametrize("ce,says", [
+    ({"suite": "shifting", "n": 25, "indices": [0]}, "lattice dimension"),
+    ({"suite": "shifting", "n": -2, "indices": [0]}, "lattice dimension"),
+    ({"suite": "border", "source": "scf", "n": 25, "pair": [0, 1], "column": 0,
+      "scf": {"name": "borda", "m": 3, "params": {}}}, "lattice dimension"),
+    ({"suite": "shifting", "n": 2, "indices": [0, -1]}, "out of range"),
+    ({"suite": "border", "source": "random", "n": 2, "a_indices": [-3],
+      "b_indices": [8]}, "out of range"),
+    ({"suite": "border", "source": "random", "n": 2, "a_indices": [0, 3],
+      "b_indices": [3, 8]}, "disjoint"),
+])
+def test_verify_replay_of_a_bad_lattice_descriptor_exits_2(capsys, tmp_path, ce, says):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ce))
+    code, out, err = run(capsys, "verify", "--replay", str(path))
+    assert code == 2 and "holds" not in out and "violated" not in out
+    assert "error:" in err and says in err
+
+
 def test_verify_without_suite_exits_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "suite" in err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votelab import orders
 from votelab._tables import digits_index, index_digits
 from votelab.orders import (
     SWEEP_CHUNK,
@@ -163,6 +164,20 @@ def test_index_digits_of_join_pairs_broadcast_input():
         assert np.array_equal(index_digits(z, 2, n), index_digits_divmod(z, 2, n))
         t = np.arange(3 ** n)
         assert np.array_equal(index_digits(t, 3, n), index_digits_divmod(t, 3, n))
+
+
+@pytest.mark.parametrize("m,ks", [(2, (1, 3, 9)), (3, (1, 2, 4)), (4, (1, 2, 3))])
+def test_digit_table_equals_decoded_indices(monkeypatch, m, ks):
+    """The broadcast digit table equals decoding every index it covers, is
+    read-only, and is rebuilt when a sweep needs more voters."""
+    monkeypatch.setattr(orders, "_DIGIT_TABLES", {})
+    base = factorial(m)
+    for k in ks:
+        table = orders._digit_table(m, k)
+        assert table.shape == (k, base ** k) and table.dtype == np.int64
+        assert np.array_equal(table, index_digits(np.arange(base ** k), base, k))
+        assert not table.flags.writeable
+    assert orders._digit_table(m, ks[0]) is table
 
 
 def test_profile_chunks_cover_everything():

@@ -3,8 +3,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from oracles import (border_check_by_instance, border_counts_by_direction,
+                     shift_check_by_instance, shift_monotone_by_lines)
+from votelab import lattice, suites
 from votelab.rules import BudgetError
 from votelab.suites import (
     SUITES,
@@ -103,7 +107,7 @@ def test_counterexample_capture_and_replay(monkeypatch):
     real check (which holds)."""
     spec = SUITES["cauchy"]
     monkeypatch.setitem(SUITES, "cauchy", dataclasses.replace(
-        spec, check=lambda desc: (False, {"pair": [0, 1]})))
+        spec, check=lambda block: [(False, {"pair": [0, 1]})] * len(block)))
     rep = run_suite("cauchy", trials=2, seed=3)
     assert not rep.ok
     assert rep.passes == 0
@@ -171,3 +175,188 @@ def test_scf_corpus_random_tables_are_distinct():
     rules = [r for r in scf_corpus(2, 4, seed=50) if r.name == "random_table"]
     tables = [r.as_table(2) for r in rules]
     assert len({tuple(t.outputs.tolist()) for t in tables}) == 4
+
+
+# --- the stacked border and shifting checks ------------------------------
+
+REFERENCE = {"border": border_check_by_instance, "shifting": shift_check_by_instance}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["border", "shifting"])
+def test_stacked_checks_equal_the_per_instance_oracle(name, n, seed):
+    """Each instance's verdict and detail, checked in one block that spans
+    every dimension group and as a stack of one, equal the per-instance
+    reference's."""
+    descs = list(SUITES[name].descs(150, n, seed, None))
+    want = [REFERENCE[name](d) for d in descs]
+    assert SUITES[name].check(descs) == want
+    assert [SUITES[name].check([d])[0] for d in descs] == want
+    assert len({d["n"] for d in descs}) == min(n, 6)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_stacked_kernels_equal_per_set_oracles(n):
+    """The numbers behind the verdicts, row by row: shifts, per-direction
+    borders and both sides of the border inequality."""
+    shifting = [d for d in SUITES["shifting"].descs(60, 6, n, None) if d["n"] == n]
+    stack = lattice.SetStack.from_indices(n, [d["indices"] for d in shifting])
+    sets = [lattice.TernarySet.from_indices(n, d["indices"]) for d in shifting]
+    shifted = lattice.shift_monotone(stack)
+    assert isinstance(shifted, lattice.SetStack)
+    assert [lattice.TernarySet(n, row) for row in shifted.membership] == \
+        [shift_monotone_by_lines(s) for s in sets]
+    assert lattice.direction_counts(stack).tolist() == \
+        [list(border_counts_by_direction(s).counts) for s in sets]
+    assert lattice.border_total(stack).tolist() == \
+        [border_counts_by_direction(s).total for s in sets]
+    pairs = [d for d in SUITES["border"].descs(60, 6, n, None)
+             if d["source"] == "random" and d["n"] == n]
+    A, B = (lattice.SetStack.from_indices(n, [d[k] for d in pairs])
+            for k in ("a_indices", "b_indices"))
+    rep = lattice.check_border_inequality(A, B)
+    for row, d in enumerate(pairs):
+        a = lattice.TernarySet.from_indices(n, d["a_indices"])
+        b = lattice.TernarySet.from_indices(n, d["b_indices"])
+        one = lattice.check_border_inequality(a, b)
+        assert (rep.lhs[row], rep.rhs[row], rep.holds[row]) == (one.lhs, one.rhs, one.holds)
+        assert one.lhs == 3 ** n * (border_counts_by_direction(a).total
+                                    + border_counts_by_direction(b).total)
+
+
+def _key(n, memb) -> tuple:
+    return n, tuple(np.flatnonzero(memb).tolist())
+
+
+def _desc_key(desc, field="indices") -> tuple:
+    return desc["n"], tuple(desc[field])  # corpus points are sorted and distinct
+
+
+def _force_shift(monkeypatch, forced):
+    """Make the stacked shift return ``forced[key](row)`` for each set whose
+    ``_key`` is in ``forced``; returns the per-set shift that does the
+    same, for the per-instance reference."""
+    real = lattice.shift_monotone
+
+    def stacked(s):
+        memb = real(s).membership.copy()
+        for k, row in enumerate(s.membership):
+            if _key(s.n, row) in forced:
+                memb[k] = forced[_key(s.n, row)](row)
+        return lattice.SetStack(s.n, memb)
+
+    def single(s):
+        change = forced.get(_key(s.n, s.membership))
+        return lattice.TernarySet(s.n, change(s.membership)) if change else \
+            shift_monotone_by_lines(s)
+
+    monkeypatch.setattr(lattice, "shift_monotone", stacked)
+    return single
+
+
+def _drop_one(row):
+    out = row.copy()
+    out[np.flatnonzero(row)[0]] = False
+    return out
+
+
+def _unshifted(row):
+    return row.copy()
+
+
+@pytest.mark.parametrize("block", [16, 512])
+def test_shifting_counterexample_is_the_first_in_corpus_order(monkeypatch, block):
+    """Failures forced at corpus positions 8 (n = 3) and 13 (n = 2): the
+    n = 2 group holds position 1, so a block checks it before the n = 3
+    group, yet the counterexample is position 8.  With blocks of 16, the
+    second failure is position 20 (n = 3), in the next block.  Position
+    8's forced result is both smaller and not monotone; the report names
+    the first of the per-instance check's reasons."""
+    monkeypatch.setattr(suites, "BLOCK", block)
+    descs = list(SUITES["shifting"].descs(40, 6, 0, None))
+    assert [descs[k]["n"] for k in (1, 8, 13, 20)] == [2, 3, 2, 3]
+    first, later = descs[8], descs[20 if block == 16 else 13]
+    keys = [_desc_key(first), _desc_key(later)]
+    assert [_desc_key(d) in keys for d in descs].count(True) == 2
+    assert not lattice.is_monotone(lattice.TernarySet.from_indices(3, first["indices"]))
+    single = _force_shift(monkeypatch, {keys[0]: _drop_one, keys[1]: _unshifted})
+    rep = run_suite("shifting", trials=40, n=6, seed=0)
+    assert rep.passes == rep.instances - 2
+    want = shift_check_by_instance(first, shift=single)
+    size = len(first["indices"])
+    assert want == (False, {"reason": "size changed", "before": size, "after": size - 1})
+    assert rep.counterexample == {"suite": "shifting", **first, **want[1]}
+    assert list(rep.counterexample) == ["suite", "n", "indices", "reason", "before", "after"]
+
+
+def _top_levels(row):
+    """A monotone set of the same size as ``row``: the points of largest
+    digit sum, ties to the larger index (every point above one of them has
+    a larger digit sum, so it is in the set too)."""
+    points = np.arange(row.size)
+    n = len(np.base_repr(row.size - 1, 3)) if row.size > 1 else 0
+    digit_sums = sum((points // 3 ** i) % 3 for i in range(n))
+    out = np.zeros_like(row)
+    out[np.lexsort((-points, -digit_sums))[:row.sum()]] = True
+    return out
+
+
+def test_shifting_reasons_follow_the_per_instance_order(monkeypatch):
+    """A forced result that is not monotone, and a monotone set forced to
+    another monotone set of its size (which moves cells past an empty
+    border), each report the per-instance check's reason and detail keys.
+    "a border direction grew" cannot follow a monotone result, whose
+    border is empty; "size changed" is pinned above."""
+    descs = [d for d in SUITES["shifting"].descs(60, 6, 1, None) if d["n"] == 4]
+    rough = next(d for d in descs
+                 if not lattice.is_monotone(lattice.TernarySet.from_indices(4, d["indices"])))
+    up = next(t for t in (lattice.shift_monotone(lattice.TernarySet.from_indices(4, d["indices"]))
+                          for d in descs)
+              if t != lattice.TernarySet(4, _top_levels(t.membership)))
+    smooth = {"n": 4, "indices": up.indices().tolist()}
+    assert lattice.is_monotone(lattice.TernarySet(4, _top_levels(up.membership)))
+    single = _force_shift(monkeypatch, {_desc_key(rough): _unshifted,
+                                        _desc_key(smooth): _top_levels})
+    for desc, reason, keys in ((rough, "result not monotone", ["reason"]),
+                               (smooth, "moved more cells than the border size",
+                                ["reason", "moved", "border"])):
+        want = shift_check_by_instance(desc, shift=single)
+        assert want[0] is False and want[1]["reason"] == reason and list(want[1]) == keys
+        assert SUITES["shifting"].check([desc]) == [want]
+        assert replay({"suite": "shifting", **desc}) is False
+
+
+def test_border_counterexample_is_the_first_in_corpus_order(monkeypatch):
+    """Borders forced to zero on two random pairs of nonempty sets, in
+    different dimension groups and blocks, make both fail; the
+    counterexample is the earlier, with the per-instance check's lhs and
+    rhs."""
+    monkeypatch.setattr(suites, "BLOCK", 16)
+    descs = list(SUITES["border"].descs(40, 3, 0, None))
+    sides = ("a_indices", "b_indices")
+    pairs = [k for k, d in enumerate(descs) if d["source"] == "random"]
+    keys = [_desc_key(descs[k], side) for k in pairs for side in sides]
+    usable = [k for k in pairs if all(
+        descs[k][side] and keys.count(_desc_key(descs[k], side)) == 1 for side in sides)]
+    first = next(k for k in usable if descs[k]["n"] == 3)
+    later = next(k for k in usable if descs[k]["n"] == 2 and k // 16 > first // 16)
+    zeroed = {_desc_key(descs[k], side) for k in (first, later) for side in sides}
+    real = lattice.direction_counts
+
+    def forced(stack):
+        counts = real(stack).copy()
+        for k, row in enumerate(stack.membership):
+            if _key(stack.n, row) in zeroed:
+                counts[k] = 0
+        return counts
+
+    def borders(s):
+        return border_counts_by_direction(
+            lattice.TernarySet.empty(s.n) if _key(s.n, s.membership) in zeroed else s)
+
+    monkeypatch.setattr(lattice, "direction_counts", forced)
+    rep = run_suite("border", trials=40, n=3, seed=0)
+    want = border_check_by_instance(descs[first], borders=borders)
+    assert want[0] is False and rep.passes == rep.instances - 2
+    assert rep.counterexample == {"suite": "border", **descs[first], **want[1]}

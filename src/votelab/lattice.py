@@ -7,19 +7,15 @@ outside.  All comparisons are exact integer arithmetic.
 
 Borders and shifts run on stacked memberships: a ``SetStack`` holds K
 subsets of one cube as a (K, 3^n) array, and the kernels take a
-``TernarySet`` as a stack of one.  Borders of every set of a stack, in every direction at once, are
-one gather of the stack at the tails and heads of a cached per-n edge
-table (``_edge_table``: the tail and head point of each of the n 3^n
-directed edges, as intp).  It takes 16 n 3^n bytes: 288 B at n = 2,
-5,184 B at n = 4 and 69,984 B at n = 6, the suites' largest n; 9.4 MB at
-n = 10 and 102 MB at n = 12.  Shifting packs the stacked membership one
-direction at a time and builds one set or stack at the end.
+``TernarySet`` as a stack of one.  Both read the membership one direction
+at a time as lines (``_lines``): a border compares each line's tail and
+head digits, and a shift packs each line into its top slots.  Nothing is
+kept per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,9 +25,9 @@ from .rules import resolve_n
 
 EDGE_STEPS = ((0, 1), (1, 2), (0, 2))
 DENSITIES = (0.25, 0.5, 0.75)  # the membership densities random sets draw from
-# Largest dimension a set is built in from its points: its edge table takes
-# 9.4 MB (102 MB at n = 12, growing 3n/(n-1)-fold per dimension) and a
-# membership row 59,049 bytes, while every suite stays at n <= 6.
+# Largest dimension a set is built in from its points: a suite block stacks
+# up to 128 membership rows of 3^n bytes (7.6 MB at n = 10) and a descriptor
+# lists up to 3^n points, while every suite stays at n <= 6.
 MAX_N = 10
 
 
@@ -42,10 +38,20 @@ def check_dimension(n) -> int:
     return int(n)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as int64; a ValueError unless numpy reads them as integers."""
+    z = np.asarray(values)
+    if z.size and z.dtype.kind not in "iu":  # numpy reads [] as float
+        raise ValueError(f"{what} must be integers, got {z.dtype} values")
+    return z.astype(np.int64, copy=False)
+
+
 def _scatter(n, index_lists) -> np.ndarray:
     """(K, 3^n) membership stack with row k set at the points index_lists[k]."""
     n = check_dimension(n)
-    idx = [np.asarray(points, dtype=np.int64).reshape(-1) for points in index_lists]
+    idx = [_integers(points, "point indices") for points in index_lists]
+    if any(points.ndim != 1 for points in idx):
+        raise ValueError("point indices must be a flat list")
     lengths = [len(points) for points in idx]
     flat = np.concatenate(idx) if idx else np.zeros(0, np.int64)
     if flat.size and (flat.min() < 0 or flat.max() >= 3 ** n):
@@ -153,54 +159,43 @@ def _lines(memb: np.ndarray, n: int, i: int) -> np.ndarray:
     return memb.reshape(*memb.shape[:-1], 3 ** (n - 1 - i), 3, 3 ** i)
 
 
-@lru_cache(maxsize=None)
-def _edge_table(n: int) -> np.ndarray:
-    """Tail and head point of every directed edge, shape (2, n, step, 3^(n-1)):
-    entry [0, i, k, r] is the tail and [1, i, k, r] the head of the edge of
-    step EDGE_STEPS[k] in direction i on the line r = prefix * 3^i + suffix.
-    Read-only."""
-    points = np.arange(3 ** n)
-    table = np.empty((2, n, 3, 3 ** n // 3), dtype=np.intp)
-    for i in range(n):
-        lines = _lines(points, n, i)
-        for end, digits in enumerate(zip(*EDGE_STEPS)):
-            table[end, i] = lines[:, digits].transpose(1, 0, 2).reshape(3, -1)
-    table.setflags(write=False)
-    return table
-
-
-def _exits(memb: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Exit flag of each edge of ``edges`` (tails, heads = edges) for every
-    set of a membership stack: the tail is a member and the head is not,
-    which on booleans is tail > head."""
-    tails, heads = edges
-    return memb[..., tails] > memb[..., heads]
+def _exits(memb: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Direction-i exit mask of each set of a membership stack, shape
+    (..., prefix, step, suffix): set where the edge of step EDGE_STEPS[k] on
+    line (prefix, suffix) has its tail in the set and its head outside."""
+    lines = _lines(memb, n, i)
+    tails, heads = zip(*EDGE_STEPS)
+    return lines[..., tails, :] > lines[..., heads, :]
 
 
 def edge_border(s: TernarySet, i: int) -> int:
     """Number of directed edges in direction i leaving the set."""
     if not 0 <= i < s.n:
         raise ValueError(f"direction {i} out of range for n={s.n}")
-    return int(np.count_nonzero(_exits(s.membership, _edge_table(s.n)[:, i])))
+    return int(np.count_nonzero(_exits(s.membership, s.n, i)))
 
 
 def direction_counts(s) -> np.ndarray:
     """Border size per direction: shape (n,) for a set, (K, n) for a stack."""
-    return np.count_nonzero(_exits(s.membership, _edge_table(s.n)), axis=(-2, -1))
+    counts = np.empty((*s.membership.shape[:-1], s.n), np.intp)
+    for i in range(s.n):
+        counts[..., i] = _exits(s.membership, s.n, i).sum((-3, -2, -1))
+    return counts
 
 
 def border_counts(s: TernarySet, with_edges: bool = False) -> EdgeBorder:
     """All per-direction border sizes, optionally with the explicit edges,
-    listed by direction, then step, then line."""
-    table = _edge_table(s.n)
-    exits = _exits(s.membership, table)
-    counts = tuple(np.count_nonzero(exits, axis=(1, 2)).tolist())
+    listed by direction, then step, then line (prefix * 3^i + suffix)."""
+    counts = tuple(direction_counts(s).tolist())
     if not with_edges:
         return EdgeBorder(counts)
-    direction, step, line = np.nonzero(exits)
-    points = table[0, direction, step, line].tolist()
-    head_digits = [EDGE_STEPS[k][1] for k in step.tolist()]
-    return EdgeBorder(counts, tuple(zip(points, direction.tolist(), head_digits)))
+    edges = []
+    for i in range(s.n):
+        step, prefix, suffix = np.nonzero(np.moveaxis(_exits(s.membership, s.n, i), 1, 0))
+        tail, head = np.array(EDGE_STEPS)[step].T
+        points = (3 * prefix + tail) * 3 ** i + suffix
+        edges += zip(points.tolist(), [i] * len(step), head.tolist())
+    return EdgeBorder(counts, tuple(edges))
 
 
 def border_total(s):
@@ -320,7 +315,7 @@ def sets_ab(scf, a: int, b: int, column, n=None):
     (B likewise for b).  For a sequence of column indices, A and B are
     stacks with one row per column."""
     _check_pairs(scf, [(a, b)], "winner sets")
-    z = np.asarray(column, dtype=np.int64)
+    z = _integers(column, "column indices")
     n = resolve_n(scf, n)
     bad = z[(z < 0) | (z >= 1 << n)]
     if bad.size:

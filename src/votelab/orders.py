@@ -215,16 +215,31 @@ def column_index(digits, a: int, b: int, m: int = 3) -> np.ndarray:
     return z
 
 
+# Most voters of a table over all 2^n pairwise columns: it is built from
+# int64 column arrays of 8 * 2^n bytes (512 MiB at n = 26), while the exact
+# engines that read it stop at n = 20, the tally engine's cap.
+MAX_COLUMN_VOTERS = 26
+
+
+def column_count(n: int) -> int:
+    """2^n, the number of pairwise columns of n voters; a ValueError past
+    MAX_COLUMN_VOTERS, before any table over the columns is allocated."""
+    if n > MAX_COLUMN_VOTERS:
+        raise ValueError(f"a 2^n-column table takes at most {MAX_COLUMN_VOTERS} voters, got n={n}")
+    return 1 << n
+
+
 def voter_bits(i: int, n: int) -> np.ndarray:
     """Voter i's bit in every one of the 2^n column indices."""
     if not 0 <= i < n:
         raise ValueError(f"voter {i} out of range for n={n}")
-    return (np.arange(1 << n) >> i & 1).astype(bool)
+    return (np.arange(column_count(n)) >> i & 1).astype(bool)
 
 
 def column_complement(n: int) -> np.ndarray:
     """Index of the complemented column (every voter flipped) of each column."""
-    return ((1 << n) - 1) ^ np.arange(1 << n)
+    size = column_count(n)
+    return (size - 1) ^ np.arange(size)
 
 
 def split_pair(digits, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _tables, sampling
 from .metrics import MetricReport, column_stats, count_report
-from .orders import Profile, column_complement, column_index, profile_block, voter_bits
+from .orders import Profile, column_complement, column_count, column_index, profile_block, voter_bits
 from .rules import ScfRule, _diag_mins, is_neutral, register_rule, resolve_n
 
 PAIRS3 = _tables.pair_list(3)
@@ -83,8 +83,8 @@ def majority_g(n: int) -> np.ndarray:
     """Simple-majority bits over all columns; n must be odd."""
     if n % 2 == 0:
         raise ValueError("majority needs an odd voter count")
-    z = np.arange(1 << n)
-    ones = np.zeros(1 << n, np.int64)
+    z = np.arange(column_count(n))
+    ones = np.zeros(z.size, np.int64)
     for v in range(n):
         ones += z >> v & 1
     return 2 * ones > n
@@ -92,17 +92,16 @@ def majority_g(n: int) -> np.ndarray:
 
 def random_odd_g(n: int, seed) -> np.ndarray:
     """A seeded uniform odd Boolean table over 2^n columns."""
-    size = 1 << n
     comp = column_complement(n)
-    lower = np.arange(size) < comp
-    bits = np.random.default_rng(seed).integers(0, 2, size=size).astype(bool)
+    lower = np.arange(comp.size) < comp
+    bits = np.random.default_rng(seed).integers(0, 2, size=comp.size).astype(bool)
     return np.where(lower, bits, ~bits[comp])
 
 
 def random_iia_gswf(n: int, m: int, seed) -> GswfIia:
     """A seeded uniform IIA GSWF (independent random pairwise tables)."""
     pairs = len(_tables.pair_list(m))
-    tabs = np.random.default_rng(seed).integers(0, 2, size=(pairs, 1 << n)).astype(bool)
+    tabs = np.random.default_rng(seed).integers(0, 2, size=(pairs, column_count(n))).astype(bool)
     return GswfIia(m, n, tabs)
 
 
@@ -187,20 +186,10 @@ def _beats_all_count(G: GswfIia, a: int) -> int:
     per_k = [factorial(k) * factorial(m - 1 - k) for k in range(m)]
     weights = np.array([[per_k[bit + y.bit_count()] for y in range(1 << (m - 2))]
                         for bit in (0, 1)])
-    b1 = others[0]
-    # for b_1 < a the (a, b_1) table is the stored (b_1, a) one complemented
-    # and read backwards; reading it forwards flips every voter's bit, so the
-    # weights' bit axis flips instead and the first step takes 1 - x
-    flip = b1 < a
-    acc = G.tables[_tables.pair_slot(m)[min(a, b1), max(a, b1)]]
-    acc = acc.view(np.uint8)  # bools are bytes of 0 or 1
-    if flip:
-        weights = weights[::-1]
+    acc = G.pairwise(a, others[0]).view(np.uint8)  # bools are bytes of 0 or 1
     for t in range(1, n + 1):
         step = weights.astype(np.min_scalar_type(factorial(m) ** t))
         acc = acc.reshape(2, -1).T @ step
-        if flip and t == 1:
-            np.subtract(step.sum(0, dtype=step.dtype), acc, out=acc)
     # axes (voter, pair) -> (pair, voter): the column index of each pair
     order = np.arange(n * (m - 2)).reshape(n, m - 2).T.ravel()
     acc = acc.reshape((2,) * (n * (m - 2))).transpose(order).reshape(-1)
@@ -525,8 +514,8 @@ class ChainReport:
 def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     """Build G from the SCF and verify the chain in exact arithmetic."""
     n = resolve_n(scf, n)
-    tie = _tie_bits(tie_voter, n)
     sampling.pick_mode("exact", n, 3, None, None, exact_only="the reduction chain")
+    tie = _tie_bits(tie_voter, n)
     stats = [column_stats(scf, a, b, n) for a, b in PAIRS3]  # one sweep per pair
     mab_reports = tuple(st.mab_report() for st in stats)
     nab_reports = tuple(st.nab_report() for st in stats)

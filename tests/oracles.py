@@ -20,8 +20,9 @@ engine it checks:
   exact engine reads only pairwise columns;
 * ``border_counts_by_direction``, ``shift_coordinate_by_lines`` and
   ``shift_monotone_by_lines``: lattice borders and shifts one direction at
-  a time on reshaped lines, where the engine gathers every direction at
-  once from a cached edge table and packs without intermediate sets;
+  a time on reshaped lines, one set per call, where the engine takes a
+  stack of sets, compares each line's tail and head digits and packs
+  without intermediate sets;
 * ``border_check_by_instance`` and ``shift_check_by_instance``: the
   ``border`` and ``shifting`` suite checks one descriptor at a time on
   those per-direction borders and shifts, where the suites check a block's

@@ -179,6 +179,40 @@ def test_reduce_past_budget_says_the_chain_is_exact_only(capsys):
                    "and the reduction chain has no sampled path\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "composition", "--n", "40", "--seed", "0"),
+    ("verify", "composition", "--n", "40", "--seed", "0", "--samples", "100"),
+    ("gen", "--g", "dictator_swf:0", "--n", "40", "--out", "x.gswf"),
+    ("gen", "--g", "random_iia:1", "--n", "40", "--out", "x.gswf"),
+    ("gen", "--g", "majority", "--n", "41", "--out", "x.gswf"),
+])
+def test_column_tables_past_the_voter_bound_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "a 2^n-column table takes at most 26 voters" in err
+    assert not (tmp_path / "x.gswf").exists()
+
+
+def test_reduce_at_forty_voters_refuses_on_the_budget_first(capsys):
+    code, out, err = run(capsys, "reduce", "--scf", "borda", "--n", "40")
+    assert code == 2 and out == ""
+    assert err == ("error: exact enumeration at n=40, m=3 exceeds the budget, "
+                   "and the reduction chain has no sampled path\n")
+
+
+@pytest.mark.parametrize("ce", [
+    {"suite": "converse", "kind": "random_iia", "seed": 0, "n": 40},
+    {"suite": "arrow-identity", "kind": "random_odd_g", "seed": 0, "n": 40},
+])
+def test_replay_of_a_column_table_past_the_voter_bound_exits_2(capsys, tmp_path, ce):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(ce))
+    code, out, err = run(capsys, "verify", "--replay", str(path))
+    assert code == 2 and out == ""
+    assert "takes at most 26 voters, got n=40" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (("verify", "border", "--n", "0"), "at least one voter"),
     (("verify", "shifting", "--n", "-2"), "at least one voter"),
@@ -338,6 +372,12 @@ def test_verify_replay_unknown_kind_exits_2(capsys, tmp_path):
       "b_indices": [8]}, "out of range"),
     ({"suite": "border", "source": "random", "n": 2, "a_indices": [0, 3],
       "b_indices": [3, 8]}, "disjoint"),
+    ({"suite": "shifting", "n": 2, "indices": [1.5]}, "must be integers"),
+    ({"suite": "shifting", "n": 2, "indices": [[1, 2]]}, "flat list"),
+    ({"suite": "border", "source": "scf", "n": 2, "pair": [0, 1], "column": 2.9,
+      "scf": {"name": "borda", "m": 3, "params": {}}}, "must be integers"),
+    ({"suite": "border", "source": "random", "n": 2, "a_indices": [0.2],
+      "b_indices": [0.9]}, "must be integers"),
 ])
 def test_verify_replay_of_a_bad_lattice_descriptor_exits_2(capsys, tmp_path, ce, says):
     path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Edge borders, monotone shifting, and correlation on {0,1,2}^n."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,13 @@ from votelab.lattice import (
     BorderReport,
     EdgeBorder,
     HarrisReport,
+    SetStack,
     TernarySet,
-    _edge_table,
     border_counts,
     border_total,
     check_border_inequality,
     check_harris,
+    direction_counts,
     edge_border,
     is_monotone,
     random_set,
@@ -45,6 +47,16 @@ def test_set_construction_and_indices():
         TernarySet.from_indices(1, [3])
     with pytest.raises(ValueError):
         TernarySet(1, np.zeros(4, dtype=bool))
+    assert TernarySet.from_indices(2, []) == TernarySet.empty(2)
+
+
+def test_points_and_columns_must_be_integers():
+    with pytest.raises(ValueError, match="must be integers"):
+        TernarySet.from_indices(2, [1.5])
+    with pytest.raises(ValueError, match="flat list"):
+        TernarySet.from_indices(2, [[1, 2]])
+    with pytest.raises(ValueError, match="must be integers"):
+        sets_ab(ScfRule("borda"), 0, 1, 2.9, 2)
 
 
 def test_border_trivial_sets():
@@ -324,11 +336,44 @@ def test_zero_and_one_dimensional_borders_and_shifts():
 
 @pytest.mark.parametrize("n", range(7))
 def test_cached_tables_are_read_only(n):
-    table = _edge_table(n)
-    assert table is _edge_table(n)
-    assert table.shape == (2, n, 3, 3 ** n // 3)
-    assert table.nbytes == 16 * n * 3 ** n
-    for frozen in (table, _PACK_FLOORS):
+    for frozen in (_PACK_FLOORS, TernarySet.full(n).membership):
         assert not frozen.flags.writeable
         with pytest.raises(ValueError):
             frozen[...] = 0
+
+
+def test_line_view_borders_at_nine_dimensions():
+    rng = np.random.default_rng(9)
+    for p in (0.1, 0.5, 0.9):
+        s = TernarySet(9, rng.random(3 ** 9) < p)
+        want = border_counts_by_direction(s, with_edges=True)
+        counts, edges = slow_border(s)
+        assert list(want.counts) == counts and set(want.edges) == edges
+        assert border_counts(s, with_edges=True) == want  # edges in the same order
+        assert direction_counts(s).tolist() == counts
+        assert [edge_border(s, i) for i in range(9)] == counts
+
+
+def test_line_view_borders_at_twelve_dimensions():
+    rng = np.random.default_rng(12)
+    memb = rng.random((2, 3 ** 12)) < 0.5
+    sets = [TernarySet(12, row) for row in memb]  # MAX_N bounds only from_indices
+    want = [list(border_counts_by_direction(s).counts) for s in sets]
+    assert [list(border_counts(s).counts) for s in sets] == want
+    assert direction_counts(SetStack(12, memb)).tolist() == want
+
+
+def test_borders_allocate_masks_not_tables():
+    """A border at n = 10 allocates a few 3^10-byte masks per direction,
+    for one set and for a stack of eight, and keeps nothing per n."""
+    rng = np.random.default_rng(10)
+    s = TernarySet(10, rng.random(3 ** 10) < 0.5)
+    stack = SetStack(10, rng.random((8, 3 ** 10)) < 0.5)
+    tracemalloc.start()
+    try:
+        border_counts(s)
+        direction_counts(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20

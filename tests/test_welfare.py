@@ -13,8 +13,10 @@ from math import factorial
 import numpy as np
 import pytest
 
+from votelab import tallies
 from votelab.metrics import mab
-from votelab.orders import Profile, order_from_index, profile_from_index
+from votelab.orders import (MAX_COLUMN_VOTERS, Profile, column_complement, order_from_index,
+                            profile_from_index, voter_bits)
 from votelab.rules import BudgetError, ScfRule
 from votelab.sampling import exact_feasible
 from votelab.welfare import (
@@ -576,6 +578,15 @@ def test_budget_guards():
         ngcw(neutral_tensor(majority_g(3), 6), mode="exact")
     with pytest.raises(BudgetError):
         dist_tr3_bruteforce(random_iia_gswf(4, 3, 0))
+
+
+def test_column_tables_refuse_past_the_voter_bound_before_allocating():
+    assert MAX_COLUMN_VOTERS >= tallies.MAX_N  # gswf_from_scf keeps the tally engine's reach
+    for build in (lambda n: voter_bits(0, n), column_complement, majority_g,
+                  lambda n: random_odd_g(n, 0), lambda n: random_iia_gswf(n, 3, 0)):
+        with pytest.raises(ValueError, match="takes at most 26 voters, got n=41"):
+            build(41)
+    assert gswf_from_scf(ScfRule("borda"), n=tallies.MAX_N).n == tallies.MAX_N
 
 
 def test_composition_samples_its_block_past_the_budget():

@@ -109,16 +109,14 @@ def cmd_metrics(args) -> int:
     rows = metrics.manipulation_reports(scf, n, **kw)
     if scf.m == 3:
         rows += metrics.pair_reports(scf, n, **kw)
-    mins, trials, _ = rules._diag_mins(scf, n, **kw)
+    mins, violations, trials, _ = rules._diag_mins(scf, n, **kw)
     for metric, (count, i) in zip(("dist_dictatorship", "dist_antidictatorship",
                                    "range_min"), mins):
         rows.append(metrics.count_report(metric, (i,), count, trials, mode, args.seed))
 
-    properties = [("neutral", "neutrality", rules.neutrality_counts)]
-    if n > 1:  # one voter has no pair of voters to swap: no anonymity pass
-        properties.append(("anonymous", "anonymity", rules.anonymity_counts))
-    for metric, rate, fn in properties:
-        bad, checks = fn(scf, n, **kw)
+    # one voter has no pair of voters to swap: no anonymity rows
+    properties = [("neutral", "neutrality"), ("anonymous", "anonymity")][:1 + (n > 1)]
+    for (metric, rate), (bad, checks) in zip(properties, violations):
         if mode == "exact":
             rows.append(metrics.exact_report(f"is_{metric}", (), int(bad == 0), 1))
         else:

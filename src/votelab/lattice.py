@@ -31,11 +31,19 @@ DENSITIES = (0.25, 0.5, 0.75)  # the membership densities random sets draw from
 MAX_N = 10
 
 
+def check_integer(value, what: str, lo=None, hi=None) -> int:
+    """value as an int, if it is an integer (a bool is not one) and, given
+    bounds, in lo..hi; a one-line ValueError naming ``what`` otherwise."""
+    span = "" if lo is None else f" in {lo}..{hi}"
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (lo is not None and not lo <= value <= hi)):
+        raise ValueError(f"{what} must be an integer{span}, got {value!r}")
+    return int(value)
+
+
 def check_dimension(n) -> int:
     """n itself, if it is an integer in 0..MAX_N; a ValueError otherwise."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= MAX_N:
-        raise ValueError(f"lattice dimension must be an integer in 0..{MAX_N}, got {n!r}")
-    return int(n)
+    return check_integer(n, "lattice dimension", 0, MAX_N)
 
 
 def _integers(values, what: str) -> np.ndarray:

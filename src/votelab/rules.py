@@ -1,6 +1,8 @@
 """Social choice functions: explicit tables, the named rule zoo, and the
 distance/structure diagnostics (distance to dictatorships, range spread,
-neutrality, anonymity)."""
+neutrality, anonymity).  The diagnostics all come from one structure pass,
+``_diag_counts``: one sweep, one tally-engine visit or one sampled draw
+per chunk, elected once."""
 
 from __future__ import annotations
 
@@ -188,9 +190,11 @@ def resolve_n(scf, n=None) -> int:
 
 
 def _diag_counts(scf, n, mode, samples, seed, workers):
-    """Per-voter disagreements with the voter's top choice, per-voter
-    disagreements with the voter's bottom choice and per-alternative wins,
-    from one sweep or sampled pass: ((top, bottom, elected), trials, mode)."""
+    """A rule's structure counts from one sweep or sampled pass: per voter,
+    the disagreements with the voter's top choice, then with the voter's
+    bottom choice; per alternative, its wins; then the relabelling
+    violations and the adjacent voter-swap violations:
+    ((top, bottom, elected, relabelled, swapped), trials, mode)."""
     n = resolve_n(scf, n)
     m = scf.m
     perms = _tables.perms(m)
@@ -199,25 +203,37 @@ def _diag_counts(scf, n, mode, samples, seed, workers):
         winners = block.winners()
         top = [(winners != perms[block.digits[i], 0]).sum() for i in range(n)]
         bottom = [(winners != perms[block.digits[i], -1]).sum() for i in range(n)]
-        return np.concatenate([top, bottom, np.bincount(winners, minlength=m)])
+        relabelled = sum(int((block.relabeled(q) != perms[q][winners]).sum())
+                         for q in range(1, factorial(m)))
+        swapped = sum(int((block.swapped(i) != winners).sum()) for i in range(n - 1))
+        return np.concatenate([top, bottom, np.bincount(winners, minlength=m),
+                               [relabelled, swapped]])
 
-    counts, trials, mode = sampling.count(tally, 2 * n + m, n, m, mode=mode,
-                                          samples=samples, seed=seed, workers=workers,
-                                          scf=scf, space_tally=lambda space: space.diag())
-    return (counts[:n], counts[n:2 * n], counts[2 * n:]), trials, mode
+    counts, trials, mode = sampling.count(
+        tally, 2 * n + m + 2, n, m, mode=mode, samples=samples, seed=seed,
+        workers=workers, scf=scf,
+        space_tally=lambda space: [*space.diag(), space.neutrality(), space.anonymity()])
+    return (counts[:n], counts[n:2 * n], counts[2 * n:-2], counts[-2], counts[-1]), trials, mode
 
 
 def _diag_mins(scf, n, mode, samples, seed, workers):
-    """The smallest count of each of ``_diag_counts``' parts (top, bottom,
-    elected) and its first index: ([(count, index)] * 3, trials, mode)."""
-    diag, trials, mode = _diag_counts(scf, n, mode, samples, seed, workers)
-    return [(int(part.min()), int(part.argmin())) for part in diag], trials, mode
+    """The smallest count of each of ``_diag_counts``' per-voter and
+    per-alternative parts (top, bottom, elected) with its first index, and
+    the (violations, checks) of neutrality and of anonymity:
+    ([(count, index)] * 3, [(violations, checks)] * 2, trials, mode)."""
+    n = resolve_n(scf, n)
+    (*diag, relabelled, swapped), trials, mode = _diag_counts(scf, n, mode, samples,
+                                                               seed, workers)
+    mins = [(int(part.min()), int(part.argmin())) for part in diag]
+    violations = [(int(relabelled), trials * (factorial(scf.m) - 1)),
+                  (int(swapped), trials * (n - 1))]
+    return mins, violations, trials, mode
 
 
 def _diag_min(scf, which, n, mode, samples, seed, workers):
     """``_diag_mins``' part ``which`` (0 top, 1 bottom, 2 elected) as a
     probability, a Fraction when exact, and its index."""
-    mins, trials, used = _diag_mins(scf, n, mode, samples, seed, workers)
+    mins, _, trials, used = _diag_mins(scf, n, mode, samples, seed, workers)
     count, i = mins[which]
     return (Fraction(count, trials) if used == "exact" else count / trials), i
 
@@ -238,35 +254,15 @@ def range_min_prob(scf, n=None, *, mode="auto", samples=None, seed=None, workers
 
 
 def neutrality_counts(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
-    """(violations, checks) of F(pi o x) = pi(F(x)) over non-identity relabelings."""
-    n = resolve_n(scf, n)
-    m = scf.m
-    perms = _tables.perms(m).astype(np.int64)
-    nperm = factorial(m)
-
-    def tally(block):
-        winners = block.winners()
-        return [sum(int((block.relabeled(q) != perms[q][winners]).sum())
-                    for q in range(1, nperm))]
-
-    (bad,), trials, _ = sampling.count(tally, 1, n, m, mode=mode, samples=samples,
-                                       seed=seed, workers=workers, scf=scf,
-                                       space_tally=lambda space: [space.neutrality()])
-    return int(bad), trials * (nperm - 1)
+    """(violations, checks) of F(pi o x) = pi(F(x)) over non-identity
+    relabelings, read from the structure pass of ``_diag_counts``."""
+    return _diag_mins(scf, n, mode, samples, seed, workers)[1][0]
 
 
 def anonymity_counts(scf, n=None, *, mode="auto", samples=None, seed=None, workers=1):
-    """(violations, checks) of invariance under adjacent voter transpositions."""
-    n = resolve_n(scf, n)
-
-    def tally(block):
-        winners = block.winners()
-        return [sum(int((block.swapped(i) != winners).sum()) for i in range(n - 1))]
-
-    (bad,), trials, _ = sampling.count(tally, 1, n, scf.m, mode=mode, samples=samples,
-                                       seed=seed, workers=workers, scf=scf,
-                                       space_tally=lambda space: [space.anonymity()])
-    return int(bad), trials * (n - 1)
+    """(violations, checks) of invariance under adjacent voter transpositions,
+    read from the structure pass of ``_diag_counts``."""
+    return _diag_mins(scf, n, mode, samples, seed, workers)[1][1]
 
 
 def is_neutral(scf, n=None, **kw) -> bool:

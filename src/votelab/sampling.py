@@ -18,8 +18,12 @@ alternatives, and ``count`` makes it in one of two modes:
   from ``default_rng([seed, k])`` and counts are integer sums, so the
   result is the same for any worker count and schedule.  A chunk's draws
   depend only on (seed, k) and the calls made, so metrics that make the
-  same calls (every voter's M_i, every pair's mab or nab) share one draw
-  per chunk and are computed in one pass; their estimates are correlated.
+  same calls share one draw per chunk and are computed in one pass: every
+  voter's M_i, every pair's mab or nab, and a rule's structure counts
+  (distances to dictatorships, range, neutrality and anonymity, all from
+  ``rules._diag_counts``).  Their estimates are correlated.  M_i and
+  M_total each keep their own draw, since each draws fresh ballots after
+  the profiles.
 
 ``auto`` picks exact iff (m!)^n * m! <= EXACT_BUDGET (10^9), for every
 rule, and past it sampled mode, or refuses when given no samples.

@@ -364,6 +364,30 @@ def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
     return SuiteReport(name, total, passes, first, time.perf_counter() - t0)
 
 
+# The integer fields of a descriptor, besides ``pair`` and a rule's ``params``
+_INTEGER_FIELDS = ("n", "m", "voter", "seed", "tie_voter", "samples", "sample_seed")
+
+
+def _check_integer_fields(desc: dict) -> None:
+    """Refuse, with a ValueError, a descriptor whose integer fields hold
+    anything but integers: those of ``_INTEGER_FIELDS``, the two
+    alternatives of ``pair`` and every value of ``params``, in the
+    descriptor and in its rule descriptor ``scf``."""
+    fields = [(key, desc[key]) for key in _INTEGER_FIELDS if key in desc]
+    if "pair" in desc:
+        if not isinstance(desc["pair"], list) or len(desc["pair"]) != 2:
+            raise ValueError(f"pair must list two alternatives, got {desc['pair']!r}")
+        fields += [("pair", a) for a in desc["pair"]]
+    for key in ("params", "scf"):
+        if key in desc and not isinstance(desc[key], dict):
+            raise ValueError(f"{key} must be an object, got {desc[key]!r}")
+    fields += [(f"parameter {k!r}", v) for k, v in desc.get("params", {}).items()]
+    for key, value in fields:
+        lattice.check_integer(value, key)
+    if "scf" in desc:
+        _check_integer_fields(desc["scf"])
+
+
 def replay(counterexample: dict) -> bool:
     """Re-run the check of the counterexample's suite on the instance it
     describes; True means the property holds on replay."""
@@ -371,6 +395,7 @@ def replay(counterexample: dict) -> bool:
         suite = counterexample["suite"]
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r} in counterexample")
+        _check_integer_fields(counterexample)
         return SUITES[suite].check([counterexample])[0][0]
     except KeyError as exc:
         raise ValueError(f"counterexample lacks field {exc.args[0]!r}") from None

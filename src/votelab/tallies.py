@@ -11,8 +11,10 @@ So a count over the 6^n uniform profiles at m = 3 is a count over the
 distribution of that sum (IAC-style anonymous counting): ``TallySpace``
 fixes the ballots of the voters a count distinguishes (voter 0 always, and
 the voter whose ballot moves), convolves the others' words into a
-histogram over word sums, and weighs each outcome by it.  It serves n up
-to ``MAX_N``.
+histogram over word sums, and weighs each outcome by it.  Only voter 0 is
+read apart from the sum, so voters 1..n-1 are exchangeable: a per-voter
+count is made for voter 0 and voter 1, and voter 1's stands for the rest.
+It serves n up to ``MAX_N``.
 
 The engine and ``decoded_winners``, the one path by which a sampled pass
 or a rule's own evaluation elects a block under decodings of its ballots,
@@ -232,7 +234,8 @@ class TallySpace:
     def _ballot_winners(self, i):
         """(winners, weight): ``winners[r, c]`` is the winner once voter i
         casts ballot r in the c-th context of the other voters, which
-        ``weight[c]`` profiles share."""
+        ``weight[c]`` profiles share.  Only voter 0 plays a part of its
+        own, so every voter i >= 1 reads voter 1's."""
         j = 1 if i == 0 else 2
         state, weight, ballots = self._fixed(j)
         winners = self.outcome[state, ballots[0][:, None]].reshape(6, -1)  # rows: b_{j-1}
@@ -251,14 +254,15 @@ class TallySpace:
         other than the voter's top, then than its bottom; per alternative,
         the profiles electing it."""
         perms = _tables.perms(3)
-        top, bottom = [], []
-        for i in range(self.n):
+        parts = []  # (top, bottom) of voter 0, then of voter 1, shared by voters i >= 1
+        for i in range(min(self.n, 2)):
             winners, weight = self._ballot_winners(i)
-            top.append((winners != perms[:, :1]).sum(0) @ weight)
-            bottom.append((winners != perms[:, -1:]).sum(0) @ weight)
+            parts.append([(winners != perms[:, :1]).sum(0) @ weight,
+                          (winners != perms[:, -1:]).sum(0) @ weight])
+        top, bottom = np.array([parts[min(i, 1)] for i in range(self.n)]).T
         winners, weight = self._ballot_winners(0)
         elected = [(winners == a).sum(0) @ weight for a in range(3)]
-        return np.array(top + bottom + elected, np.int64)
+        return np.concatenate([top, bottom, elected]).astype(np.int64)
 
     def _relabeled(self, state, q) -> np.ndarray:
         """The word sum of each profile of word sum ``state`` once every

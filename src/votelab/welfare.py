@@ -14,7 +14,7 @@ import numpy as np
 from . import _tables, sampling
 from .metrics import MetricReport, column_stats, count_report
 from .orders import Profile, column_complement, column_count, column_index, profile_block, voter_bits
-from .rules import ScfRule, _diag_mins, is_neutral, register_rule, resolve_n
+from .rules import ScfRule, _diag_mins, register_rule, resolve_n
 
 PAIRS3 = _tables.pair_list(3)
 
@@ -520,7 +520,7 @@ def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     mab_reports = tuple(st.mab_report() for st in stats)
     nab_reports = tuple(st.nab_report() for st in stats)
     eps1 = max(r.fraction for r in mab_reports)
-    mins, trials, _ = _diag_mins(scf, n, "exact", None, None, 1)
+    mins, ((relabelled, _), _), trials, _ = _diag_mins(scf, n, "exact", None, None, 1)
     dd, da, rm = (Fraction(count, trials) for count, _ in mins)
     eps2 = min(dd, da, rm)
     G = _gswf_from_stats(stats, tie)
@@ -534,5 +534,5 @@ def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     dist_ok = dist >= eps2 or 9 * eps1 >= (eps2 - dist) ** 2
     return ChainReport(eps1, eps2, dd, da, rm, mab_reports, nab_reports,
                        nt_report, G, dist, member,
-                       is_neutral_gswf(G), is_neutral(scf, n),
+                       is_neutral_gswf(G), relabelled == 0,
                        nt_le, cauchy, sum_sq, dist_ok)

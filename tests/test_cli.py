@@ -4,11 +4,12 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from votelab import rules, suites
+from votelab import orders, rules, sampling, suites
 from votelab.cli import main
 from votelab.fileio import read_gswf, read_scf
 from votelab.rules import ScfRule
@@ -60,12 +61,14 @@ def test_metrics_one_voter_leaves_out_anonymity(capsys, mode):
      "37305e4245d97d67a6787f5370f1aa5b4bce9898b58b468cfa640e4484a81f85"),
 ])
 def test_metrics_one_voter_makes_no_anonymity_pass(capsys, monkeypatch, mode, digest):
-    """The n - 1 = 0 swap checks are known before any pass, so none is made;
-    the JSON is the one recorded while the pass was still made."""
+    """The n - 1 = 0 swap checks are known before any pass, so the structure
+    pass reads no swapped block; the JSON is the one recorded while a
+    separate anonymity pass was still made."""
     def refuse(*args, **kwargs):
-        raise AssertionError("anonymity pass at n = 1")
+        raise AssertionError("voter swap at n = 1")
 
-    monkeypatch.setattr(rules, "anonymity_counts", refuse)
+    monkeypatch.setattr(sampling.Evaluated, "swapped", refuse)
+    monkeypatch.setattr(sampling.Tabled, "swapped", refuse)
     code, out, err = run(capsys, "metrics", "--scf", "borda", "--n", "1", *mode)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -101,6 +104,72 @@ def test_metrics_sampled_deterministic_across_workers(capsys):
     rows = json.loads(out1)
     sampled = [r for r in rows if r["mode"] == "sampled"]
     assert sampled and all(r["samples"] is not None for r in sampled)
+
+
+def _count_passes(monkeypatch) -> dict:
+    """Count the sampled passes (``sampling.run_chunks`` calls) and exact
+    sweeps (``orders.profile_chunks`` calls) made from here on, wrapping
+    each function under every name that holds it in a votelab module."""
+    passes = {"sampled": 0, "swept": 0}
+    for key, fn in (("sampled", sampling.run_chunks), ("swept", orders.profile_chunks)):
+        def counted(*args, _key=key, _fn=fn, **kwargs):
+            passes[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "votelab" or name.startswith("votelab."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return passes
+
+
+@pytest.mark.parametrize("scf,n", [("borda", "11"), ("random_table:1", "6")])
+def test_sampled_metrics_make_five_passes(capsys, monkeypatch, scf, n):
+    """M_i, M_total, mab, nab, and one structure pass for the distances,
+    the range, neutrality and anonymity."""
+    passes = _count_passes(monkeypatch)
+    code, _, err = run(capsys, "metrics", "--scf", scf, "--n", n,
+                       "--samples", "4096", "--seed", "0")
+    assert code == 0, err
+    assert passes == {"sampled": 5, "swept": 0}
+
+
+@pytest.mark.parametrize("argv", [["metrics", "--exact"], ["reduce"]])
+def test_a_table_file_takes_five_sweeps(capsys, monkeypatch, tmp_path, argv):
+    """metrics: the M_i sweep, one column sweep per pair and the structure
+    sweep; reduce: the column sweeps, the structure sweep and dist_tr3's."""
+    path = tmp_path / "t.scf3"
+    assert run(capsys, "gen", "--scf", "random_table:1", "--n", "4", "--out", str(path))[0] == 0
+    passes = _count_passes(monkeypatch)
+    code, _, err = run(capsys, argv[0], "--scf", str(path), *argv[1:])
+    assert code == 0, err
+    assert passes == {"sampled": 0, "swept": 5}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("src", ["plurality", "random_table:1"])
+def test_structure_rows_equal_the_standalone_counts(capsys, src, seed, workers):
+    """The metrics command's distance, range, neutrality and anonymity rows
+    are what each public function gives on its own."""
+    n, samples = 5, 3000
+    code, out, err = run(capsys, "metrics", "--scf", src, "--n", str(n), "--samples",
+                         str(samples), "--seed", str(seed), "--workers", str(workers))
+    assert code == 0, err
+    rows = {r["metric"]: r for r in json.loads(out)}
+    name, _, arg = src.partition(":")
+    rule = ScfRule(name, **({"seed": int(arg)} if arg else {}))
+    kw = dict(mode="sampled", samples=samples, seed=seed, workers=workers)
+    for metric, fn in (("dist_dictatorship", rules.dist_to_dictatorship),
+                       ("dist_antidictatorship", rules.dist_to_antidictatorship),
+                       ("range_min", rules.range_min_prob)):
+        value, i = fn(rule, n, **kw)
+        assert (rows[metric]["value"], rows[metric]["indices"]) == (value, [i]), metric
+    for metric, fn in (("neutrality_violations", rules.neutrality_counts),
+                       ("anonymity_violations", rules.anonymity_counts)):
+        bad, checks = fn(rule, n, **kw)
+        assert (rows[metric]["num"], rows[metric]["den"]) == (str(bad), str(checks)), metric
 
 
 def test_metrics_four_alternatives_skips_pair_metrics(capsys):
@@ -385,6 +454,42 @@ def test_verify_replay_of_a_bad_lattice_descriptor_exits_2(capsys, tmp_path, ce,
     code, out, err = run(capsys, "verify", "--replay", str(path))
     assert code == 2 and "holds" not in out and "violated" not in out
     assert "error:" in err and says in err
+
+
+BORDA = {"name": "borda", "m": 3, "params": {}}
+
+
+@pytest.mark.parametrize("ce,says", [
+    ({"suite": "border", "source": "scf", "n": 2, "scf": BORDA, "pair": [0, 1.0],
+      "column": 1}, "pair must be an integer"),
+    ({"suite": "border", "source": "scf", "n": 2, "scf": BORDA, "pair": [0, 1, 2],
+      "column": 1}, "pair must list two alternatives"),
+    ({"suite": "cauchy", "n": 2, "scf": {"name": "random_table", "m": 3,
+                                         "params": {"seed": 1.5}}}, "parameter 'seed'"),
+    ({"suite": "cauchy", "n": 2, "scf": {"name": "constant", "m": 3,
+                                         "params": {"alt": 1.0}}}, "parameter 'alt'"),
+    ({"suite": "cauchy", "n": 2, "scf": {"name": "borda", "m": 3, "params": [1]}},
+     "params must be an object"),
+    ({"suite": "converse", "kind": "dictator_swf", "voter": 1.5, "n": 3},
+     "voter must be an integer"),
+    ({"suite": "converse", "kind": "from_scf", "scf": BORDA, "tie_voter": 0.5, "n": 3},
+     "tie_voter must be an integer"),
+    ({"suite": "cauchy", "n": 2.5, "scf": BORDA}, "n must be an integer"),
+    ({"suite": "cauchy", "n": "2", "scf": BORDA}, "n must be an integer"),
+    ({"suite": "cauchy", "n": 2, "scf": {"name": "borda", "m": 3.0, "params": {}}},
+     "m must be an integer"),
+    ({"suite": "first-reduction", "n": True, "scf": BORDA}, "n must be an integer"),
+    ({"suite": "composition", "kind": "random_odd_g", "seed": 0, "n": 2, "samples": 2.5,
+      "sample_seed": 0}, "samples must be an integer"),
+    ({"suite": "composition", "kind": "majority_g", "n": 3, "samples": 20,
+      "sample_seed": 0.5}, "sample_seed must be an integer"),
+])
+def test_verify_replay_of_a_non_integer_field_exits_2(capsys, tmp_path, ce, says):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ce))
+    code, out, err = run(capsys, "verify", "--replay", str(path))
+    assert code == 2 and "holds" not in out and "violated" not in out
+    assert err.count("\n") == 1 and "error:" in err and says in err
 
 
 def test_verify_without_suite_exits_2(capsys):

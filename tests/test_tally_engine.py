@@ -60,7 +60,7 @@ def test_engine_at_its_cap(name):
             == rows[-1].fraction == sum(m_i))
     # only pairwise_majority_fallback sets voter 0 apart
     assert len(set(m_i[name == "pairwise_majority_fallback":])) == 1
-    (top, bottom, elected), trials, mode = rules._diag_counts(rule, n, "exact", None, None, 1)
+    (top, bottom, elected, _, _), trials, mode = rules._diag_counts(rule, n, "exact", None, None, 1)
     assert mode == "exact" and trials == 6 ** n
     assert sum(int(c) for c in elected) == 6 ** n
     assert all(0 <= int(c) <= 6 ** n for c in (*top, *bottom))

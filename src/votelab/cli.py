@@ -62,15 +62,12 @@ def load_scf(src: str, m: int | None, n: int | None):
         table = _check_agrees(fileio.read_scf(src), "table file", n, m)
         return table, rules.resolve_n(table)
     name, arg = _parse_named(src)
-    # the nameable rules: registered ones taking at most one parameter
-    required = {k: v for k, v in rules._REQUIRED.items() if len(v) <= 1}
-    if name not in required:
-        raise ValueError(f"unknown rule {name!r}; names: {', '.join(required)}")
+    required = rules.nameable_params(name)
     params = {}
     if arg is not None:
-        if not required[name]:
+        if not required:
             raise ValueError(f"rule {name!r} takes no argument")
-        params[required[name][0]] = arg
+        params[required[0]] = arg
     if n is None:
         raise ValueError("--n is required for rule names")
     rule = rules.ScfRule(name, 3 if m is None else m, **params)

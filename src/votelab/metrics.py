@@ -217,9 +217,8 @@ def _voter_gains(scf, voters, n, *, mode, samples, seed, workers, fresh):
         return digits, np.broadcast_to(ballots, (len(voters), size))
 
     def space_gains(space):  # no sampled interval, so no sum of squares
-        # the engine's voters 1..n-1 are exchangeable: voter 1 counts for them all
-        gains = {j: space.gains(j) for j in {min(i, 1) for i in voters}}
-        return [*(gains[min(i, 1)] for i in voters), 0]
+        gains = space.gains()
+        return [*(gains[i] for i in voters), 0]
 
     return sampling.count(_gains(voters, scf.m), len(voters) + 1, n, scf.m, mode=mode,
                           samples=samples, seed=seed, workers=workers, draw=draw, scf=scf,

@@ -16,7 +16,7 @@ import numpy as np
 from . import _tables, sampling
 from .orders import Profile, profile_block, profile_chunks
 from .sampling import BudgetError
-from .tallies import _TALLY_RULES, decoded_winners
+from .tallies import _TALLY_RULES, TallySpace, decoded_winners
 
 
 def _check_m(m) -> None:
@@ -80,6 +80,16 @@ def register_rule(name, required=()):
     return deco
 
 
+def nameable_params(name) -> tuple:
+    """The parameters of the rule called ``name`` where a name alone builds
+    it (the CLI's ``name:int`` and a replayed rule descriptor): only the
+    registered rules taking at most one parameter.  Refuses any other name."""
+    nameable = {k: v for k, v in _REQUIRED.items() if len(v) <= 1}
+    if name not in nameable:
+        raise ValueError(f"unknown rule {name!r}; names: {', '.join(nameable)}")
+    return nameable[name]
+
+
 class ScfRule:
     """A named rule, evaluable lazily at any voter count.
 
@@ -98,6 +108,8 @@ class ScfRule:
             raise ValueError(f"constant alternative {params['alt']} out of range for m={m}")
         if name in ("dictatorship", "anti_dictatorship") and params["voter"] < 0:
             raise ValueError("voter index must be nonnegative")
+        if name == "random_table" and params["seed"] < 0:
+            raise ValueError(f"random_table seed must be nonnegative, got {params['seed']}")
         self.name = name
         self.m = m
         self.params = dict(params)
@@ -212,7 +224,7 @@ def _diag_counts(scf, n, mode, samples, seed, workers):
     counts, trials, mode = sampling.count(
         tally, 2 * n + m + 2, n, m, mode=mode, samples=samples, seed=seed,
         workers=workers, scf=scf,
-        space_tally=lambda space: [*space.diag(), space.neutrality(), space.anonymity()])
+        space_tally=TallySpace.structure)
     return (counts[:n], counts[n:2 * n], counts[2 * n:-2], counts[-2], counts[-1]), trials, mode
 
 

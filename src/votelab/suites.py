@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lattice, sampling, welfare
 from .metrics import mab, manipulation_power_total, pair_reports
-from .rules import ScfRule, zoo_rules
+from .rules import ScfRule, nameable_params, zoo_rules
 from .welfare import PAIRS3
 
 BLOCK = 128  # descriptors per check call, so a corpus is never held whole
@@ -44,6 +44,7 @@ def scf_descriptor(rule: ScfRule) -> dict:
 
 
 def build_scf(desc: dict) -> ScfRule:
+    nameable_params(desc["name"])
     return ScfRule(desc["name"], desc.get("m", 3), **desc.get("params", {}))
 
 
@@ -344,6 +345,8 @@ def run_suite(name: str, *, trials=None, n=None, seed: int = 0,
         raise ValueError(f"need at least one voter, got n={n}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if spec.exact_m is not None:

@@ -8,13 +8,14 @@ lies in 0..n·max, so a profile's F tallies pack without carries into one
 mixed-radix word, and a profile's word is the sum of its voters' words.
 
 So a count over the 6^n uniform profiles at m = 3 is a count over the
-distribution of that sum (IAC-style anonymous counting): ``TallySpace``
-fixes the ballots of the voters a count distinguishes (voter 0 always, and
-the voter whose ballot moves), convolves the others' words into a
-histogram over word sums, and weighs each outcome by it.  Only voter 0 is
-read apart from the sum, so voters 1..n-1 are exchangeable: a per-voter
-count is made for voter 0 and voter 1, and voter 1's stands for the rest.
-It serves n up to ``MAX_N``.
+distribution of that sum (IAC-style anonymous counting).  ``TallySpace``
+builds one context table per rule and n: the ballots of voter 0 and voter
+1 fixed, the other voters' words convolved into a histogram over word
+sums.  Every per-voter and symmetry count weighs outcomes on that table.
+Only voter 0 is read apart from the sum, so voters 1..n-1 are
+exchangeable: a per-voter count is made on voter 0's view of the table and
+on voter 1's, and voter 1's stands for the rest.  It serves n up to
+``MAX_N``.
 
 The engine and ``decoded_winners``, the one path by which a sampled pass
 or a rule's own evaluation elects a block under decodings of its ballots,
@@ -177,11 +178,13 @@ class TallySpace:
     """Exact counts over the 6^n profiles of a tally rule at m = 3, made
     over the distribution of the voters' summed words.
 
-    A profile's winner is ``outcome[word sum, voter 0's ballot]``.  A count
-    fixes the ballots of j distinguished voters (voter 0 first), sums over
-    the word histogram of the other n - j, and weighs each outcome by the
-    number of profiles behind it.  Every method returns what the matching
-    profile sweep counts (see ``rules`` and ``metrics``).
+    A profile's winner is ``outcome[word sum, voter 0's ballot]``.  Every
+    per-voter and symmetry count reads one context table: the ballots of
+    voters 0 and 1 (voter 0 alone at n = 1) against the word histogram of
+    the others, each outcome weighed by the number of profiles behind it.
+    This class is the one place that knows voters 1..n-1 are exchangeable;
+    ``gains`` and ``structure`` return counts for all n voters, what the
+    matching profile sweep counts (see ``rules`` and ``metrics``).
     """
 
     def __init__(self, name: str, n: int):
@@ -199,7 +202,6 @@ class TallySpace:
                                   _tables.perms(3)[:, 0], 3)
         outcome.setflags(write=False)  # shared by every caller of ``tally_space``
         self.outcome = outcome
-        self._fixed_cache = {}
 
     def _spread(self, dist, k, ballots) -> np.ndarray:
         """The histogram ``dist`` of word sums after adding k voters, each
@@ -218,92 +220,83 @@ class TallySpace:
         dist[0] = 1
         return dist
 
-    def _fixed(self, j):
-        """(state, weight, ballots): ``state[t, c]`` is the word sum of the
-        profiles in which voters 0..j-1 cast ``ballots[:, t]`` (t = b_0 +
-        6·b_1) and the other voters sum to their c-th reachable sum,
-        ``weight[c]`` of those profiles per tuple."""
-        if j not in self._fixed_cache:
-            dist = self._spread(self._empty(), self.n - j, np.arange(6))
-            support = np.flatnonzero(dist)
-            ballots = _tables.index_digits(np.arange(6 ** j), 6, j)
-            state = support + self.word[ballots].sum(0)[:, None]
-            self._fixed_cache[j] = state, dist[support], ballots
-        return self._fixed_cache[j]
+    @functools.cached_property
+    def _context(self):
+        """The one context table, (others, weight, ballots): voter 0, and
+        voter 1 when n >= 2, cast ``ballots[:, t]`` (t = b_0 + 6·b_1), and
+        the other voters sum to their c-th reachable word sum ``others[c]``
+        in ``weight[c]`` profiles per tuple."""
+        j = min(self.n, 2)
+        dist = self._spread(self._empty(), self.n - j, np.arange(6))
+        others = np.flatnonzero(dist)
+        return others, dist[others], _tables.index_digits(np.arange(6 ** j), 6, j)
 
-    def _ballot_winners(self, i):
-        """(winners, weight): ``winners[r, c]`` is the winner once voter i
-        casts ballot r in the c-th context of the other voters, which
-        ``weight[c]`` profiles share.  Only voter 0 plays a part of its
-        own, so every voter i >= 1 reads voter 1's."""
-        j = 1 if i == 0 else 2
-        state, weight, ballots = self._fixed(j)
-        winners = self.outcome[state, ballots[0][:, None]].reshape(6, -1)  # rows: b_{j-1}
-        return winners, np.tile(weight, 6 ** (j - 1))
+    def _winners(self, others, ballots) -> np.ndarray:
+        """``[t, c]``: the winner once the fixed voters cast ``ballots[:, t]``
+        (voter 0 first) and the others sum to ``others[c]``."""
+        return self.outcome[others + self.word[ballots].sum(0)[:, None], ballots[0][:, None]]
 
-    def gains(self, i) -> int:
-        """The (profile, ballot) pairs at which voter i casting the ballot
-        instead elects an alternative the voter ranks higher."""
-        winners, weight = self._ballot_winners(i)
+    def _per_voter(self, count) -> list:
+        """Every voter's ``count(winners, weight)``: ``winners[r, c]`` is the
+        winner once the voter casts ballot r in the c-th context of the
+        others, which ``weight[c]`` profiles share.  The others enter
+        through the word sum, and only voter 0 through its ballot too, so
+        voters 2..n-1 repeat voter 1's count."""
+        others, weight, ballots = self._context
+        grid = self._winners(others, ballots).reshape(-1, 6, others.size)  # [b_1, b_0, c]
+        views = [grid.transpose(1, 0, 2), grid][:len(ballots)]  # rows: b_0, then b_1
+        counts = [count(view.reshape(6, -1), np.tile(weight, len(grid))) for view in views]
+        return counts + counts[-1:] * (self.n - len(counts))
+
+    def gains(self) -> list[int]:
+        """Per voter, the (profile, ballot) pairs at which the voter casting
+        the ballot instead elects an alternative the voter ranks higher."""
         own = np.arange(6)[:, None, None]
-        improves = _tables.prefers(3)[own, winners[None], winners[:, None]]  # [own, fresh, c]
-        return int(improves.sum((0, 1)) @ weight)
 
-    def diag(self) -> np.ndarray:
+        def count(winners, weight):
+            improves = _tables.prefers(3)[own, winners[None], winners[:, None]]  # [own, fresh, c]
+            return int(improves.sum((0, 1)) @ weight)
+        return self._per_voter(count)
+
+    def structure(self) -> list:
         """``rules._diag_counts``' counts: per voter, the profiles electing
         other than the voter's top, then than its bottom; per alternative,
-        the profiles electing it."""
-        perms = _tables.perms(3)
-        parts = []  # (top, bottom) of voter 0, then of voter 1, shared by voters i >= 1
-        for i in range(min(self.n, 2)):
-            winners, weight = self._ballot_winners(i)
-            parts.append([(winners != perms[:, :1]).sum(0) @ weight,
-                          (winners != perms[:, -1:]).sum(0) @ weight])
-        top, bottom = np.array([parts[min(i, 1)] for i in range(self.n)]).T
-        winners, weight = self._ballot_winners(0)
+        the profiles electing it; the relabelling violations, F(pi o x) !=
+        pi(F(x)), over the five non-identity relabelings pi; and the
+        violations of the n - 1 adjacent voter swaps."""
+        perms, act = _tables.perms(3), _tables.relabel_action(3)
+        top, bottom = zip(*self._per_voter(lambda winners, weight: (
+            (winners != perms[:, :1]).sum(0) @ weight, (winners != perms[:, -1:]).sum(0) @ weight)))
+        others, weight, ballots = self._context
+        winners = self._winners(others, ballots)
         elected = [(winners == a).sum(0) @ weight for a in range(3)]
-        return np.concatenate([top, bottom, elected]).astype(np.int64)
+        relabelled = sum((self._winners(self._relabeled(others, q, self.n - len(ballots)),
+                                        act[q][ballots]) != perms[q][winners]).sum(0) @ weight
+                         for q in range(1, 6))
+        # swapping voters 0 and 1 keeps the word sum; a swap of voters i, i + 1 >= 1
+        # keeps voter 0's ballot too, so it changes nothing
+        swapped = (self._winners(others, ballots[::-1]) != winners).sum(0) @ weight
+        return [*top, *bottom, *elected, relabelled, swapped]
 
-    def _relabeled(self, state, q) -> np.ndarray:
-        """The word sum of each profile of word sum ``state`` once every
-        ballot is relabelled by ``perms(3)[q]``: each field of a relabelled
-        ranking is a field of the ranking, or that field's complement."""
+    def _relabeled(self, words, q, voters) -> np.ndarray:
+        """The word sum of ``voters`` voters whose ballots sum to ``words``,
+        once every ballot is relabelled by ``perms(3)[q]``: each field of a
+        relabelled ranking is a field of the ranking, or that field's
+        complement."""
         moved = self.fields[_tables.relabel_action(3)[q]]
-        out = np.zeros_like(state)
+        out = np.zeros_like(words)
         for j, column in enumerate(moved.T):
             for k, field in enumerate(self.fields.T):
                 if (column == field).all():
-                    out += (state // self.weights[k] % self.radix) * self.weights[j]
+                    out += (words // self.weights[k] % self.radix) * self.weights[j]
                     break
                 if (column == self.top - field).all():
-                    out += (self.top * self.n - state // self.weights[k] % self.radix) \
+                    out += (self.top * voters - words // self.weights[k] % self.radix) \
                         * self.weights[j]
                     break
             else:
                 raise AssertionError(f"relabelling {q} does not act on the fields")
         return out
-
-    def neutrality(self) -> int:
-        """Relabelling violations, F(pi o x) != pi(F(x)), summed over the
-        five non-identity relabelings pi."""
-        state, weight, (first,) = self._fixed(1)
-        perms, act = _tables.perms(3).astype(np.intp), _tables.relabel_action(3)
-        winners = self.outcome[state, first[:, None]]
-        bad = 0
-        for q in range(1, 6):
-            moved = self.outcome[self._relabeled(state, q), act[q][first][:, None]]
-            bad += int((moved != perms[q][winners]).sum(0) @ weight)
-        return bad
-
-    def anonymity(self) -> int:
-        """Violations of invariance under the n - 1 adjacent voter swaps.
-        A swap of voters i, i + 1 >= 1 keeps the word sum and voter 0's
-        ballot, so only the swap of voters 0 and 1 can differ."""
-        if self.n < 2:
-            return 0
-        state, weight, (first, second) = self._fixed(2)
-        swapped = self.outcome[state, second[:, None]] != self.outcome[state, first[:, None]]
-        return int(swapped.sum(0) @ weight)
 
     def columns(self, a, b) -> np.ndarray:
         """``metrics.column_stats``' counts: per column z of the pair

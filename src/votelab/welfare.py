@@ -92,6 +92,8 @@ def majority_g(n: int) -> np.ndarray:
 
 def random_odd_g(n: int, seed) -> np.ndarray:
     """A seeded uniform odd Boolean table over 2^n columns."""
+    if seed < 0:
+        raise ValueError(f"random_odd_g seed must be nonnegative, got {seed}")
     comp = column_complement(n)
     lower = np.arange(comp.size) < comp
     bits = np.random.default_rng(seed).integers(0, 2, size=comp.size).astype(bool)
@@ -100,6 +102,8 @@ def random_odd_g(n: int, seed) -> np.ndarray:
 
 def random_iia_gswf(n: int, m: int, seed) -> GswfIia:
     """A seeded uniform IIA GSWF (independent random pairwise tables)."""
+    if seed < 0:
+        raise ValueError(f"random_iia_gswf seed must be nonnegative, got {seed}")
     pairs = len(_tables.pair_list(m))
     tabs = np.random.default_rng(seed).integers(0, 2, size=(pairs, column_count(n))).astype(bool)
     return GswfIia(m, n, tabs)

@@ -18,6 +18,9 @@ engine it checks:
 * ``ngcw_enumerated``: the exact no-GCW probability by visiting every
   profile, through the ``_no_gcw`` tally of the sampled path, where the
   exact engine reads only pairwise columns;
+* ``plurality_by_top_counts``: plurality's per-voter and symmetry counts
+  as a Python-int sum over the top counts (c0, c1, c2), where the tally
+  engine weighs a histogram of packed words; it reaches any n;
 * ``border_counts_by_direction``, ``shift_coordinate_by_lines`` and
   ``shift_monotone_by_lines``: lattice borders and shifts one direction at
   a time on reshaped lines, one set per call, where the engine takes a
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -251,6 +255,52 @@ def ngcw_enumerated(G) -> Fraction:
         lambda digits: [_no_gcw(G, digits, range(G.m)).sum()], 1, G.n, G.m,
         mode="exact")
     return Fraction(int(count), trials)
+
+
+# --- plurality by its top counts -----------------------------------------
+
+def plurality_by_top_counts(n: int) -> dict:
+    """Plurality's exact counts over the 6^n profiles at m = 3, from its top
+    counts alone.  Each voter's ranking is a top and one of two orders of
+    the rest, so k voters with top counts c cast k!/(c0!c1!c2!) · 2^k
+    profiles; the winner is the first alternative of most tops.
+
+    Returns, per voter (the same for all, plurality being anonymous):
+    ``gains``, the (profile, ballot) pairs at which the ballot elects an
+    alternative the voter ranks higher; ``top`` and ``bottom``, the
+    profiles electing other than the voter's top, bottom.  Then
+    ``elected``, the profiles electing each alternative; ``relabelled``,
+    the violations of F(pi o x) = pi(F(x)) over the five non-identity
+    relabelings pi; and ``swapped``, the adjacent voter-swap violations."""
+    rankings = list(permutations(range(3)))  # top first
+
+    def winner(c):
+        return max(range(3), key=lambda a: (c[a], -a))
+
+    def tops(k):  # (top counts of k voters, profiles behind them)
+        return [((a, b, k - a - b),
+                 factorial(k) // (factorial(a) * factorial(b) * factorial(k - a - b)) * 2 ** k)
+                for a in range(k + 1) for b in range(k + 1 - a)]
+
+    def plus(c, a):
+        return tuple(x + (j == a) for j, x in enumerate(c))
+
+    gains = top = bottom = 0
+    for c, weight in tops(n - 1):  # the other voters; the voter casts r, or s instead
+        for r in rankings:
+            w = winner(plus(c, r[0]))
+            top += weight * (w != r[0])
+            bottom += weight * (w != r[2])
+            gains += weight * sum(r.index(winner(plus(c, s[0]))) < r.index(w)
+                                  for s in rankings)
+    elected, relabelled = [0, 0, 0], 0
+    for c, weight in tops(n):
+        elected[winner(c)] += weight
+        for pi in rankings[1:]:  # alternative a becomes pi[a]
+            moved = [c[pi.index(a)] for a in range(3)]
+            relabelled += weight * (winner(moved) != pi[winner(c)])
+    return {"gains": gains, "top": top, "bottom": bottom, "elected": elected,
+            "relabelled": relabelled, "swapped": 0}
 
 
 # --- lattice borders and shifts, one direction at a time ------------------

@@ -300,6 +300,41 @@ def test_bad_sizes_exit_2(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("metrics", "--scf", "random_table:-1", "--n", "3", "--exact"),
+     "random_table seed must be nonnegative, got -1"),
+    (("gen", "--g", "random_odd:-5", "--n", "3", "--out", "{out}"),
+     "random_odd_g seed must be nonnegative, got -5"),
+    (("gen", "--g", "random_iia:-5", "--n", "3", "--out", "{out}"),
+     "random_iia_gswf seed must be nonnegative, got -5"),
+    (("verify", "border", "--seed", "-1", "--trials", "2"), "seed must be nonnegative, got -1"),
+    (("verify", "--replay", "{ce}"), "random_table seed must be nonnegative, got -4"),
+])
+def test_negative_seeds_exit_2_naming_the_seed(capsys, tmp_path, argv, message):
+    """numpy refuses a negative seed without naming it; each seed is
+    refused where it enters, before numpy sees it."""
+    ce = tmp_path / "ce.json"
+    ce.write_text(json.dumps({"suite": "cauchy", "n": 3, "scf": {
+        "name": "random_table", "params": {"seed": -4}}}))
+    code, _, err = run(capsys, *(a.format(ce=ce, out=tmp_path / "g.gswf") for a in argv))
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_replay_of_a_rule_no_name_builds_exits_2(capsys, tmp_path):
+    """A descriptor may name only the rules the CLI can name: gswf_winner
+    needs a preference function, which no descriptor holds."""
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps({"suite": "cauchy", "n": 3, "scf": {
+        "name": "gswf_winner", "params": {"fallback_voter": 0, "gswf": 1}}}))
+    code, out, err = run(capsys, "verify", "--replay", str(path))
+    assert code == 2 and "holds" not in out and "violated" not in out
+    assert err.startswith("error: unknown rule 'gswf_winner'; names: ")
+    assert set(err.split("names: ")[1].strip().split(", ")) == {
+        "dictatorship", "anti_dictatorship", "constant", "plurality", "borda",
+        "pairwise_majority_fallback", "random_table"}
+
+
 def test_verify_that_checks_nothing_exits_2(capsys):
     """A run whose corpus is empty must not report ok; a suite with a fixed
     corpus still runs at --trials 0."""

@@ -4,9 +4,11 @@ Every exact count of a tally rule over three alternatives comes from the
 distribution of its voters' summed tally words (``tallies.TallySpace``).
 The counts are pinned against the profile sweep over the rule's winner
 table (``sampling.count`` over ``Tabled``), which an ``ScfTable`` of the
-same outcomes always takes.
+same outcomes always takes, and plurality's, past the sweep's reach,
+against a Python-int sum over its top counts.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
@@ -18,6 +20,8 @@ from votelab.lattice import sets_ab
 from votelab.metrics import column_stats
 from votelab.rules import ScfRule
 from votelab.sampling import BudgetError, exact_feasible, pick_mode
+
+from oracles import plurality_by_top_counts
 
 TALLY = ("plurality", "borda", "pairwise_majority_fallback")
 
@@ -64,6 +68,23 @@ def test_engine_at_its_cap(name):
     assert mode == "exact" and trials == 6 ** n
     assert sum(int(c) for c in elected) == 6 ** n
     assert all(0 <= int(c) <= 6 ** n for c in (*top, *bottom))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_plurality_equals_the_top_count_oracle(n):
+    """Past the sweep's reach, plurality's engine counts equal a Python-int
+    sum over its top counts (c0, c1, c2)."""
+    rule, want = ScfRule("plurality"), plurality_by_top_counts(n)
+    for i in (0, 1, n - 1):
+        assert (metrics.manipulation_power(rule, i, n, mode="exact").fraction
+                == Fraction(want["gains"], 6 ** n * 6)), i
+    (top, bottom, elected, relabelled, swapped), trials, mode = rules._diag_counts(
+        rule, n, "exact", None, None, 1)
+    assert mode == "exact" and trials == 6 ** n
+    assert [int(c) for c in top] == [want["top"]] * n
+    assert [int(c) for c in bottom] == [want["bottom"]] * n
+    assert [int(c) for c in elected] == want["elected"]
+    assert (int(relabelled), int(swapped)) == (want["relabelled"], want["swapped"])
 
 
 def test_engine_serves_tally_rules_at_three_alternatives_only():

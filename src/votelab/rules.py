@@ -104,6 +104,10 @@ class ScfRule:
         missing = [k for k in _REQUIRED[name] if k not in params]
         if missing:
             raise ValueError(f"rule {name!r} needs parameters {missing}")
+        stray = sorted(k for k in params if k not in _REQUIRED[name])
+        if stray:
+            raise ValueError(f"rule {name!r} does not take {stray}; "
+                             f"it takes {list(_REQUIRED[name]) or 'no parameters'}")
         if name == "constant" and not 0 <= params["alt"] < m:
             raise ValueError(f"constant alternative {params['alt']} out of range for m={m}")
         if name in ("dictatorship", "anti_dictatorship") and params["voter"] < 0:

@@ -23,7 +23,10 @@ alternatives, and ``count`` makes it in one of two modes:
   (distances to dictatorships, range, neutrality and anonymity, all from
   ``rules._diag_counts``).  Their estimates are correlated.  M_i and
   M_total each keep their own draw, since each draws fresh ballots after
-  the profiles.
+  the profiles.  A drawn block of a tally rule is read through
+  ``tallies.Summed``, which sums its voters once and answers each moved or
+  swapped read from that sum; any other rule's through ``Evaluated``,
+  which evaluates the rule on each varied block.
 
 ``auto`` picks exact iff (m!)^n * m! <= EXACT_BUDGET (10^9), for every
 rule, and past it sampled mode, or refuses when given no samples.
@@ -109,7 +112,8 @@ def count(tally, slots: int, n: int, m: int, *, mode="auto", samples=None,
     ``draw(rng, size)``, by default one uniform (n, size) block, and
     ``trials`` is ``samples``.  Given the rule ``scf``, the block arrives
     as a view that also reads the rule's winners: ``Tabled`` on the rule's
-    winner table in exact mode, ``Evaluated`` by the rule in sampled mode.
+    winner table in exact mode; in sampled mode ``tallies.Summed`` on the
+    summed tallies of a tally rule, else ``Evaluated`` by the rule.
 
     ``space_tally(space)`` makes the same exact counts from a
     ``tallies.TallySpace``; given it, exact mode on a rule the tally engine
@@ -134,9 +138,11 @@ def count(tally, slots: int, n: int, m: int, *, mode="auto", samples=None,
         def draw(rng, size):
             return (rng.integers(0, nord, size=(n, size)),)
 
+    view = tallies.Summed if tallies.is_tally(scf) else Evaluated
+
     def counter(rng, size):
         digits, *rest = draw(rng, size)
-        return tally(digits if scf is None else Evaluated(scf, digits), *rest)
+        return tally(digits if scf is None else view(scf, digits), *rest)
 
     counts = run_chunks(counter, slots, samples, seed, workers=workers)
     return counts, samples, mode

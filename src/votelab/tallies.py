@@ -21,7 +21,10 @@ The engine and ``decoded_winners``, the one path by which a sampled pass
 or a rule's own evaluation elects a block under decodings of its ballots,
 read one cached decision table per (rule, m, n), a rule's decision at every
 word.  At m = 3 it holds borda up to n = 20 and the other two rules up to
-n = 40; past that ``decoded_winners`` decides on the unpacked tallies.
+n = 40; past that the rule decides on the unpacked tallies.  ``_scorer``
+is the one place that turns summed tallies into a decision, on either side
+of the cap.  ``Summed``, a sampled block of a tally rule, sums its voters
+once and decides each moved or swapped read from that sum.
 """
 
 from __future__ import annotations
@@ -102,6 +105,11 @@ _FALLS_BACK = "pairwise_majority_fallback"  # the one tally rule reading voter 0
 _DECISION_TABLE_MAX = (2 * MAX_N + 1) ** 3
 
 
+def is_tally(scf) -> bool:
+    """True when ``scf`` is one of the tally rules (at any m)."""
+    return getattr(scf, "name", None) in _TALLY_RULES
+
+
 def _fields(name, m) -> np.ndarray:
     return np.asarray(_TALLY_RULES[name][0](m), dtype=np.int64)
 
@@ -138,34 +146,81 @@ def _fall_back_to_voter_0(winners, first, tops, m) -> np.ndarray:
     return winners
 
 
-def decoded_winners(scf, codes, decoders) -> np.ndarray:
-    """Row k is ``scf.winners_from_digits(decoders[k][codes])``; the (n, S)
-    block ``codes`` is only read.  A tally rule composes each decoding into
-    its per-ranking words (one ``_field_sums`` slot each, then one decision
-    gather), or past the table's cap into its per-ranking fields, so the
-    voters are summed once for all; any other rule elects each decoding."""
-    name = getattr(scf, "name", None)
-    if name not in _TALLY_RULES:
-        return np.stack([scf.winners_from_digits(d[codes]) for d in decoders])
-    m, n = scf.m, codes.shape[0]
+def _scorer(name, m, n):
+    """(contrib, decide): a tally rule's decision at n voters, before the
+    voter-0 fallback, is ``decide(sums)`` on the (K, S) sums over voters of
+    the (m!, K) per-ranking table ``contrib``.  Within the decision table's
+    cap K = 1, a ranking's word, and ``decide`` is a gather on the table;
+    past it ``contrib`` is the rule's fields and ``decide`` its decision."""
     table = _decision_table(name, m, n)
     if table is not None:
         word, decision = table
-        winners = decision[_field_sums(np.stack([word[d] for d in decoders], 1), codes)]
-    else:
-        fields, decide = _fields(name, m), _TALLY_RULES[name][1]
-        sums = _field_sums(np.concatenate([fields[d] for d in decoders], 1), codes)
-        winners = np.stack([decide(part, m, n) for part in np.split(sums, len(decoders))])
+        return word[:, None], lambda sums: decision[sums[0]]
+    decide = _TALLY_RULES[name][1]
+    return _fields(name, m), lambda sums: decide(sums, m, n)
+
+
+def decoded_winners(scf, codes, decoders) -> np.ndarray:
+    """Row k is ``scf.winners_from_digits(decoders[k][codes])``; the (n, S)
+    block ``codes`` is only read.  A tally rule composes each decoding into
+    its per-ranking words, or past the table's cap its per-ranking fields
+    (``_scorer``), so the voters are summed once for all; any other rule
+    elects each decoding."""
+    if not is_tally(scf):
+        return np.stack([scf.winners_from_digits(d[codes]) for d in decoders])
+    name, m, n = scf.name, scf.m, codes.shape[0]
+    contrib, decide = _scorer(name, m, n)
+    sums = _field_sums(np.concatenate([contrib[d] for d in decoders], 1), codes)
+    winners = np.stack([decide(part) for part in np.split(sums, len(decoders))])
     if name == _FALLS_BACK:
         for row, d in zip(winners, decoders):
             _fall_back_to_voter_0(row, codes[0], _tables.perms(m)[d, 0], m)
     return winners
 
 
+class Summed:
+    """A sampled block of profiles, ``digits`` of shape (n, S), of a tally
+    rule, with the reads of ``sampling.Evaluated``.  The voters are summed
+    once; a move of voter i decides on the sum less voter i's share plus
+    the new ballot's, and a swap keeps the sum, so it changes only the
+    voter-0 fallback of ``pairwise_majority_fallback``.  Every read returns
+    one winner per profile; ``digits`` is only read."""
+
+    def __init__(self, scf, digits):
+        self.scf = scf
+        self.digits = digits
+        self._contrib, self._decide = _scorer(scf.name, scf.m, digits.shape[0])
+        self._sums = _field_sums(self._contrib, digits)
+        self._tops = _tables.perms(scf.m)[:, 0] if scf.name == _FALLS_BACK else None
+        self._decided = self._decide(self._sums)
+        self._decided.setflags(write=False)  # returned as the winners when no fallback
+
+    def _elect(self, decided, first):
+        """``decided`` with voter 0 casting ``first`` wherever it falls back."""
+        if self._tops is None:
+            return decided
+        return _fall_back_to_voter_0(decided.copy(), first, self._tops, self.scf.m)
+
+    def winners(self):
+        return self._elect(self._decided, self.digits[0])
+
+    def moved(self, i, ballots):
+        ballots = np.broadcast_to(ballots, self.digits.shape[1:])
+        sums = self._sums - self._contrib[self.digits[i]].T + self._contrib[ballots].T
+        return self._elect(self._decide(sums), ballots if i == 0 else self.digits[0])
+
+    def swapped(self, i):
+        return self._elect(self._decided, self.digits[1] if i == 0 else self.digits[0])
+
+    def relabeled(self, q):
+        return decoded_winners(self.scf, self.digits,
+                               [_tables.relabel_action(self.scf.m)[q]])[0]
+
+
 def exact_reach(scf) -> int:
     """The largest n at which ``TallySpace`` makes the exact counts of
     ``scf``: ``MAX_N`` for a tally rule over three alternatives, else 0."""
-    return MAX_N if getattr(scf, "name", None) in _TALLY_RULES and scf.m == 3 else 0
+    return MAX_N if is_tally(scf) and scf.m == 3 else 0
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from votelab import orders, rules, sampling, suites
+from votelab import orders, rules, sampling, suites, tallies
 from votelab.cli import main
 from votelab.fileio import read_gswf, read_scf
 from votelab.rules import ScfRule
@@ -69,7 +69,30 @@ def test_metrics_one_voter_makes_no_anonymity_pass(capsys, monkeypatch, mode, di
 
     monkeypatch.setattr(sampling.Evaluated, "swapped", refuse)
     monkeypatch.setattr(sampling.Tabled, "swapped", refuse)
+    monkeypatch.setattr(tallies.Summed, "swapped", refuse)
     code, out, err = run(capsys, "metrics", "--scf", "borda", "--n", "1", *mode)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,n,digest", [
+    ("plurality", 2, "f75bfd6eedee0529a57b49cfa18a21a7eee805b04964e58e66f2191cfe57150c"),
+    ("borda", 2, "e1c7384ac4e021991d7b3fcebb948bc7221c0ff7a16e7b583661fc0443d7fff1"),
+    ("pairwise_majority_fallback", 2,
+     "8257a583ba52ab7dc9c174e5c4acbd94018f3f2232e6178301f92a6f06d4c5e1"),
+    ("plurality", 11, "3e3dfa4857c539c18730f65684fd5c209f15234efb2f2940754e2f37e7ee9cf7"),
+    ("borda", 11, "ac9c81640b23e3d0164997479d181929820de5c30b2d1ae08d68c5c2d426eaa8"),
+    ("pairwise_majority_fallback", 11,
+     "398ebe308b585faec88ab351b9602d16e9d1d839882b9cc25cdecd841d994d91"),
+    ("borda", 21, "6e7b04bc99ac8ad1ca457f17b16d701f0dd0ca7b5c3cefb02aa6485f3222ece1"),
+    ("pairwise_majority_fallback", 41,
+     "43486ecb5f333f4078786b88bfa3691db57d39b5444ac0d7dd60e3552e6c59c6"),
+])
+def test_sampled_tally_metrics_keep_their_bytes(capsys, name, n, digest):
+    """Sampled metrics of the tally rules, on and past the decision table's
+    cap, are the JSON recorded while every read re-evaluated the rule."""
+    code, out, err = run(capsys, "metrics", "--scf", name, "--n", str(n),
+                         "--samples", "4096", "--seed", "0")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -333,6 +356,16 @@ def test_replay_of_a_rule_no_name_builds_exits_2(capsys, tmp_path):
     assert set(err.split("names: ")[1].strip().split(", ")) == {
         "dictatorship", "anti_dictatorship", "constant", "plurality", "borda",
         "pairwise_majority_fallback", "random_table"}
+
+
+def test_replay_of_a_rule_with_stray_parameters_exits_2(capsys, tmp_path):
+    """A descriptor may give a rule only the parameters it takes."""
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps({"suite": "cauchy", "n": 3, "scf": {
+        "name": "borda", "params": {"voter": 9, "gswf": 1}}}))
+    code, out, err = run(capsys, "verify", "--replay", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: rule 'borda' does not take ['gswf', 'voter']; it takes no parameters\n"
 
 
 def test_verify_that_checks_nothing_exits_2(capsys):

@@ -9,12 +9,14 @@ the rule for its winner, and against values frozen before the engine.
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
 
-from votelab import rules, sampling
-from votelab.metrics import column_stats, manipulation_power, manipulation_power_total
+from votelab import rules, sampling, tallies
+from votelab.metrics import (column_stats, manipulation_power, manipulation_power_total,
+                             manipulation_reports)
 from votelab.orders import (Profile, column_index, order_from_index, profile_chunks,
                             profile_digits, profile_from_index)
 from votelab.rules import ScfRule, _diag_counts, anonymity_counts, neutrality_counts, zoo_rules
@@ -159,6 +161,58 @@ def test_tabled_reads_equal_evaluated_reads(label):
     for q in range(6):
         assert np.array_equal(tabled.relabeled(q), evaluated.relabeled(q))
     assert np.array_equal(digits, profile_digits(np.arange(lo, lo + size), n))  # unedited
+
+
+SUMMED_CASES = [(name, 3, n) for name in tallies._TALLY_RULES for n in (1, 2, 3, 11)] + [
+    ("borda", 3, 21), ("plurality", 3, 41), ("pairwise_majority_fallback", 3, 41),
+    ("borda", 4, 4), ("borda", 4, 7),
+    ("pairwise_majority_fallback", 4, 4), ("pairwise_majority_fallback", 4, 7)]
+
+
+@pytest.mark.parametrize("name,m,n", SUMMED_CASES)
+def test_summed_reads_equal_evaluated_reads(name, m, n):
+    """Each read of a tally rule's summed block equals evaluating the rule
+    on the varied digits, on both sides of the decision table's cap (borda
+    past n = 20, the others past n = 40; at m = 4 past n = 5), repeated and
+    interleaved; the block's digits and earlier reads are left unedited."""
+    scf, size = ScfRule(name, m), 500
+    rng = np.random.default_rng(n)
+    digits = rng.integers(0, factorial(m), size=(n, size))
+    original = digits.copy()
+    ballots = rng.integers(0, factorial(m), size=size)
+    summed, evaluated = tallies.Summed(scf, digits), Evaluated(scf, digits)
+    winners = summed.winners()
+    first = winners.copy()
+    for _ in range(2):
+        assert np.array_equal(summed.winners(), evaluated.winners())
+        for i in range(n):
+            assert np.array_equal(summed.moved(i, ballots), evaluated.moved(i, ballots))
+            assert np.array_equal(summed.moved(i, 3), evaluated.moved(i, 3))
+        for i in range(n - 1):
+            assert np.array_equal(summed.swapped(i), evaluated.swapped(i))
+        for q in range(6):
+            assert np.array_equal(summed.relabeled(q), evaluated.relabeled(q))
+    assert np.array_equal(winners, first)
+    assert np.array_equal(digits, original)
+
+
+def test_sampled_passes_sum_each_block_once(monkeypatch):
+    """Sampled M_i, M_total and structure passes of a tally rule sum each
+    drawn block's voters once, and once more per relabelling, not once per
+    moved or swapped read (n = 11: 88 voter rows, against 440 when every
+    read re-evaluated the rule)."""
+    rows = []
+    original = tallies._voter_sum
+
+    def counting(packed, digits):
+        rows.append(len(digits))
+        return original(packed, digits)
+
+    monkeypatch.setattr(tallies, "_voter_sum", counting)
+    n, scf = 11, ScfRule("borda")
+    manipulation_reports(scf, n, mode="sampled", samples=1000, seed=0)
+    _diag_counts(scf, n, "sampled", 1000, 0, 1)
+    assert sum(rows) == n * (1 + 1 + 1 + 5)  # M_i, M_total, structure, five relabellings
 
 
 @pytest.mark.parametrize("scf,n", [(ScfRule("borda"), 11), (ScfRule("borda"), 21),

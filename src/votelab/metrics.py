@@ -2,9 +2,10 @@
 preference, exact or sampled.
 
 Exact values are integer counts over all profiles and reduce to exact
-rationals: by full enumeration, or for a tally rule over three alternatives
-at n <= ``tallies.MAX_N`` from the tally-space engine, which counts the
-same profiles through the distribution of their summed tally words (each
+rationals: from the rule's winner table read one voter at a time as lines
+(``lines.TableSpace``), or for a tally rule over three alternatives at
+n <= ``tallies.MAX_N`` from the tally-space engine, which counts the same
+profiles through the distribution of their summed tally words (each
 voter's ``M_i`` count, and ``column_stats`` per voter 0's bit and popcount
 of the others' bits).  Sampled values are deterministic for a given seed
 regardless of worker count (see sampling.count).
@@ -157,20 +158,13 @@ def _check_pairs(scf, pairs, what):
 
 
 def column_stats(scf, a: int, b: int, n=None) -> ColumnStats:
-    """Exact ColumnStats (m = 3): by full profile enumeration, reading the
-    winners from the rule's table, or for a tally rule from its counts per
-    voter 0's bit and popcount of the other voters' bits."""
+    """Exact ColumnStats (m = 3): from the rule's winner table, summing its
+    voters' ballots by their pair bit, or for a tally rule from its counts
+    per voter 0's bit and popcount of the other voters' bits."""
     n = resolve_n(scf, n)
     _check_pairs(scf, [(a, b)], "column statistics")
     size = 1 << n
-
-    def tally(block):
-        winners = block.winners()
-        z = block.columns(a, b)
-        return np.concatenate([np.bincount(z[winners == a], minlength=size),
-                               np.bincount(z[winners == b], minlength=size)])
-
-    counts, _, _ = sampling.count(tally, 2 * size, n, 3, mode="exact", scf=scf,
+    counts, _, _ = sampling.count(None, 2 * size, n, 3, mode="exact", scf=scf,
                                   space_tally=lambda space: space.columns(a, b))
     return ColumnStats(a, b, n, counts[:size], counts[size:])
 
@@ -181,23 +175,16 @@ def _gains(voters, m):
     ``tally(block, ballots)`` returns one count per listed voter, then the
     sum of squares over profiles of the per-profile number of improving
     (voter, ballot) pairs; ``ballots[k]`` is voter ``voters[k]``'s fresh
-    ballot per profile, and without ``ballots`` every other ballot is tried:
-    the voter's own never improves the outcome.
+    ballot per profile.
     """
     improves = _tables.prefers(m).reshape(-1)  # [(own * m + moved) * m + winner]
-    nord = factorial(m)
-    rotate = (np.arange(nord)[:, None] + np.arange(nord)) % nord  # [step, own]
 
-    def tally(block, ballots=None):
+    def tally(block, ballots):
         winners = block.winners()
         per_profile = np.zeros(block.digits.shape[1], np.int64)
         counts = []
         for k, i in enumerate(voters):
-            own = block.digits[i]
-            key = own * (m * m) + winners
-            fresh = ((ballots[k],) if ballots is not None
-                     else (rotate[step][own] for step in range(1, nord)))
-            gained = sum(improves[key + m * block.moved(i, ballot)] for ballot in fresh)
+            gained = improves[(block.digits[i] * m + block.moved(i, ballots[k])) * m + winners]
             per_profile += gained
             counts.append(gained.sum())
         return [*counts, (per_profile ** 2).sum()]
@@ -226,7 +213,7 @@ def _voter_gains(scf, voters, n, *, mode, samples, seed, workers, fresh):
 
 
 def _m_i_reports(scf, voters, n, **kw) -> list[MetricReport]:
-    """The M_i report of each listed voter, from one sweep or one sampled
+    """The M_i report of each listed voter, from one exact count or one sampled
     pass in which all of them share each chunk's profiles and fresh ballot."""
     counts, trials, mode = _voter_gains(scf, voters, n, fresh=1, **kw)
     # exact mode counts all m! ballots at each profile; the own one never improves
@@ -263,10 +250,11 @@ def manipulation_reports(scf, n=None, *, mode="auto", samples=None, seed=None,
                          workers=1) -> list[MetricReport]:
     """The M_i report of every voter, then M_total.
 
-    Exact mode makes one gains sweep for all of them (one tally-engine
-    count per voter for a tally rule); M_total is their sum.  Sampled mode makes
-    one pass for every M_i, whose chunks each voter would draw alike on its
-    own, and one for M_total, which draws a fresh ballot per voter.
+    Exact mode makes one gains count for all of them (from the winner
+    table's lines, or one tally-engine count per voter for a tally rule);
+    M_total is their sum.  Sampled mode makes one pass for every M_i, whose
+    chunks each voter would draw alike on its own, and one for M_total,
+    which draws a fresh ballot per voter.
     """
     n = resolve_n(scf, n)
     kw = dict(mode=sampling.pick_mode(mode, n, scf.m, samples, seed, scf=scf),

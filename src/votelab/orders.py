@@ -20,7 +20,6 @@ Conventions, normative for file formats and profile indices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -189,20 +188,6 @@ def profile_chunks(n: int, m: int = 3):
         digits = digits.reshape(n, count * period)
         digits.setflags(write=False)
         yield first * period, (first + count) * period, digits
-
-
-@lru_cache(maxsize=None)
-def space_columns(n: int, m: int, a: int, b: int) -> np.ndarray:
-    """``column_index`` of (a, b) at every profile, for the n whose
-    (m!)^n profiles fit one sweep block; read-only, in the narrowest
-    unsigned dtype that holds 2^n - 1."""
-    total = factorial(m) ** n
-    if total > SWEEP_CHUNK:
-        raise ValueError(f"{total} profiles do not fit one sweep block")
-    z = column_index(_digit_table(m, n)[:n, :total], a, b, m)
-    z = z.astype(np.min_scalar_type((1 << n) - 1))
-    z.setflags(write=False)
-    return z
 
 
 def column_index(digits, a: int, b: int, m: int = 3) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Social choice functions: explicit tables, the named rule zoo, and the
 distance/structure diagnostics (distance to dictatorships, range spread,
 neutrality, anonymity).  The diagnostics all come from one structure pass,
-``_diag_counts``: one sweep, one tally-engine visit or one sampled draw
-per chunk, elected once."""
+``_diag_counts``: one visit of the rule's exact engine, or one sampled
+draw per chunk, elected once and once more under all the relabellings."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from . import _tables, sampling
 from .orders import Profile, profile_block, profile_chunks
 from .sampling import BudgetError
-from .tallies import _TALLY_RULES, TallySpace, decoded_winners
+from .tallies import _TALLY_RULES, decoded_winners
 
 
 def _check_m(m) -> None:
@@ -206,7 +206,7 @@ def resolve_n(scf, n=None) -> int:
 
 
 def _diag_counts(scf, n, mode, samples, seed, workers):
-    """A rule's structure counts from one sweep or sampled pass: per voter,
+    """A rule's structure counts from one exact count or sampled pass: per voter,
     the disagreements with the voter's top choice, then with the voter's
     bottom choice; per alternative, its wins; then the relabelling
     violations and the adjacent voter-swap violations:
@@ -214,13 +214,14 @@ def _diag_counts(scf, n, mode, samples, seed, workers):
     n = resolve_n(scf, n)
     m = scf.m
     perms = _tables.perms(m)
+    relabelings = _tables.relabel_action(m)[1:]
 
     def tally(block):
         winners = block.winners()
         top = [(winners != perms[block.digits[i], 0]).sum() for i in range(n)]
         bottom = [(winners != perms[block.digits[i], -1]).sum() for i in range(n)]
-        relabelled = sum(int((block.relabeled(q) != perms[q][winners]).sum())
-                         for q in range(1, factorial(m)))
+        relabelled = int((decoded_winners(scf, block.digits, relabelings)
+                          != perms[1:][:, winners]).sum())
         swapped = sum(int((block.swapped(i) != winners).sum()) for i in range(n - 1))
         return np.concatenate([top, bottom, np.bincount(winners, minlength=m),
                                [relabelled, swapped]])
@@ -228,7 +229,7 @@ def _diag_counts(scf, n, mode, samples, seed, workers):
     counts, trials, mode = sampling.count(
         tally, 2 * n + m + 2, n, m, mode=mode, samples=samples, seed=seed,
         workers=workers, scf=scf,
-        space_tally=TallySpace.structure)
+        space_tally=lambda space: space.structure())
     return (counts[:n], counts[n:2 * n], counts[2 * n:-2], counts[-2], counts[-1]), trials, mode
 
 

@@ -4,16 +4,17 @@ interval helpers of sampled reports.
 Every metric is a count over uniform profiles of n voters and m
 alternatives, and ``count`` makes it in one of two modes:
 
-- exact mode visits every one of the (m!)^n profiles, whose digits it
-  reads from one resident, read-only digit table per m
-  (``orders.profile_chunks``) instead of decoding them on every sweep; a
-  count over a rule's outcomes reads them from the rule's winner table,
-  materialized once per rule and n, so a swapped, transposed or relabelled
-  profile costs one gather instead of one rule evaluation.  The exception
-  is a tally rule over three alternatives (``plurality``, ``borda``,
-  ``pairwise_majority_fallback``) at n <= ``tallies.MAX_N``: its counts
-  come from ``tallies.TallySpace``, which weighs each summed tally word by
-  the number of profiles behind it and visits no profile;
+- exact mode counts over all (m!)^n profiles.  A count over a rule's
+  outcomes visits no profile: it asks the rule's exact engine.  A tally
+  rule over three alternatives (``plurality``, ``borda``,
+  ``pairwise_majority_fallback``) at n <= ``tallies.MAX_N`` has
+  ``tallies.TallySpace``, which weighs each summed tally word by the
+  number of profiles behind it; every other rule has ``lines.TableSpace``,
+  which reads the rule's winner table, materialized once per rule and n,
+  one voter at a time as lines, so a moved ballot, a voter swap or a
+  relabelling is a view, a transpose or a gather of the table.  A count
+  with no rule sweeps the profiles, whose digits it reads from one
+  resident, read-only digit table per m (``orders.profile_chunks``);
 - sampled mode splits the samples into fixed-size chunks; chunk k draws
   from ``default_rng([seed, k])`` and counts are integer sums, so the
   result is the same for any worker count and schedule.  A chunk's draws
@@ -45,8 +46,9 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from . import _tables, tallies
-from .orders import column_index, profile_chunks, space_columns
+from . import tallies
+from .lines import TableSpace
+from .orders import profile_chunks
 
 CHUNK = 1 << 16
 Z95 = 1.959963984540054
@@ -110,26 +112,25 @@ def count(tally, slots: int, n: int, m: int, *, mode="auto", samples=None,
     nonnegative integer counts.  Exact mode passes every profile once and
     ``trials`` is (m!)^n.  Sampled mode passes the arguments returned by
     ``draw(rng, size)``, by default one uniform (n, size) block, and
-    ``trials`` is ``samples``.  Given the rule ``scf``, the block arrives
-    as a view that also reads the rule's winners: ``Tabled`` on the rule's
-    winner table in exact mode; in sampled mode ``tallies.Summed`` on the
-    summed tallies of a tally rule, else ``Evaluated`` by the rule.
+    ``trials`` is ``samples``.
 
-    ``space_tally(space)`` makes the same exact counts from a
-    ``tallies.TallySpace``; given it, exact mode on a rule the tally engine
-    serves calls it instead of visiting profiles.
+    Given the rule ``scf``, exact mode visits no profile: it returns
+    ``space_tally(space)``, the same counts made by the rule's exact
+    engine, ``tallies.TallySpace`` where ``tallies.exact_reach`` serves the
+    rule and else ``lines.TableSpace`` on the rule's winner table.  In
+    sampled mode the block arrives as a view that also reads the rule's
+    winners: ``tallies.Summed`` on the summed tallies of a tally rule, else
+    ``Evaluated`` by the rule.
     """
-    # a count with no engine form sweeps, so past the budget it must be refused
-    mode = pick_mode(mode, n, m, samples, seed, scf=None if space_tally is None else scf)
-    if mode == "exact" and space_tally is not None and n <= tallies.exact_reach(scf):
-        counts = space_tally(tallies.tally_space(scf.name, n))
-        return np.asarray(counts, dtype=np.int64), factorial(m) ** n, mode
+    mode = pick_mode(mode, n, m, samples, seed, scf=scf)
+    if mode == "exact" and scf is not None:
+        space = (tallies.tally_space(scf.name, n) if n <= tallies.exact_reach(scf)
+                 else TableSpace(scf.as_table(n)))
+        return np.asarray(space_tally(space), dtype=np.int64), factorial(m) ** n, mode
     if mode == "exact":
-        table = None if scf is None else scf.as_table(n).outputs
         counts = np.zeros(slots, np.int64)
-        for lo, _, digits in profile_chunks(n, m):
-            block = digits if table is None else Tabled(table, lo, digits, m)
-            counts += np.asarray(tally(block), dtype=np.int64)
+        for _, _, digits in profile_chunks(n, m):
+            counts += np.asarray(tally(digits), dtype=np.int64)
         return counts, factorial(m) ** n, mode
 
     if draw is None:
@@ -149,8 +150,11 @@ def count(tally, slots: int, n: int, m: int, *, mode="auto", samples=None,
 
 
 class Evaluated:
-    """A block of profiles, ``digits`` of shape (n, S), with the reads of
-    ``Tabled``, made by evaluating the rule on each (varied) profile."""
+    """A sampled block of profiles, ``digits`` of shape (n, S), reading the
+    rule's winners by evaluating it on each (varied) profile: ``winners()``,
+    ``moved(i, ballots)`` (voter i casts ``ballots``, one ranking index or
+    one per profile) and ``swapped(i)`` (voters i and i + 1 trade
+    ballots)."""
 
     def __init__(self, scf, digits):
         self.scf = scf
@@ -170,57 +174,6 @@ class Evaluated:
 
     def swapped(self, i):
         return self.moved([i, i + 1], self.digits[[i + 1, i]])
-
-    def relabeled(self, q):
-        return tallies.decoded_winners(self.scf, self.digits,
-                                       [_tables.relabel_action(self.scf.m)[q]])[0]
-
-
-class Tabled:
-    """A block of consecutive profile indices ``lo, lo + 1, ...`` with their
-    digits, reading winners as gathers on a winner table.
-
-    ``table[k]`` is the winner of profile index k.  Voter i's ranking is the
-    index digit of weight (m!)^i, so moving it, or trading it with voter
-    i + 1, shifts the index by a multiple of that weight.  Every read
-    returns one winner per profile.
-    """
-
-    def __init__(self, table, lo: int, digits, m: int):
-        self.table = table
-        self.lo = lo
-        self.digits = digits
-        self.m = m
-        self.base = factorial(m)
-        size = digits.shape[1]
-        self.idx = np.arange(lo, lo + size, dtype=np.int64)
-
-    def winners(self):
-        """The winner of each profile."""
-        return self.table[self.lo:self.lo + self.digits.shape[1]]
-
-    def columns(self, a, b):
-        """The column index of (a, b) at each profile; read from the cached
-        columns of all (m!)^n profiles when the block, a sweep's only one, holds them all."""
-        n, size = self.digits.shape
-        if size == self.base ** n:
-            return space_columns(n, self.m, a, b)
-        return column_index(self.digits, a, b, self.m)
-
-    def moved(self, i, ballots):
-        """Winners once voter i casts ``ballots`` (one ranking index, or one
-        per profile) instead."""
-        return self.table[self.idx + (ballots - self.digits[i]) * self.base ** i]
-
-    def swapped(self, i):
-        """Winners once voters i and i + 1 trade ballots."""
-        step = (1 - self.base) * self.base ** i  # index change per unit of d_{i+1} - d_i
-        return self.table[self.idx + step * (self.digits[i + 1] - self.digits[i])]
-
-    def relabeled(self, q):
-        """Winners once every ballot is relabelled by ``perms(m)[q]``."""
-        relabeled = _tables.relabel_action(self.m)[q][self.digits]
-        return self.table[_tables.digits_index(relabeled, self.base)]
 
 
 def run_chunks(counter, slots: int, samples: int, seed: int, *, workers: int = 1,

@@ -224,7 +224,7 @@ def _shift_verdict(size_s, size_t, before, after, moved) -> tuple[bool, dict]:
 
 def _check_cauchy(desc) -> tuple[bool, dict]:
     rows = pair_reports(build_scf(desc["scf"]), desc["n"], mode="exact")
-    for (a, b), mr, nr in zip(PAIRS3, rows[:3], rows[3:]):  # one sweep per pair
+    for (a, b), mr, nr in zip(PAIRS3, rows[:3], rows[3:]):
         if nr.fraction ** 2 > mr.fraction:
             return False, {"pair": [a, b], "nab": str(nr.fraction), "mab": str(mr.fraction)}
     return True, {}

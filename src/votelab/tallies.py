@@ -212,10 +212,6 @@ class Summed:
     def swapped(self, i):
         return self._elect(self._decided, self.digits[1] if i == 0 else self.digits[0])
 
-    def relabeled(self, q):
-        return decoded_winners(self.scf, self.digits,
-                               [_tables.relabel_action(self.scf.m)[q]])[0]
-
 
 def exact_reach(scf) -> int:
     """The largest n at which ``TallySpace`` makes the exact counts of
@@ -238,8 +234,8 @@ class TallySpace:
     voters 0 and 1 (voter 0 alone at n = 1) against the word histogram of
     the others, each outcome weighed by the number of profiles behind it.
     This class is the one place that knows voters 1..n-1 are exchangeable;
-    ``gains`` and ``structure`` return counts for all n voters, what the
-    matching profile sweep counts (see ``rules`` and ``metrics``).
+    ``gains`` and ``structure`` return counts for all n voters, what
+    ``lines.TableSpace`` counts on the rule's winner table.
     """
 
     def __init__(self, name: str, n: int):

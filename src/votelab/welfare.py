@@ -11,7 +11,7 @@ from math import factorial
 
 import numpy as np
 
-from . import _tables, sampling
+from . import _tables, lines, sampling
 from .metrics import MetricReport, column_stats, count_report
 from .orders import Profile, column_complement, column_count, column_index, profile_block, voter_bits
 from .rules import ScfRule, _diag_mins, register_rule, resolve_n
@@ -151,8 +151,9 @@ def restrict_gswf(G, subset) -> GswfIia:
 # one voter at a time without forming it: the output table of (a, b_1)
 # meets each voter's 2 x 2^(m-2) weight map in turn, in the narrowest
 # unsigned dtype of the step, and the table left over the columns of the
-# other m - 2 pairs is summed where a beats them.  Every other reader
-# (sampled no-GCW counts, check_composition's joint sweep, dist_tr3,
+# other m - 2 pairs is summed where a beats them.  ``dist_tr3`` reads the
+# outcome codes of all 6^n profiles as lines of one table.  Every other
+# reader (sampled no-GCW counts, check_composition's joint sweep,
 # gcw_winner_at, the gswf_winner rule) reads pairwise outcomes profile by
 # profile through ``_wins``.
 
@@ -348,27 +349,27 @@ def dist_tr3(G):
     chosen pointwise equal to G's own.
 
     The first two conditions say that the wins are voter i's ranking (the
-    top wins 2, the middle 1, the bottom 0), or its reverse; so each sweep
-    reads G's output once as the index of the ranking with those wins, and
-    compares it with every voter's ballot."""
+    top wins 2, the middle 1, the bottom 0), or its reverse.  So G's
+    output at each profile is read once, as a 3-bit outcome code whose bit
+    p is pair p's table at the profile's column (``lines.mapped_rows``),
+    and the code table is read by lines: voter i agrees with dictator i on
+    the line entries whose code is the ranking of voter i's ballot."""
     if G.m != 3:
         raise ValueError("the transitive family search is defined for m = 3")
-    # ranking_of[(w0 * 3 + w1) * 3 + w2]: the ranking whose alternatives win
-    # w0, w1, w2 contests, or -1 where the wins are cyclic
-    ranking_of = np.full(27, -1)
-    ranking_of[(2 - _tables.rank_in_order(3)) @ np.array([9, 3, 1])] = np.arange(6)
-
-    def tally(digits):
-        wins = _wins(G, digits, range(3))
-        key = (wins[0] * 3 + wins[1]) * 3 + wins[2]
-        # the reversed output wins 2 - w0, 2 - w1, 2 - w2: key 26 - key
-        ranking, reverse = ranking_of[key], ranking_of[26 - key]
-        counts = []
-        for voter in digits:
-            counts += [(ranking == voter).sum(), (reverse == voter).sum()]
-        return counts + [*(wins == 2).sum(1), *(wins == 0).sum(1)]
-
-    agrees, total, _ = sampling.count(tally, 2 * G.n + 6, G.n, 3, mode="exact")
+    sampling.pick_mode("exact", G.n, 3, None, None)  # the code table holds 6^n entries
+    code = np.zeros(6 ** G.n, np.uint8)
+    for p, (a, b) in enumerate(PAIRS3):
+        for profiles, block in lines.mapped_rows(G.tables[p], _tables.pair_bit(3, a, b), 2, G.n):
+            code[profiles] |= block.ravel().astype(np.uint8) << p
+    # the code of each ballot's ranking; the reversed ranking's is its complement
+    ranked = sum(_tables.pair_bit(3, a, b) << p for p, (a, b) in enumerate(PAIRS3))
+    agrees = [lines.count_equal(code, 6, i, codes) for i in range(G.n)
+              for codes in (ranked, ranked ^ 7)]
+    bits = np.arange(8) >> np.arange(3)[:, None] & 1  # [pair, code]
+    wins = np.array([bits[0] + bits[1], 1 - bits[0] + bits[2], 2 - bits[1] - bits[2]])
+    hist = sum(np.bincount(block.ravel(), minlength=8) for block in lines.blocks(code, 6, 0))
+    agrees = np.array([*agrees, *(wins == 2) @ hist, *(wins == 0) @ hist])
+    total = 6 ** G.n
     best = int(agrees.argmax())  # first maximum: deterministic scan order
     if best < 2 * G.n:
         member = TrMember(("dictator", "anti_dictator")[best % 2], voter=best // 2)
@@ -520,7 +521,7 @@ def check_reduction_chain(scf, tie_voter: int = 0, n=None) -> ChainReport:
     n = resolve_n(scf, n)
     sampling.pick_mode("exact", n, 3, None, None, exact_only="the reduction chain")
     tie = _tie_bits(tie_voter, n)
-    stats = [column_stats(scf, a, b, n) for a, b in PAIRS3]  # one sweep per pair
+    stats = [column_stats(scf, a, b, n) for a, b in PAIRS3]
     mab_reports = tuple(st.mab_report() for st in stats)
     nab_reports = tuple(st.nab_report() for st in stats)
     eps1 = max(r.fraction for r in mab_reports)

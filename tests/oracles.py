@@ -15,6 +15,9 @@ engine it checks:
   always-transitive family at m = 3, with its explicit tables;
 * ``gswf_disagreement``: the disagreement probability of two GSWFs;
 * ``dist_tr3_bruteforce``: ``dist_tr3`` by minimizing over every member;
+* ``dist_tr3_by_profiles``: ``dist_tr3``'s candidate scan by reading the
+  output triple at every profile, where the engine reads one table of
+  outcome codes by lines;
 * ``ngcw_enumerated``: the exact no-GCW probability by visiting every
   profile, through the ``_no_gcw`` tally of the sampled path, where the
   exact engine reads only pairwise columns;
@@ -244,6 +247,29 @@ def dist_tr3_bruteforce(G):
         if best is None or agree > best[0]:
             best = (agree, member)
     return Fraction(total - best[0], total), best[1]
+
+
+def dist_tr3_by_profiles(G):
+    """``dist_tr3``'s distance and witness label from G's output triple at
+    every profile, read through ``orders.column_index``: each candidate's
+    agreements counted profile by profile, in ``dist_tr3``'s scan order."""
+    n = G.n
+    digits = profile_digits(np.arange(6 ** n), n)
+    bits = _outputs(G, digits).astype(np.int64)  # pairs (0, 1), (0, 2), (1, 2)
+    wins = np.array([bits[0] + bits[1], 1 - bits[0] + bits[2], 2 - bits[1] - bits[2]])
+    ranked = 2 - _tables.rank_in_order(3).astype(np.int64)  # [ballot, alt]: the wins of its ranking
+    agrees = []
+    for ballots in digits:
+        agrees += [int((wins == ranked[ballots].T).all(0).sum()),
+                   int((wins == 2 - ranked[ballots].T).all(0).sum())]
+    agrees += [int((row == 2).sum()) for row in wins] + [int((row == 0).sum()) for row in wins]
+    best = int(np.argmax(agrees))
+    if best < 2 * n:
+        label = f"{('dictator', 'anti_dictator')[best % 2]}({best // 2})"
+    else:
+        kind, alt = divmod(best - 2 * n, 3)
+        label = f"{('top_fixed', 'bottom_fixed')[kind]}({alt})"
+    return Fraction(6 ** n - agrees[best], 6 ** n), label
 
 
 # --- no-GCW counts by enumeration ----------------------------------------

@@ -24,7 +24,7 @@ def test_instrument_wraps_and_restores():
     tracer = spans.Tracer()
     restore = spans.instrument(tracer)
     try:
-        # an exact count on a rule outside the tally engine sweeps profiles
+        # an exact count on a rule outside the tally engine materializes its table by a sweep
         metrics.manipulation_power_total(ScfRule("dictatorship", voter=1), 2)
         metrics.manipulation_power(ScfRule("borda"), 0, 3, mode="sampled",
                                    samples=100, seed=1)

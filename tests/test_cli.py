@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from votelab import orders, rules, sampling, suites, tallies
+from votelab import lines, orders, rules, sampling, suites, tallies
 from votelab.cli import main
 from votelab.fileio import read_gswf, read_scf
 from votelab.rules import ScfRule
@@ -68,7 +68,7 @@ def test_metrics_one_voter_makes_no_anonymity_pass(capsys, monkeypatch, mode, di
         raise AssertionError("voter swap at n = 1")
 
     monkeypatch.setattr(sampling.Evaluated, "swapped", refuse)
-    monkeypatch.setattr(sampling.Tabled, "swapped", refuse)
+    monkeypatch.setattr(lines.TableSpace, "_swapped", refuse)
     monkeypatch.setattr(tallies.Summed, "swapped", refuse)
     code, out, err = run(capsys, "metrics", "--scf", "borda", "--n", "1", *mode)
     assert code == 0, err
@@ -159,15 +159,19 @@ def test_sampled_metrics_make_five_passes(capsys, monkeypatch, scf, n):
 
 
 @pytest.mark.parametrize("argv", [["metrics", "--exact"], ["reduce"]])
-def test_a_table_file_takes_five_sweeps(capsys, monkeypatch, tmp_path, argv):
-    """metrics: the M_i sweep, one column sweep per pair and the structure
-    sweep; reduce: the column sweeps, the structure sweep and dist_tr3's."""
+@pytest.mark.parametrize("scf", ["random_table:1", "borda"])
+def test_a_table_file_makes_no_sweep(capsys, monkeypatch, tmp_path, argv, scf):
+    """metrics reads the M_i counts, each pair's column counts and the
+    structure counts from the table's line view; reduce reads the column
+    and structure counts so, and dist_tr3 reads its GSWF's outcome codes
+    by lines too.  A table file makes no sweep and no sampled pass (5
+    sweeps each while every count swept the table)."""
     path = tmp_path / "t.scf3"
-    assert run(capsys, "gen", "--scf", "random_table:1", "--n", "4", "--out", str(path))[0] == 0
+    assert run(capsys, "gen", "--scf", scf, "--n", "4", "--out", str(path))[0] == 0
     passes = _count_passes(monkeypatch)
     code, _, err = run(capsys, argv[0], "--scf", str(path), *argv[1:])
     assert code == 0, err
-    assert passes == {"sampled": 0, "swept": 5}
+    assert passes == {"sampled": 0, "swept": 0}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

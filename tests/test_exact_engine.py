@@ -1,12 +1,16 @@
-"""The winner-table exact engine.
+"""The exact engines of a rule outside the tally engine: its winner table
+read as lines (``lines.TableSpace``).
 
-Every exact count over a rule's outcomes reads them from the rule's table:
-moved ballots, swapped voters and relabelled profiles are index arithmetic
-on it.  The counts are pinned against a pure-Python walk over ``Profile``
-objects, which builds each varied profile from the object layer and asks
-the rule for its winner, and against values frozen before the engine.
+Every exact count over a rule's outcomes reads its table one voter at a
+time: moved ballots are lines of the table, swapped voters a transpose of
+two ballot axes and relabelled profiles a gather along each voter's axis.
+The counts are pinned against a pure-Python walk over ``Profile`` objects,
+which builds each varied profile from the object layer and asks the rule
+for its winner, against counts made from evaluated reads of every profile,
+and against values frozen before the engine.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -14,28 +18,35 @@ from math import factorial
 import numpy as np
 import pytest
 
-from votelab import rules, sampling, tallies
+from votelab import _tables, lines, rules, sampling, tallies
+from votelab.lines import TableSpace
 from votelab.metrics import (column_stats, manipulation_power, manipulation_power_total,
                              manipulation_reports)
 from votelab.orders import (Profile, column_index, order_from_index, profile_chunks,
                             profile_digits, profile_from_index)
 from votelab.rules import ScfRule, _diag_counts, anonymity_counts, neutrality_counts, zoo_rules
-from votelab.sampling import CHUNK, Evaluated, Tabled
+from votelab.sampling import CHUNK, Evaluated
 from votelab.welfare import PAIRS3, check_reduction_chain, random_iia_gswf, scf_from_gswf
 
 from oracles import pairwise_column
 
-CASES = [(rule.label, rule) for rule in zoo_rules(3)] + [
-    ("random_table(seed=1)", ScfRule("random_table", seed=1)),
-    ("random_table(seed=2)", ScfRule("random_table", seed=2)),
-    ("gswf_winner", scf_from_gswf(random_iia_gswf(3, 3, 5), fallback_voter=1)),
-]
+
+def _cases(n):
+    return [(rule.label, rule) for rule in zoo_rules(n)] + [
+        ("random_table(seed=1)", ScfRule("random_table", seed=1)),
+        ("random_table(seed=2)", ScfRule("random_table", seed=2)),
+        ("gswf_winner", scf_from_gswf(random_iia_gswf(n, 3, 5), fallback_voter=n - 1)),
+    ]
+
+
+CASES = _cases(3)
+SMALL = [(n, label, rule) for n in (1, 2) for label, rule in _cases(n)]
 LARGER = ("borda", "pairwise_majority_fallback", "random_table(seed=1)",
           "dictatorship(voter=2)")
 
 
 def walk(scf, n):
-    """Every tabled exact count, by building each varied profile."""
+    """Every exact count of a winner table, by building each varied profile."""
     memo = {}
 
     def winner(p):
@@ -43,13 +54,14 @@ def walk(scf, n):
             memo[p] = scf.winner(p)
         return memo[p]
 
-    ballots = [order_from_index(k) for k in range(6)]
-    relabelings = list(permutations(range(3)))[1:]
-    gains, top, bottom, elected = [0] * n, [0] * n, [0] * n, [0] * 3
-    columns = {pair: ([0] * 2 ** n, [0] * 2 ** n) for pair in PAIRS3}
+    m = scf.m
+    ballots = [order_from_index(k, m) for k in range(factorial(m))]
+    relabelings = list(permutations(range(m)))[1:]
+    gains, top, bottom, elected = [0] * n, [0] * n, [0] * n, [0] * m
+    columns = {pair: ([0] * 2 ** n, [0] * 2 ** n) for pair in PAIRS3} if m == 3 else {}
     neutral = anonymous = 0
-    for idx in range(6 ** n):
-        p = profile_from_index(idx, n)
+    for idx in range(factorial(m) ** n):
+        p = profile_from_index(idx, n, m)
         w = winner(p)
         elected[w] += 1
         for i, truth in enumerate(p.voters):
@@ -71,18 +83,18 @@ def walk(scf, n):
 
 def _check_against_walk(scf, n):
     expect = walk(scf, n)
-    trials = 6 ** n
+    trials, nord = factorial(scf.m) ** n, factorial(scf.m)
     for i in range(n):
-        assert manipulation_power(scf, i, n).fraction == Fraction(expect["gains"][i], trials * 6)
+        assert manipulation_power(scf, i, n).fraction == Fraction(expect["gains"][i], trials * nord)
     assert (manipulation_power_total(scf, n).fraction
-            == Fraction(sum(expect["gains"]), trials * 6))
+            == Fraction(sum(expect["gains"]), trials * nord))
     for (a, b), (count_a, count_b) in expect["columns"].items():
         st = column_stats(scf, a, b, n)
         assert st.count_a.tolist() == count_a and st.count_b.tolist() == count_b
     diag, got_trials, mode = _diag_counts(scf, n, "exact", None, None, 1)
     for which, counts in zip(("top", "bottom", "elected"), diag):
         assert (counts.tolist(), got_trials, mode) == (expect[which], trials, "exact")
-    assert neutrality_counts(scf, n) == (expect["neutral"], trials * 5)
+    assert neutrality_counts(scf, n) == (expect["neutral"], trials * (nord - 1))
     assert anonymity_counts(scf, n) == (expect["anonymous"], trials * (n - 1))
 
 
@@ -94,6 +106,22 @@ def test_tabled_counts_match_profile_walk_n3(scf):
 @pytest.mark.parametrize("label", LARGER)
 def test_tabled_counts_match_profile_walk_n4(label):
     _check_against_walk(dict(CASES)[label], 4)
+
+
+@pytest.mark.parametrize("n,label,scf", SMALL, ids=[f"{n}-{label}" for n, label, _ in SMALL])
+def test_tabled_counts_match_profile_walk_n1_n2(n, label, scf):
+    """At n = 1 and 2 the line views have axes of (m!)^0 = 1 entry, and at
+    n = 1 there is no voter swap."""
+    _check_against_walk(scf, n)
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 4), (4, 1), (4, 2)])
+def test_tables_of_other_m_match_profile_walk(m, n):
+    """A table over two or four alternatives: (m!)^n profiles, m! - 1
+    relabelings (those of m = 4 include inverse pairs counted once), no
+    pair columns."""
+    _check_against_walk(ScfRule("random_table", m, seed=m + n), n)
+    _check_against_walk(ScfRule("dictatorship", m, voter=n - 1).as_table(n), n)
 
 
 # (M_2, M_total, mab(0, 2), nab(0, 2), diagnostic counts top/bottom/elected,
@@ -142,25 +170,77 @@ def test_tabled_values_frozen_n6(label):
     assert got == FROZEN_N6[label]
 
 
+def evaluated_counts(scf, n):
+    """``TableSpace``'s gains, structure and (0, 2) column counts, made from
+    ``Evaluated`` reads of a block holding every profile: each voter moved
+    to each ballot, each adjacent pair swapped, each relabelling elected."""
+    digits = profile_digits(np.arange(6 ** n), n)
+    original = digits.copy()
+    block, perms = Evaluated(scf, digits), _tables.perms(3)
+    winners = block.winners()
+    prefers = _tables.prefers(3)
+    gains = [int(sum(prefers[digits[i], block.moved(i, r), winners].sum() for r in range(6)))
+             for i in range(n)]
+    structure = [*((winners != perms[digits[i], 0]).sum() for i in range(n)),
+                 *((winners != perms[digits[i], -1]).sum() for i in range(n)),
+                 *np.bincount(winners, minlength=3),
+                 sum((scf.winners_from_digits(_tables.relabel_action(3)[q][digits])
+                      != perms[q][winners]).sum() for q in range(1, 6)),
+                 sum((block.swapped(i) != winners).sum() for i in range(n - 1))]
+    z = column_index(digits, 0, 2)
+    columns = np.concatenate([np.bincount(z[winners == side], minlength=1 << n)
+                              for side in (0, 2)])
+    assert np.array_equal(digits, original)  # the reads leave the block unedited
+    return gains, [int(c) for c in structure], columns.tolist()
+
+
 @pytest.mark.parametrize("label", ["pairwise_majority_fallback", "gswf_winner"])
 def test_tabled_reads_equal_evaluated_reads(label):
-    """Each read of a table block equals evaluating the rule on the varied
-    digits, for arbitrary per-profile ballots."""
-    scf = _n6_rule(label)
-    n, lo, size = 6, 1000, 4000
-    table = scf.as_table(n).outputs
-    digits = profile_digits(np.arange(lo, lo + size), n)
-    tabled, evaluated = Tabled(table, lo, digits, 3), Evaluated(scf, digits)
-    ballots = np.random.default_rng(0).integers(0, 6, size=size)
-    assert np.array_equal(tabled.winners(), evaluated.winners())
-    for i in range(n):
-        assert np.array_equal(tabled.moved(i, ballots), evaluated.moved(i, ballots))
-        assert np.array_equal(tabled.moved(i, 4), evaluated.moved(i, 4))
-    for i in range(n - 1):
-        assert np.array_equal(tabled.swapped(i), evaluated.swapped(i))
-    for q in range(6):
-        assert np.array_equal(tabled.relabeled(q), evaluated.relabeled(q))
-    assert np.array_equal(digits, profile_digits(np.arange(lo, lo + size), n))  # unedited
+    """Each count of the table's line view equals the same count made by
+    evaluating the rule on every varied profile."""
+    scf, n = _n6_rule(label), 6
+    space = TableSpace(scf.as_table(n))
+    gains, structure, columns = evaluated_counts(scf, n)
+    assert space.gains() == gains
+    assert [int(c) for c in space.structure()] == structure
+    assert space.columns(0, 2).tolist() == columns
+
+
+@pytest.mark.parametrize("block", [1, 5, 36, 100, 4000])
+def test_table_counts_do_not_depend_on_the_block_size(monkeypatch, block):
+    """Reads cut into blocks of any size, down to one entry, whether a block
+    holds several leading rows, part of one, or a run of trailing columns,
+    give the counts of one whole-table block."""
+    tables = [ScfRule("random_table", seed=3).as_table(4),
+              ScfRule("random_table", 2, seed=3).as_table(5),
+              ScfRule("random_table", 4, seed=3).as_table(2)]
+    whole = [(TableSpace(t).gains(), TableSpace(t).structure()) for t in tables]
+    columns = [TableSpace(tables[0]).columns(a, b).tolist() for a, b in PAIRS3]
+    monkeypatch.setattr(lines, "BLOCK", block)
+    for table, (gains, structure) in zip(tables, whole):
+        assert TableSpace(table).gains() == gains
+        assert [int(c) for c in TableSpace(table).structure()] == [int(c) for c in structure]
+    assert [TableSpace(tables[0]).columns(a, b).tolist() for a, b in PAIRS3] == columns
+
+
+def test_table_counts_hold_a_few_blocks_at_n8():
+    """Every count of the line view at n = 8 (1.68 million profiles) holds
+    at most a few arrays of ``BLOCK`` entries beyond the table: the widest
+    is the gains' intp histogram codes, (m! - 1)/2 per entry, 20 bytes per
+    entry at m = 3.  Unchunked, those codes alone would take 34 MB, and the
+    int64 column sums 27 MB."""
+    table = ScfRule("random_table", seed=0).as_table(8)
+    space = TableSpace(table)
+    tracemalloc.start()
+    try:
+        space.gains()
+        space.structure()
+        for a, b in PAIRS3:
+            space.columns(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * lines.BLOCK, peak
 
 
 SUMMED_CASES = [(name, 3, n) for name in tallies._TALLY_RULES for n in (1, 2, 3, 11)] + [
@@ -174,7 +254,9 @@ def test_summed_reads_equal_evaluated_reads(name, m, n):
     """Each read of a tally rule's summed block equals evaluating the rule
     on the varied digits, on both sides of the decision table's cap (borda
     past n = 20, the others past n = 40; at m = 4 past n = 5), repeated and
-    interleaved; the block's digits and earlier reads are left unedited."""
+    interleaved; the block's digits and earlier reads are left unedited.
+    The block's relabellings, one ``decoded_winners`` call for all of them,
+    equal electing each relabelled block."""
     scf, size = ScfRule(name, m), 500
     rng = np.random.default_rng(n)
     digits = rng.integers(0, factorial(m), size=(n, size))
@@ -190,17 +272,21 @@ def test_summed_reads_equal_evaluated_reads(name, m, n):
             assert np.array_equal(summed.moved(i, 3), evaluated.moved(i, 3))
         for i in range(n - 1):
             assert np.array_equal(summed.swapped(i), evaluated.swapped(i))
-        for q in range(6):
-            assert np.array_equal(summed.relabeled(q), evaluated.relabeled(q))
     assert np.array_equal(winners, first)
+    relabelings = _tables.relabel_action(m)
+    relabelled = tallies.decoded_winners(scf, digits, relabelings[1:])
+    for q in range(1, factorial(m)):
+        assert np.array_equal(relabelled[q - 1], scf.winners_from_digits(relabelings[q][digits]))
     assert np.array_equal(digits, original)
 
 
 def test_sampled_passes_sum_each_block_once(monkeypatch):
     """Sampled M_i, M_total and structure passes of a tally rule sum each
-    drawn block's voters once, and once more per relabelling, not once per
-    moved or swapped read (n = 11: 88 voter rows, against 440 when every
-    read re-evaluated the rule)."""
+    drawn block's voters once, and once more for all five relabellings,
+    not once per moved or swapped read (n = 11: 55 voter rows, against 440
+    when every read re-evaluated the rule and 88 when each relabelling
+    summed the block on its own).  Borda's five relabelled words at n = 11
+    take 14 bits each, so they pack into two int64 words."""
     rows = []
     original = tallies._voter_sum
 
@@ -212,7 +298,7 @@ def test_sampled_passes_sum_each_block_once(monkeypatch):
     n, scf = 11, ScfRule("borda")
     manipulation_reports(scf, n, mode="sampled", samples=1000, seed=0)
     _diag_counts(scf, n, "sampled", 1000, 0, 1)
-    assert sum(rows) == n * (1 + 1 + 1 + 5)  # M_i, M_total, structure, five relabellings
+    assert sum(rows) == n * (1 + 1 + 1 + 2)  # M_i, M_total, structure, the relabellings
 
 
 @pytest.mark.parametrize("scf,n", [(ScfRule("borda"), 11), (ScfRule("borda"), 21),
@@ -298,24 +384,32 @@ def test_sweep_blocks_are_read_only(n):
         digits[0, 0] = 1
         return [0]
 
-    def into_block(block):
-        block.digits[0, 0] = 1
+    def into_table(space):
+        space.outputs[0] = 1
         return [0]
 
     with pytest.raises(ValueError, match="read-only"):
         sampling.count(into_digits, 1, n, 3, mode="exact")
     with pytest.raises(ValueError, match="read-only"):
-        sampling.count(into_block, 1, n, 3, mode="exact", scf=ScfRule("borda"))
+        sampling.count(None, 1, n, 3, mode="exact", scf=ScfRule("random_table", seed=0),
+                       space_tally=into_table)
 
 
-@pytest.mark.parametrize("n", [1, 5, 7])
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 7])
 def test_tabled_columns_equal_column_index(n):
-    """A whole-space block reads cached columns, a block of a multi-block
-    sweep computes them; both equal decoding the block's own digits."""
-    table = ScfRule("plurality").as_table(n).outputs
+    """The line view's column counts equal bincounts of ``column_index``
+    over the digits of every sweep block (n = 7 sweeps in two blocks, and
+    its columns sum six rows of 6^6 profiles)."""
+    table = ScfRule("plurality").as_table(n)
+    space = TableSpace(table)
     blocks = list(profile_chunks(n))
     assert (len(blocks) > 1) == (n == 7)
-    for lo, _, digits in blocks:
-        tabled = Tabled(table, lo, digits, 3)
-        for a, b in PAIRS3:
-            assert np.array_equal(tabled.columns(a, b), column_index(digits, a, b))
+    for a, b in PAIRS3:
+        want = np.zeros(2 << n, np.int64)
+        for lo, hi, digits in blocks:
+            z = column_index(digits, a, b)
+            winners = table.outputs[lo:hi]
+            want += np.concatenate([np.bincount(z[winners == side], minlength=1 << n)
+                                    for side in (a, b)])
+        got = space.columns(a, b)
+        assert got.dtype == np.int64 and np.array_equal(got, want)

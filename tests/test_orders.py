@@ -13,14 +13,12 @@ from votelab.orders import (
     SWEEP_CHUNK,
     LinearOrder,
     Profile,
-    column_index,
     join_pair,
     order_from_index,
     order_to_index,
     profile_chunks,
     profile_digits,
     profile_from_index,
-    space_columns,
     split_pair,
     voter_bits,
 )
@@ -200,17 +198,6 @@ def test_sweep_blocks_equal_decoded_digits(n, m):
         lo_expected, blocks = hi, blocks + 1
     assert lo_expected == factorial(m) ** n
     assert (blocks > 1) == (factorial(m) ** n > SWEEP_CHUNK)
-
-
-def test_space_columns_equal_column_index():
-    for n in (1, 4, 6):
-        digits = profile_digits(np.arange(6 ** n), n)
-        for a, b in PAIRS:
-            z = space_columns(n, 3, a, b)
-            assert z.dtype == np.uint8 and not z.flags.writeable
-            assert np.array_equal(z, column_index(digits, a, b))
-    with pytest.raises(ValueError, match="sweep block"):
-        space_columns(7, 3, 0, 1)
 
 
 @settings(max_examples=60, deadline=None)

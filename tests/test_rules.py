@@ -23,7 +23,7 @@ from votelab.rules import (
     range_min_prob,
     zoo_rules,
 )
-from votelab.sampling import Evaluated, exact_feasible
+from votelab.sampling import exact_feasible
 from votelab.tallies import _TALLY_RULES, _decision_table, _field_sums
 from votelab.welfare import random_iia_gswf, scf_from_gswf
 
@@ -366,12 +366,16 @@ def test_decoded_winners_past_the_decision_table_cap():
 
 
 def test_sampled_relabelling_elects_each_relabelled_profile():
-    rule = ScfRule("borda")
+    """The structure pass elects a drawn block under all five relabellings
+    with one ``decoded_winners`` call, for a tally rule past its decision
+    table's cap and for a rule it evaluates."""
     digits = np.random.default_rng(21).integers(0, 6, size=(21, 1000))
-    block = Evaluated(rule, digits)
-    for q in range(6):
-        want = rule.winners_from_digits(_tables.relabel_action(3)[q][digits])
-        assert np.array_equal(block.relabeled(q), want), q
+    relabelings = _tables.relabel_action(3)
+    for rule in (ScfRule("borda"), ScfRule("dictatorship", voter=20)):
+        got = decoded_winners(rule, digits, relabelings[1:])
+        for q in range(1, 6):
+            want = rule.winners_from_digits(relabelings[q][digits])
+            assert np.array_equal(got[q - 1], want), q
 
 
 @pytest.mark.parametrize("n", [3, 4, 11])

@@ -2,10 +2,10 @@
 
 Every exact count of a tally rule over three alternatives comes from the
 distribution of its voters' summed tally words (``tallies.TallySpace``).
-The counts are pinned against the profile sweep over the rule's winner
-table (``sampling.count`` over ``Tabled``), which an ``ScfTable`` of the
-same outcomes always takes, and plurality's, past the sweep's reach,
-against a Python-int sum over its top counts.
+The counts are pinned against the line view of the rule's winner table
+(``lines.TableSpace``), which an ``ScfTable`` of the same outcomes always
+takes, and plurality's, past the table's reach, against a Python-int sum
+over its top counts.
 """
 
 from fractions import Fraction
@@ -17,6 +17,7 @@ import pytest
 
 from votelab import metrics, rules, sampling, tallies
 from votelab.lattice import sets_ab
+from votelab.lines import TableSpace
 from votelab.metrics import column_stats
 from votelab.rules import ScfRule
 from votelab.sampling import BudgetError, exact_feasible, pick_mode
@@ -46,7 +47,7 @@ def exact_counts(scf, n):
 def test_engine_counts_equal_the_table_sweep(name, n):
     rule = ScfRule(name)
     engine = exact_counts(rule, n)
-    swept = exact_counts(rule.as_table(n), n)  # a table always sweeps its profiles
+    swept = exact_counts(rule.as_table(n), n)  # a table is always read as lines
     assert engine.keys() == swept.keys()
     for key in swept:
         assert engine[key] == swept[key], key
@@ -108,17 +109,29 @@ def test_exact_mode_runs_to_the_cap_and_auto_keeps_the_budget():
     assert report.mode == "exact" and 0 < report.fraction < 1
 
 
-def test_count_without_an_engine_form_sweeps():
-    """A count that gives no ``space_tally`` sweeps even a tally rule, and
-    past the budget it is refused as an enumeration."""
-    def elected(block):
-        return np.bincount(block.winners(), minlength=3)
+def test_an_exact_count_of_a_rule_reads_its_space():
+    """Exact mode hands a rule's count to its engine: the tally engine for
+    a tally rule within its reach, the line view of the winner table for a
+    table; a count of no rule sweeps the profiles, and past the budget it
+    is refused as an enumeration."""
+    spaces = []
+
+    def elected(space):
+        spaces.append(type(space))
+        return space.structure()[8:11]  # after the 2n = 8 per-voter counts
 
     borda = ScfRule("borda")
-    counts, trials, _ = sampling.count(elected, 3, 4, 3, mode="exact", scf=borda)
-    assert counts.tolist() == rules._diag_counts(borda, 4, "exact", None, None, 1)[0][2].tolist()
+    engine, trials, _ = sampling.count(None, 3, 4, 3, mode="exact", scf=borda,
+                                       space_tally=elected)
+    table, _, _ = sampling.count(None, 3, 4, 3, mode="exact", scf=borda.as_table(4),
+                                 space_tally=elected)
+    assert spaces == [tallies.TallySpace, TableSpace] and trials == 6 ** 4
+    swept, _, _ = sampling.count(
+        lambda digits: np.bincount(borda.winners_from_digits(digits), minlength=3),
+        3, 4, 3, mode="exact")
+    assert engine.tolist() == table.tolist() == swept.tolist()
     with pytest.raises(BudgetError, match="exceeds the budget; rerun"):
-        sampling.count(elected, 3, 11, 3, mode="exact", scf=borda)
+        sampling.count(lambda digits: [0], 1, 11, 3, mode="exact")
 
 
 @pytest.mark.parametrize("m", range(2, 9))

@@ -45,8 +45,8 @@ from votelab.welfare import (
     _wins,
 )
 
-from oracles import (dist_tr3_bruteforce, gswf_disagreement, ngcw_enumerated,
-                     pairwise_column, tr3_members, tr_member_tables)
+from oracles import (dist_tr3_bruteforce, dist_tr3_by_profiles, gswf_disagreement,
+                     ngcw_enumerated, pairwise_column, tr3_members, tr_member_tables)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -395,6 +395,27 @@ def test_dist_tr3_witness_frozen(n, kind, seed, value, label, free_pair, h):
     assert gswf_disagreement(G, tr_member_tables(member, n)) == got
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7])
+def test_dist_tr3_equals_the_scan_of_every_profile(n):
+    """Random GSWFs and borda's at n = 1..7; n = 7 reads its outcome codes
+    in six blocks of 6^6 profiles."""
+    borda = gswf_from_scf(ScfRule("borda"), 0, n)
+    for G in [random_iia_gswf(n, 3, seed) for seed in range(3)] + [borda]:
+        value, member = dist_tr3(G)
+        assert (value, member.label) == dist_tr3_by_profiles(G)
+
+
+@pytest.mark.parametrize("block", [1, 7, 36, 500])
+def test_dist_tr3_does_not_depend_on_the_block_size(monkeypatch, block):
+    from votelab import lines
+    monkeypatch.setattr(lines, "BLOCK", block)
+    for n, kind, seed, value, label, _, _ in DIST_TR3_FROZEN[10:20]:
+        G = (random_iia_gswf(n, 3, seed) if kind == "iia"
+             else neutral_tensor(random_odd_g(n, seed), 3))
+        got, member = dist_tr3(G)
+        assert (got, member.label) == (Fraction(*value), label)
+
+
 def test_gswf_engines_read_outcomes_through_wins(monkeypatch):
     from votelab import welfare
     calls = []
@@ -413,8 +434,8 @@ def test_gswf_engines_read_outcomes_through_wins(monkeypatch):
         engine(G, mode="sampled", samples=100, seed=0)
         assert calls == [(0, 1, 2)], engine.__name__
     calls.clear()
-    dist_tr3(G)
-    assert calls == [(0, 1, 2)]
+    dist_tr3(G)  # reads its outcome codes as lines of one table, not profile by profile
+    assert calls == []
     calls.clear()
     check_composition(random_odd_g(1, 0))
     # the blocks' shared ngcw reads columns; the joint sweep reads both blocks

@@ -106,7 +106,7 @@ class TernarySet:
         return int(self.membership.sum())
 
     def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.membership)
+        return self.membership.nonzero()[0]
 
     def intersection_size(self, other: "TernarySet") -> int:
         return int((self.membership & other.membership).sum())
@@ -247,11 +247,14 @@ def shift_monotone(s):
 
 
 def random_set(n: int, seed=None, rng=None, p=None) -> TernarySet:
-    """A random subset; density p defaults to a seeded draw from DENSITIES."""
+    """A random subset; density p defaults to a seeded draw from DENSITIES,
+    indexed by ``rng.integers(0, 3)``: the call ``rng.choice(DENSITIES)``
+    makes, so the stream and the set are those of ``choice``, without its
+    per-call conversion of DENSITIES to an array."""
     if rng is None:
         rng = np.random.default_rng(seed)
     if p is None:
-        p = rng.choice(DENSITIES)
+        p = DENSITIES[rng.integers(0, len(DENSITIES))]
     return TernarySet(n, rng.random(3 ** n) < p)
 
 

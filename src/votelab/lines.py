@@ -103,13 +103,13 @@ class TableSpace:
         self.base = factorial(table.m)
         self.outputs = table.outputs
 
-    def gains(self) -> list[int]:
-        """Per voter, the (profile, ballot) pairs at which the voter casting
-        the ballot instead elects an alternative the voter ranks higher:
-        from the joint histogram of the winners (x, y) of each ballot pair
-        r < d on the voter's lines, at which a voter casting d gains by
-        moving to r iff d prefers x to y, and one casting r iff r prefers y
-        to x."""
+    def gains(self, voters) -> list[int]:
+        """Per listed voter, the (profile, ballot) pairs at which the voter
+        casting the ballot instead elects an alternative the voter ranks
+        higher: from the joint histogram of the winners (x, y) of each
+        ballot pair r < d on the voter's lines, at which a voter casting d
+        gains by moving to r iff d prefers x to y, and one casting r iff r
+        prefers y to x.  Only the listed voters' lines are read."""
         m, size = self.m, self.m * self.m
         first, second = np.triu_indices(self.base, 1)
         prefers = _tables.prefers(m)
@@ -117,7 +117,7 @@ class TableSpace:
         dtype = np.min_scalar_type(first.size * size - 1)
         offsets = (np.arange(first.size) * size).astype(dtype)[:, None]
         gains = []
-        for i in range(self.n):
+        for i in voters:
             hist = np.zeros(first.size * size, np.int64)  # [pair, x, y]
             for block in blocks(self.outputs, self.base, i):
                 code = block[:, first].astype(dtype, copy=False)

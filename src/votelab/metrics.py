@@ -204,8 +204,7 @@ def _voter_gains(scf, voters, n, *, mode, samples, seed, workers, fresh):
         return digits, np.broadcast_to(ballots, (len(voters), size))
 
     def space_gains(space):  # no sampled interval, so no sum of squares
-        gains = space.gains()
-        return [*(gains[i] for i in voters), 0]
+        return [*space.gains(voters), 0]
 
     return sampling.count(_gains(voters, scf.m), len(voters) + 1, n, scf.m, mode=mode,
                           samples=samples, seed=seed, workers=workers, draw=draw, scf=scf,

@@ -118,12 +118,13 @@ def _border_descs(trials, n, seed, samples):
             for z in range(1 << nz):
                 yield {"source": "scf", "n": nz, "scf": scf, "pair": [a, b],
                        "column": z}
+    densities = np.array(lattice.DENSITIES)
     for rng, nk in _random_lattice(trials, n, seed):
-        p, q = rng.choice(lattice.DENSITIES, size=2)
+        p, q = densities[rng.integers(0, len(densities), 2)]  # the draw of rng.choice
         a = rng.random(3 ** nk) < p
         b = ~a & (rng.random(3 ** nk) < q)
-        yield {"source": "random", "n": nk, "a_indices": np.flatnonzero(a).tolist(),
-               "b_indices": np.flatnonzero(b).tolist()}
+        yield {"source": "random", "n": nk, "a_indices": a.nonzero()[0].tolist(),
+               "b_indices": b.nonzero()[0].tolist()}
 
 
 def _shifting_descs(trials, n, seed, samples):

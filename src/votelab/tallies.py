@@ -287,27 +287,31 @@ class TallySpace:
         (voter 0 first) and the others sum to ``others[c]``."""
         return self.outcome[others + self.word[ballots].sum(0)[:, None], ballots[0][:, None]]
 
-    def _per_voter(self, count) -> list:
-        """Every voter's ``count(winners, weight)``: ``winners[r, c]`` is the
-        winner once the voter casts ballot r in the c-th context of the
-        others, which ``weight[c]`` profiles share.  The others enter
+    def _per_voter(self, count, voters) -> list:
+        """Each listed voter's ``count(winners, weight)``: ``winners[r, c]``
+        is the winner once the voter casts ballot r in the c-th context of
+        the others, which ``weight[c]`` profiles share.  The others enter
         through the word sum, and only voter 0 through its ballot too, so
-        voters 2..n-1 repeat voter 1's count."""
+        voters 2..n-1 repeat voter 1's count; each of the two counts is
+        made only if a listed voter needs it."""
         others, weight, ballots = self._context
         grid = self._winners(others, ballots).reshape(-1, 6, others.size)  # [b_1, b_0, c]
         views = [grid.transpose(1, 0, 2), grid][:len(ballots)]  # rows: b_0, then b_1
-        counts = [count(view.reshape(6, -1), np.tile(weight, len(grid))) for view in views]
-        return counts + counts[-1:] * (self.n - len(counts))
+        rows = [min(i, len(views) - 1) for i in voters]
+        counts = {j: count(views[j].reshape(6, -1), np.tile(weight, len(grid)))
+                  for j in sorted(set(rows))}
+        return [counts[j] for j in rows]
 
-    def gains(self) -> list[int]:
-        """Per voter, the (profile, ballot) pairs at which the voter casting
-        the ballot instead elects an alternative the voter ranks higher."""
+    def gains(self, voters) -> list[int]:
+        """Per listed voter, the (profile, ballot) pairs at which the voter
+        casting the ballot instead elects an alternative the voter ranks
+        higher."""
         own = np.arange(6)[:, None, None]
 
         def count(winners, weight):
             improves = _tables.prefers(3)[own, winners[None], winners[:, None]]  # [own, fresh, c]
             return int(improves.sum((0, 1)) @ weight)
-        return self._per_voter(count)
+        return self._per_voter(count, voters)
 
     def structure(self) -> list:
         """``rules._diag_counts``' counts: per voter, the profiles electing
@@ -317,7 +321,8 @@ class TallySpace:
         violations of the n - 1 adjacent voter swaps."""
         perms, act = _tables.perms(3), _tables.relabel_action(3)
         top, bottom = zip(*self._per_voter(lambda winners, weight: (
-            (winners != perms[:, :1]).sum(0) @ weight, (winners != perms[:, -1:]).sum(0) @ weight)))
+            (winners != perms[:, :1]).sum(0) @ weight, (winners != perms[:, -1:]).sum(0) @ weight),
+            range(self.n)))
         others, weight, ballots = self._context
         winners = self._winners(others, ballots)
         elected = [(winners == a).sum(0) @ weight for a in range(3)]

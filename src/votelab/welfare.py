@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _tables, lines, sampling
 from .metrics import MetricReport, column_stats, count_report
-from .orders import Profile, column_complement, column_count, column_index, profile_block, voter_bits
+from .orders import Profile, column_complement, column_count, profile_block, voter_bits
 from .rules import ScfRule, _diag_mins, register_rule, resolve_n
 
 PAIRS3 = _tables.pair_list(3)
@@ -155,18 +155,34 @@ def restrict_gswf(G, subset) -> GswfIia:
 # outcome codes of all 6^n profiles as lines of one table.  Every other
 # reader (sampled no-GCW counts, check_composition's joint sweep,
 # gcw_winner_at, the gswf_winner rule) reads pairwise outcomes profile by
-# profile through ``_wins``.
+# profile through ``_wins``, which gathers the columns of all the pairs it
+# needs at once: each ranking's bits on the pairs are packed into int64
+# words, voter v's bit of a word's k-th pair at bit k·n + v, so one gather
+# per voter assembles every pair's column index and one masked shift then
+# reads each pair's out of its word.
 
 def _wins(G: GswfIia, digits, alts) -> np.ndarray:
     """Pairwise victories of each of the increasing alternatives ``alts``
     over the others in ``alts``; shape (len(alts), S).  Only the pairs
-    inside ``alts`` are evaluated."""
+    inside ``alts`` are evaluated: their columns are read in words of
+    floor(63 / n) pairs each, so no bit reaches the sign bit."""
     alts = tuple(alts)
-    slot = _tables.pair_slot(G.m)
+    n = digits.shape[0]
+    per, pairs = 63 // n, _tables.pair_list(len(alts))
+    packed = np.zeros((-(-len(pairs) // per), factorial(G.m)), np.int64)
+    for k, (i, j) in enumerate(pairs):
+        packed[k // per] |= _tables.pair_bit(G.m, alts[i], alts[j]) << k % per * n
+    words = []
+    for bits in packed:
+        word = bits[digits[-1]]  # a fresh array, so shifted in place
+        for row in digits[-2::-1]:
+            word <<= 1
+            word |= bits[row]
+        words.append(word)
+    slot, mask = _tables.pair_slot(G.m), (1 << n) - 1
     wins = np.zeros((len(alts), digits.shape[1]), np.int8)
-    for i, j in _tables.pair_list(len(alts)):
-        a, b = alts[i], alts[j]
-        bits = G.tables[slot[(a, b)]][column_index(digits, a, b, G.m)]
+    for k, (i, j) in enumerate(pairs):
+        bits = G.tables[slot[(alts[i], alts[j])]][words[k // per] >> k % per * n & mask]
         wins[i] += bits
         wins[j] += ~bits
     return wins
@@ -277,10 +293,11 @@ def _eval_gswf_winner(rule, digits):
     fallback = rule.params["fallback_voter"]
     if digits.shape[0] != G.n:
         raise ValueError(f"G expects n={G.n}, got {digits.shape[0]} voter rows")
-    wins = _wins(G, digits, range(G.m))
-    best = wins.argmax(0)
-    tops = _tables.perms(G.m)[digits[fallback], 0]
-    return np.where(wins.max(0) == G.m - 1, best, tops)
+    # a GCW, which beats all m - 1 others, is unique where it exists
+    winners = _tables.perms(G.m)[digits[fallback], 0]
+    for a, row in enumerate(_wins(G, digits, range(G.m))):
+        winners[row == G.m - 1] = a
+    return winners
 
 
 def scf_from_gswf(G, fallback_voter: int = 0) -> ScfRule:

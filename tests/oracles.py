@@ -21,6 +21,11 @@ engine it checks:
 * ``ngcw_enumerated``: the exact no-GCW probability by visiting every
   profile, through the ``_no_gcw`` tally of the sampled path, where the
   exact engine reads only pairwise columns;
+* ``wins_by_pairs`` and ``gswf_winners_by_argmax``: ``welfare._wins`` with
+  one ``column_index`` read per pair, where the engine packs every pair's
+  column into shared words, and the ``gswf_winner`` rule's winners as the
+  argmax of those wins, where the rule writes each alternative where its
+  row shows a GCW;
 * ``plurality_by_top_counts``: plurality's per-voter and symmetry counts
   as a Python-int sum over the top counts (c0, c1, c2), where the tally
   engine weighs a histogram of packed words; it reaches any n;
@@ -209,6 +214,26 @@ def _outputs(G: GswfIia, digits) -> np.ndarray:
     """G's output bit on each pair a < b at each profile; shape (pairs, S)."""
     return np.array([G.tables[slot][column_index(digits, a, b, G.m)]
                      for slot, (a, b) in enumerate(_tables.pair_list(G.m))])
+
+
+def wins_by_pairs(G: GswfIia, digits, alts) -> np.ndarray:
+    """Each alternative of ``alts``' victories over the others in ``alts``,
+    one ``column_index`` read per pair; shape (len(alts), S)."""
+    wins = np.zeros((len(alts), digits.shape[1]), np.int64)
+    for i in range(len(alts)):
+        for j in range(i + 1, len(alts)):
+            bits = G.pairwise(alts[i], alts[j])[column_index(digits, alts[i], alts[j], G.m)]
+            wins[i] += bits
+            wins[j] += ~bits
+    return wins
+
+
+def gswf_winners_by_argmax(G: GswfIia, fallback: int, digits) -> np.ndarray:
+    """The alternative with the most wins where it beats all m - 1 others,
+    else the fallback voter's top, at each profile of ``digits``."""
+    wins = wins_by_pairs(G, digits, range(G.m))
+    tops = _tables.perms(G.m)[digits[fallback], 0]
+    return np.where(wins.max(0) == G.m - 1, wins.argmax(0), tops)
 
 
 def gswf_disagreement(G, H, granularity: str = "triple") -> Fraction:

@@ -201,7 +201,7 @@ def test_tabled_reads_equal_evaluated_reads(label):
     scf, n = _n6_rule(label), 6
     space = TableSpace(scf.as_table(n))
     gains, structure, columns = evaluated_counts(scf, n)
-    assert space.gains() == gains
+    assert space.gains(range(n)) == gains
     assert [int(c) for c in space.structure()] == structure
     assert space.columns(0, 2).tolist() == columns
 
@@ -214,11 +214,11 @@ def test_table_counts_do_not_depend_on_the_block_size(monkeypatch, block):
     tables = [ScfRule("random_table", seed=3).as_table(4),
               ScfRule("random_table", 2, seed=3).as_table(5),
               ScfRule("random_table", 4, seed=3).as_table(2)]
-    whole = [(TableSpace(t).gains(), TableSpace(t).structure()) for t in tables]
+    whole = [(TableSpace(t).gains(range(t.n)), TableSpace(t).structure()) for t in tables]
     columns = [TableSpace(tables[0]).columns(a, b).tolist() for a, b in PAIRS3]
     monkeypatch.setattr(lines, "BLOCK", block)
     for table, (gains, structure) in zip(tables, whole):
-        assert TableSpace(table).gains() == gains
+        assert TableSpace(table).gains(range(table.n)) == gains
         assert [int(c) for c in TableSpace(table).structure()] == [int(c) for c in structure]
     assert [TableSpace(tables[0]).columns(a, b).tolist() for a, b in PAIRS3] == columns
 
@@ -233,7 +233,7 @@ def test_table_counts_hold_a_few_blocks_at_n8():
     space = TableSpace(table)
     tracemalloc.start()
     try:
-        space.gains()
+        space.gains(range(8))
         space.structure()
         for a, b in PAIRS3:
             space.columns(a, b)

@@ -75,6 +75,37 @@ def slow_minority_preference(scf, a, b, n):
     return total / 2 ** n
 
 
+@pytest.mark.parametrize("rule", [ScfRule("random_table", seed=5), ScfRule("borda")])
+def test_one_m_i_equals_its_row_of_the_reports(rule):
+    """Each exact M_i, counted alone from its voter's reads, equals its row
+    of manipulation_reports, which counts every voter at once: on a table's
+    line view and on the tally engine, whose voters 2..n-1 share voter 1's
+    count."""
+    rows = manipulation_reports(rule, 5, mode="exact")
+    for i in range(5):
+        assert manipulation_power(rule, i, 5, mode="exact") == rows[i]
+
+
+def test_one_m_i_reads_only_its_voters_lines(monkeypatch):
+    """An exact M_i on the line view reads the lines of voter i alone."""
+    from votelab import lines
+    read, original = [], lines.blocks
+
+    def counting(table, base, i, k=1):
+        read.append(i)
+        return original(table, base, i, k)
+
+    monkeypatch.setattr(lines, "blocks", counting)
+    rule = ScfRule("random_table", seed=6)
+    for i in range(4):
+        read.clear()
+        manipulation_power(rule, i, 4, mode="exact")
+        assert read == [i]
+    read.clear()
+    manipulation_reports(rule, 4, mode="exact")
+    assert read == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("name,params", [
     ("plurality", {}), ("borda", {}), ("pairwise_majority_fallback", {}),
     ("dictatorship", {"voter": 0}), ("random_table", {"seed": 3}),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from votelab.fileio import read_scf, write_scf
+from votelab.lattice import random_set
 from votelab.metrics import mab, nab, pair_reports
 from votelab.rules import ScfRule, ScfTable
 from votelab.sampling import CHUNK
@@ -32,10 +33,12 @@ DESCS = {
     ("border", 3, None): "404615cb0e9e2b98fa4b85300abc199d30ed1fe820694df37464a6f2666f847a",
     ("border", 0, 6): "e1c4616ee61fb226b82fa1dd465a3d6d374dce209608bb69f88952b60147607a",
     ("border", 3, 6): "b70270247d2a1d6626318769e000b7b30a96591b33162cda60c9380fe8e60700",
+    ("border", 7, 6): "5014ee590f3cb4c94c24476122a938093a6a9a23cdafed73a30b34818b0a199c",
     ("shifting", 0, None): "639573b9578bc784743666385d8f97139909e3c56d50a453835d1e5a439299e2",
     ("shifting", 3, None): "265da825b3e5b30526ae40156a7d1492c41e32d99cc433786cfaed353fd7590d",
     ("shifting", 0, 6): "cfd057ad23fe6099aa3a3afd5b004b720d0a5631f80b6c5465b5340c81f76578",
     ("shifting", 3, 6): "47ad6a6c9f5678274884e8dda643f749d7c98643d6df0a13f1a86e1398d5850a",
+    ("shifting", 7, 6): "0bf04ba87b1eefb8f15157b597420dd2986f67107eae6ec305da237617b668c8",
     ("cauchy", 0, None): "3f788351db5366871ab23466c3c04d09c0b691a6cf8705eaec6175f1b0c8e11f",
     ("cauchy", 3, None): "ea5def5a456ee637b68ee738e6ddda91f87e74692304c396a200c6f1ec556258",
     ("reduction-chain", 0, None): "b2dfd11517c5cc83eec905648d84b087e5856eecebb10c4609abba05e82d4fec",
@@ -54,6 +57,13 @@ def test_suite_descriptors_frozen(suite, seed, n):
     spec = SUITES[suite]
     descs = spec.descs(spec.trials, spec.n if n is None else n, seed, None)
     assert _digest(list(descs)) == DESCS[suite, seed, n]
+
+
+def test_random_sets_frozen():
+    """The points of lattice.random_set(n, seed=s), n = 1..6 and s = 0..9:
+    each draws its density and then its membership from one stream."""
+    sets = [random_set(n, seed=s).indices().tolist() for n in range(1, 7) for s in range(10)]
+    assert _digest(sets) == "b262475abb849646abe6a8eb3d07c97638479d5dc2f1527a81069eb6cefe0a2e"
 
 
 COMPOSITION_FIELDS = ("joint", "left", "right", "gap", "tol", "holds")

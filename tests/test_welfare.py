@@ -13,10 +13,10 @@ from math import factorial
 import numpy as np
 import pytest
 
-from votelab import tallies
+from votelab import _tables, tallies
 from votelab.metrics import mab
 from votelab.orders import (MAX_COLUMN_VOTERS, Profile, column_complement, order_from_index,
-                            profile_from_index, voter_bits)
+                            profile_chunks, profile_from_index, voter_bits)
 from votelab.rules import BudgetError, ScfRule
 from votelab.sampling import exact_feasible
 from votelab.welfare import (
@@ -46,7 +46,8 @@ from votelab.welfare import (
 )
 
 from oracles import (dist_tr3_bruteforce, dist_tr3_by_profiles, gswf_disagreement,
-                     ngcw_enumerated, pairwise_column, tr3_members, tr_member_tables)
+                     gswf_winners_by_argmax, ngcw_enumerated, pairwise_column, tr3_members,
+                     tr_member_tables, wins_by_pairs)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -243,6 +244,48 @@ def test_wins_on_a_block_matches_object_layer():
                 sub = Profile(tuple(tuple(alts.index(x) for x in v.ranking if x in alts)
                                     for v in p.voters))
                 assert got == gcw_winner_at(R, sub), (n, alts, s)
+
+
+def _random_gswf_by_bits(n, m, seed) -> GswfIia:
+    """A seeded random IIA GSWF built from packed random bytes, so that its
+    tables take one byte per column even at n = 26."""
+    size = len(_tables.pair_list(m)) << n
+    bits = np.unpackbits(np.frombuffer(np.random.default_rng(seed).bytes(-(-size // 8)), np.uint8))
+    return GswfIia(m, n, bits[:size].view(bool).reshape(-1, 1 << n))
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (6, 1), (3, 21), (6, 5), (6, 9), (4, 11), (3, 22),
+                                 (3, MAX_COLUMN_VOTERS)])
+def test_packed_wins_equal_per_pair_columns(m, n):
+    """_wins packs floor(63 / n) pairs to a word.  Its wins equal those of one
+    column_index read per pair where every pair fits one word (n = 1), where
+    a word's last pair reaches bit 62 ((3, 21) and the first of three words
+    at (6, 9)), and where the pairs take two words ((6, 5), (4, 11), (3, 22),
+    (3, 26)).  Each profile block holds random profiles, one where every
+    voter casts ranking 0 (every column all ones) and one where every voter
+    casts its reverse."""
+    G = _random_gswf_by_bits(n, m, 60 + n)
+    digits = np.random.default_rng(n).integers(0, factorial(m), size=(n, 64))
+    digits[:, :2] = [0, factorial(m) - 1]
+    for alts in {tuple(range(m)), (0, m - 1), (0, 1, m - 1)}:
+        assert np.array_equal(_wins(G, digits, alts), wins_by_pairs(G, digits, alts)), alts
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_gswf_winner_equals_the_argmax_oracle(n):
+    """The gswf_winner rule's winners at every profile equal the argmax of
+    the wins where a GCW exists, and the fallback voter's top elsewhere,
+    for every fallback voter; at m = 4 on random profiles."""
+    _, _, digits = next(profile_chunks(n))  # all 6^n profiles
+    digits4 = np.random.default_rng(n).integers(0, 24, size=(n, 4000))
+    for seed in range(3):
+        G, G4 = random_iia_gswf(n, 3, 70 + seed), random_iia_gswf(n, 4, 70 + seed)
+        for H, block in ((G, digits), (G4, digits4)):
+            assert (wins_by_pairs(H, block, range(H.m)).max(0) < H.m - 1).any()  # some no-GCW
+            for fallback in range(n):
+                rule = ScfRule("gswf_winner", H.m, gswf=H, fallback_voter=fallback)
+                assert np.array_equal(rule.winners_from_digits(block),
+                                      gswf_winners_by_argmax(H, fallback, block)), (seed, fallback)
 
 
 def test_gcw_winner_at_examples():

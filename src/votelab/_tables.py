@@ -1,4 +1,5 @@
-# Cached permutation tables shared across modules.
+# Cached permutation tables shared across modules, and the one owner of the
+# profile layout's block size and packed per-voter sum.
 
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -94,6 +95,54 @@ def index_digits(idx, base, n):
     if k:
         out[:k] = np.unravel_index(low, (base,) * k, order="F")
     return out
+
+
+BLOCK = 1 << 16  # the most profiles, or table entries, that one read holds
+
+
+def low_voters(base: int, n: int) -> int:
+    """The most voters, up to n, whose base^k profiles fit one block."""
+    k = 0
+    while k < n and base ** (k + 1) <= BLOCK:
+        k += 1
+    return k
+
+
+def _word_sum(word, digits, shift) -> np.ndarray:
+    """sum_v word[digits[v]] << shift·v, the last voter first: one gather
+    and one add (and one shift) per voter."""
+    acc = word[digits[-1]]  # a fresh array, so summed in place
+    for row in digits[-2::-1]:
+        if shift:
+            acc <<= shift
+        acc += word[row]
+    return acc
+
+
+def voter_fields(fields, digits, shift=0) -> np.ndarray:
+    """The (F, S) int64 sums over voters v of ``fields[digits[v]] << shift·v``.
+
+    ``fields`` is an (m!, F) table of nonnegative ints and ``digits`` an
+    (n, S) block of ranking indices.  Each field gets just enough bits to
+    hold its largest possible sum, and as many fields as fit below the sign
+    bit share one int64 word, so the sums take one gather and one add (and
+    one shift) per voter and word.  With shift 1, a field of pair bits sums
+    to the pair's column index (voter 0 as bit 0).
+    """
+    fields = np.asarray(fields, dtype=np.int64)
+    nfields = fields.shape[1]
+    if nfields == 1:  # nothing to pack
+        return _word_sum(fields[:, 0], digits, shift)[None]
+    n, count = digits.shape
+    bits = max(int(fields.max(initial=0)) * sum(1 << shift * v for v in range(n)), 1).bit_length()
+    per, mask = 63 // bits, (1 << bits) - 1
+    sums = np.empty((nfields, count), np.int64)
+    for lo in range(0, nfields, per):
+        group = fields[:, lo:lo + per]
+        acc = _word_sum((group << (bits * np.arange(group.shape[1]))).sum(1), digits, shift)
+        for j in range(group.shape[1]):
+            sums[lo + j] = acc >> (bits * j) & mask
+    return sums
 
 
 def digits_index(digits, base):

@@ -8,9 +8,10 @@ differ only in voter i's ballot.  ``TableSpace`` makes every exact count of
 a rule outside the tally engine from such reads, with the count methods of
 ``tallies.TallySpace``; it decodes no profile's digits.
 
-Every read runs in blocks of at most ``BLOCK`` table entries, cut on the
-leading axis, or on the trailing one where a single leading row is larger,
-so a count holds little beyond the table itself.
+Every read runs in blocks of at most ``_tables.BLOCK`` table entries, the
+block size of the exact sweep too, cut on the leading axis, or on the
+trailing one where a single leading row is larger, so a count holds little
+beyond the table itself.
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ import numpy as np
 
 from . import _tables
 
-BLOCK = 1 << 16  # the most table entries one read holds
-
 
 def blocks(table, base: int, i: int, k: int = 1):
     """Yield ``table`` viewed as (lead, base, ..., base, trail), the k
     ballot axes those of voters i + k - 1 down to i, in blocks of at most
-    ``BLOCK`` entries; each block is a view."""
+    ``_tables.BLOCK`` entries; each block is a view."""
     view = table.reshape(-1, *(base,) * k, base ** i)
     lead, trail, mid = view.shape[0], view.shape[-1], base ** k
-    cols = min(trail, max(1, BLOCK // mid))
-    rows = max(1, BLOCK // (mid * cols))
+    cols = min(trail, max(1, _tables.BLOCK // mid))
+    rows = max(1, _tables.BLOCK // (mid * cols))
     for r in range(0, lead, rows):
         for c in range(0, trail, cols):
             yield view[r:r + rows, ..., c:c + cols]
@@ -53,14 +52,6 @@ def _digit_map(values, vbase: int, k: int) -> np.ndarray:
     return out
 
 
-def _low_voters(base: int, n: int) -> int:
-    """The most voters, up to n, whose base^w profiles fit one block."""
-    w = 0
-    while w < n and base ** (w + 1) <= BLOCK:
-        w += 1
-    return w
-
-
 def mapped_rows(source, values, vbase: int, n: int):
     """Yield (profiles, block) over the profiles of n voters in order:
     ``block`` holds ``source[sum_v values[d_v] · vbase^v]`` at each profile
@@ -69,10 +60,10 @@ def mapped_rows(source, values, vbase: int, n: int):
     along them.  With ``values`` a relabelling of the ballots, that reads a
     table at the relabelled profiles; with a pair's bits, a table over the
     pair's columns at each profile's column."""
-    w = _low_voters(len(values), n)
+    w = _tables.low_voters(len(values), n)
     high, low = _digit_map(values, vbase, n - w), _digit_map(values, vbase, w)
     rows = source.reshape(-1, vbase ** w)
-    step = max(1, BLOCK // low.size)
+    step = max(1, _tables.BLOCK // low.size)
     for lo in range(0, high.size, step):
         block = rows[high[lo:lo + step]].take(low, axis=1)
         yield slice(lo * low.size, lo * low.size + block.size), block
@@ -169,11 +160,11 @@ class TableSpace:
         (a, b), the profiles electing a, then per column those electing b.
         Each block of rows sums its low voters' ballots by their pair bit,
         and the rows' sums then sum the high voters' ballots."""
-        n, w = self.n, _low_voters(6, self.n)
+        n, w = self.n, _tables.low_voters(6, self.n)
         order = np.argsort(_tables.pair_bit(3, a, b), kind="stable")
         rows = self.outputs.reshape(-1, 6 ** w)
         per = np.empty((2, len(rows), 1 << w), np.min_scalar_type(3 ** w))  # [a or b, row, low z]
-        step = max(1, BLOCK // rows.shape[1])
+        step = max(1, _tables.BLOCK // rows.shape[1])
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
             sides = np.stack([block == a, block == b], 1).reshape(2 * len(block), -1)

@@ -1,8 +1,10 @@
 """Canonical encodings of rankings and profiles, and the array kernels that
 read profiles as digit blocks: profile indices, the exact sweep over all
-profiles (read from one resident digit table per m), pairwise column
-indices, and the m=3 split of a profile into one pair's column and the
-third alternative's positions (``split_pair``, inverted by ``join_pair``).
+profiles (read from one resident digit table per m, in blocks of
+``_tables.BLOCK`` profiles), pairwise column indices (one
+``_tables.voter_fields`` sum) and their popcounts, and the m=3 split of a
+profile into one pair's column and the third alternative's positions
+(``split_pair``, inverted by ``join_pair``).
 
 Conventions, normative for file formats and profile indices:
 
@@ -138,7 +140,6 @@ def profile_digits(idx, n: int, m: int = 3) -> np.ndarray:
     return _tables.index_digits(idx, factorial(m), n)
 
 
-SWEEP_CHUNK = 1 << 18  # the most profiles in one block of an exact sweep
 _DIGIT_TABLES: dict[int, np.ndarray] = {}  # m -> the digit table of m
 
 
@@ -161,24 +162,23 @@ def _digit_table(m: int, k: int) -> np.ndarray:
 
 def profile_chunks(n: int, m: int = 3):
     """Yield (lo, hi, digits) blocks covering all (m!)^n profile indices in
-    order, each of at most ``SWEEP_CHUNK`` profiles; ``digits`` is read-only.
+    order, each of at most ``_tables.BLOCK`` profiles; ``digits`` is
+    read-only.
 
-    The blocks read the digit table of m instead of decoding indices.  When
-    all (m!)^n profiles fit one block, that block is a view of the table.
-    Otherwise the table holds the k voters whose profiles fit, and a block
-    is a run of whole periods of (m!)^k profiles: its low k rows are the
-    table tiled, and its other rows are constant across each period.
+    The blocks read the digit table of m instead of decoding indices.  It
+    holds the ``_tables.low_voters`` k whose profiles fit one block, and
+    when k = n that block is a view of the table.  Otherwise a block is a
+    run of whole periods of (m!)^k profiles: its low k rows are the table
+    tiled, and its other rows are constant across each period.
     """
     base = factorial(m)
-    k = 0  # the most voters, up to n, whose base^k profiles fit one block
-    while k < n and base ** (k + 1) <= SWEEP_CHUNK:
-        k += 1
+    k = _tables.low_voters(base, n)
     period = base ** k
     table = _digit_table(m, k)
     if k == n:
         yield 0, period, table[:n, :period]
         return
-    periods, per = base ** (n - k), SWEEP_CHUNK // period
+    periods, per = base ** (n - k), _tables.BLOCK // period
     for first in range(0, periods, per):
         count = min(per, periods - first)
         digits = np.empty((n, count, period), np.int64)
@@ -192,12 +192,7 @@ def profile_chunks(n: int, m: int = 3):
 
 def column_index(digits, a: int, b: int, m: int = 3) -> np.ndarray:
     """Pairwise column index of (a, b) for every profile; shape (S,)."""
-    bit = _tables.pair_bit(m, a, b)
-    z = bit[digits[-1]]  # a fresh int64 array, so shifted in place
-    for row in digits[-2::-1]:
-        z <<= 1
-        z |= bit[row]
-    return z
+    return _tables.voter_fields(_tables.pair_bit(m, a, b)[:, None], digits, 1)[0]
 
 
 # Most voters of a table over all 2^n pairwise columns: it is built from
@@ -219,6 +214,15 @@ def voter_bits(i: int, n: int) -> np.ndarray:
     if not 0 <= i < n:
         raise ValueError(f"voter {i} out of range for n={n}")
     return (np.arange(column_count(n)) >> i & 1).astype(bool)
+
+
+def column_popcounts(n: int) -> np.ndarray:
+    """The number of voters with their bit set in each of the 2^n column
+    indices."""
+    counts = np.zeros(column_count(n), np.intp)
+    for v in range(n):  # columns 2^v..2^(v+1)-1 add voter v to 0..2^v-1
+        counts[1 << v:2 << v] = counts[:1 << v] + 1
+    return counts
 
 
 def column_complement(n: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Tally rules: the packed per-voter words they decide from, and the
-tally-space engine that makes their exact counts.
+"""Tally rules: the per-voter words they decide from, and the tally-space
+engine that makes their exact counts.
 
 ``plurality``, ``borda`` and ``pairwise_majority_fallback`` decide from F
 per-voter tallies summed over the voters (``pairwise_majority_fallback``
@@ -23,8 +23,9 @@ read one cached decision table per (rule, m, n), a rule's decision at every
 word.  At m = 3 it holds borda up to n = 20 and the other two rules up to
 n = 40; past that the rule decides on the unpacked tallies.  ``_scorer``
 is the one place that turns summed tallies into a decision, on either side
-of the cap.  ``Summed``, a sampled block of a tally rule, sums its voters
-once and decides each moved or swapped read from that sum.
+of the cap; ``_tables.voter_fields`` sums a block's words, or its tallies,
+over its voters.  ``Summed``, a sampled block of a tally rule, sums its
+voters once and decides each moved or swapped read from that sum.
 """
 
 from __future__ import annotations
@@ -34,44 +35,11 @@ import functools
 import numpy as np
 
 from . import _tables
+from .orders import column_popcounts
 
 # At n = 20 every histogram entry and count is at most 6 · 6^20 < 2^55, a
 # ColumnStats holds 2 x 8 MiB, and borda's words span 41^3 sums.
 MAX_N = 20
-
-
-def _voter_sum(packed, digits) -> np.ndarray:
-    """``packed[digits].sum(0)``: one gather and one add per voter."""
-    acc = packed[digits[0]]
-    for row in digits[1:]:
-        acc += packed[row]
-    return acc
-
-
-def _field_sums(fields, digits) -> np.ndarray:
-    """Per-profile sums over voters of a per-ranking field table.
-
-    ``fields`` is an (m!, F) table of nonnegative ints and ``digits`` an
-    (n, S) block of ranking indices; returns the (F, S) int64 sums
-    ``fields[digits].sum(0).T``.  Each field gets just enough bits to hold
-    its largest possible sum, as many fields as fit share one int64 word, so
-    a sum over voters is one gather and one add per voter and word.
-    """
-    fields = np.asarray(fields, dtype=np.int64)
-    n, count = digits.shape
-    nfields = fields.shape[1]
-    if nfields == 1:  # nothing to pack
-        return _voter_sum(fields[:, 0], digits)[None]
-    bits = max(int(fields.max(initial=0)) * n, 1).bit_length()
-    per = 62 // bits
-    sums = np.empty((nfields, count), np.int64)
-    mask = (1 << bits) - 1
-    for lo in range(0, nfields, per):
-        group = fields[:, lo:lo + per]
-        acc = _voter_sum((group << (bits * np.arange(group.shape[1]))).sum(1), digits)
-        for j in range(group.shape[1]):
-            sums[lo + j] = acc >> (bits * j) & mask
-    return sums
 
 
 def _majority_winner(above, m, n) -> np.ndarray:
@@ -170,7 +138,7 @@ def decoded_winners(scf, codes, decoders) -> np.ndarray:
         return np.stack([scf.winners_from_digits(d[codes]) for d in decoders])
     name, m, n = scf.name, scf.m, codes.shape[0]
     contrib, decide = _scorer(name, m, n)
-    sums = _field_sums(np.concatenate([contrib[d] for d in decoders], 1), codes)
+    sums = _tables.voter_fields(np.concatenate([contrib[d] for d in decoders], 1), codes)
     winners = np.stack([decide(part) for part in np.split(sums, len(decoders))])
     if name == _FALLS_BACK:
         for row, d in zip(winners, decoders):
@@ -190,7 +158,7 @@ class Summed:
         self.scf = scf
         self.digits = digits
         self._contrib, self._decide = _scorer(scf.name, scf.m, digits.shape[0])
-        self._sums = _field_sums(self._contrib, digits)
+        self._sums = _tables.voter_fields(self._contrib, digits)
         self._tops = _tables.perms(scf.m)[:, 0] if scf.name == _FALLS_BACK else None
         self._decided = self._decide(self._sums)
         self._decided.setflags(write=False)  # returned as the winners when no fallback
@@ -372,7 +340,5 @@ class TallySpace:
                 per[0, bit0, k] = (winners == a).sum(0) @ dist[support]
                 per[1, bit0, k] = (winners == b).sum(0) @ dist[support]
             above = self._spread(above, 1, sides[1])
-        popcount = np.zeros(1 << (n - 1), np.intp)  # of the others' bits, z >> 1
-        for v in range(n - 1):
-            popcount[1 << v:2 << v] = popcount[:1 << v] + 1
+        popcount = column_popcounts(n - 1)  # of the others' bits, z >> 1
         return per[:, :, popcount].transpose(0, 2, 1).reshape(-1)

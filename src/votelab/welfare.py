@@ -13,7 +13,8 @@ import numpy as np
 
 from . import _tables, lines, sampling
 from .metrics import MetricReport, column_stats, count_report
-from .orders import Profile, column_complement, column_count, profile_block, voter_bits
+from .orders import (Profile, column_complement, column_count, column_popcounts, profile_block,
+                     voter_bits)
 from .rules import ScfRule, _diag_mins, register_rule, resolve_n
 
 PAIRS3 = _tables.pair_list(3)
@@ -83,11 +84,7 @@ def majority_g(n: int) -> np.ndarray:
     """Simple-majority bits over all columns; n must be odd."""
     if n % 2 == 0:
         raise ValueError("majority needs an odd voter count")
-    z = np.arange(column_count(n))
-    ones = np.zeros(z.size, np.int64)
-    for v in range(n):
-        ones += z >> v & 1
-    return 2 * ones > n
+    return 2 * column_popcounts(n) > n
 
 
 def random_odd_g(n: int, seed) -> np.ndarray:
@@ -155,36 +152,26 @@ def restrict_gswf(G, subset) -> GswfIia:
 # outcome codes of all 6^n profiles as lines of one table.  Every other
 # reader (sampled no-GCW counts, check_composition's joint sweep,
 # gcw_winner_at, the gswf_winner rule) reads pairwise outcomes profile by
-# profile through ``_wins``, which gathers the columns of all the pairs it
-# needs at once: each ranking's bits on the pairs are packed into int64
-# words, voter v's bit of a word's k-th pair at bit k·n + v, so one gather
-# per voter assembles every pair's column index and one masked shift then
-# reads each pair's out of its word.
+# profile through ``_wins``, which sums the columns of all the pairs it
+# needs at once in ``_tables.voter_fields``: each ranking's bits on the
+# pairs are packed into int64 words, so one gather per voter and word
+# assembles every pair's column index, and one masked shift then reads each
+# pair's out of its word.
 
 def _wins(G: GswfIia, digits, alts) -> np.ndarray:
     """Pairwise victories of each of the increasing alternatives ``alts``
     over the others in ``alts``; shape (len(alts), S).  Only the pairs
-    inside ``alts`` are evaluated: their columns are read in words of
-    floor(63 / n) pairs each, so no bit reaches the sign bit."""
-    alts = tuple(alts)
-    n = digits.shape[0]
-    per, pairs = 63 // n, _tables.pair_list(len(alts))
-    packed = np.zeros((-(-len(pairs) // per), factorial(G.m)), np.int64)
-    for k, (i, j) in enumerate(pairs):
-        packed[k // per] |= _tables.pair_bit(G.m, alts[i], alts[j]) << k % per * n
-    words = []
-    for bits in packed:
-        word = bits[digits[-1]]  # a fresh array, so shifted in place
-        for row in digits[-2::-1]:
-            word <<= 1
-            word |= bits[row]
-        words.append(word)
-    slot, mask = _tables.pair_slot(G.m), (1 << n) - 1
+    inside ``alts`` are evaluated, their columns read in one sum."""
+    alts = list(alts)
+    i, j = np.triu_indices(len(alts), 1)
+    a, b = np.take(alts, i), np.take(alts, j)
+    columns = _tables.voter_fields(_tables.prefers(G.m)[:, a, b], digits, 1)
+    slot = _tables.pair_slot(G.m)
     wins = np.zeros((len(alts), digits.shape[1]), np.int8)
-    for k, (i, j) in enumerate(pairs):
-        bits = G.tables[slot[(alts[i], alts[j])]][words[k // per] >> k % per * n & mask]
-        wins[i] += bits
-        wins[j] += ~bits
+    for p, z in enumerate(columns):
+        bits = G.tables[slot[alts[i[p]], alts[j[p]]]][z]
+        wins[i[p]] += bits
+        wins[j[p]] += ~bits
     return wins
 
 

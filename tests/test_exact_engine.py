@@ -18,7 +18,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from votelab import _tables, lines, rules, sampling, tallies
+from votelab import _tables, rules, sampling, tallies
 from votelab.lines import TableSpace
 from votelab.metrics import (column_stats, manipulation_power, manipulation_power_total,
                              manipulation_reports)
@@ -210,13 +210,22 @@ def test_tabled_reads_equal_evaluated_reads(label):
 def test_table_counts_do_not_depend_on_the_block_size(monkeypatch, block):
     """Reads cut into blocks of any size, down to one entry, whether a block
     holds several leading rows, part of one, or a run of trailing columns,
-    give the counts of one whole-table block."""
+    give the counts of one whole-table block.  Sweeps that materialize a
+    table, in blocks of part of the digit table's period or of a run of
+    periods, give the tables of the default block size."""
     tables = [ScfRule("random_table", seed=3).as_table(4),
               ScfRule("random_table", 2, seed=3).as_table(5),
               ScfRule("random_table", 4, seed=3).as_table(2)]
     whole = [(TableSpace(t).gains(range(t.n)), TableSpace(t).structure()) for t in tables]
     columns = [TableSpace(tables[0]).columns(a, b).tolist() for a, b in PAIRS3]
-    monkeypatch.setattr(lines, "BLOCK", block)
+
+    def swept():  # fresh rules, since a rule keeps the tables it built
+        return [ScfRule("dictatorship", voter=1).as_table(4).outputs.tolist(),
+                ScfRule("borda").as_table(4).outputs.tolist()]
+
+    default = swept()
+    monkeypatch.setattr(_tables, "BLOCK", block)
+    assert swept() == default
     for table, (gains, structure) in zip(tables, whole):
         assert TableSpace(table).gains(range(table.n)) == gains
         assert [int(c) for c in TableSpace(table).structure()] == [int(c) for c in structure]
@@ -240,7 +249,7 @@ def test_table_counts_hold_a_few_blocks_at_n8():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * lines.BLOCK, peak
+    assert peak < 48 * _tables.BLOCK, peak
 
 
 SUMMED_CASES = [(name, 3, n) for name in tallies._TALLY_RULES for n in (1, 2, 3, 11)] + [
@@ -288,13 +297,13 @@ def test_sampled_passes_sum_each_block_once(monkeypatch):
     summed the block on its own).  Borda's five relabelled words at n = 11
     take 14 bits each, so they pack into two int64 words."""
     rows = []
-    original = tallies._voter_sum
+    original = _tables._word_sum
 
-    def counting(packed, digits):
+    def counting(word, digits, shift):
         rows.append(len(digits))
-        return original(packed, digits)
+        return original(word, digits, shift)
 
-    monkeypatch.setattr(tallies, "_voter_sum", counting)
+    monkeypatch.setattr(_tables, "_word_sum", counting)
     n, scf = 11, ScfRule("borda")
     manipulation_reports(scf, n, mode="sampled", samples=1000, seed=0)
     _diag_counts(scf, n, "sampled", 1000, 0, 1)
@@ -378,7 +387,7 @@ def test_random_table_cache_fills_once_under_workers(monkeypatch, seed):
     assert built == [8]
 
 
-@pytest.mark.parametrize("n", [3, 7])  # one whole-space block; two blocks
+@pytest.mark.parametrize("n", [3, 7])  # one whole-space block; six blocks
 def test_sweep_blocks_are_read_only(n):
     def into_digits(digits):
         digits[0, 0] = 1
@@ -398,7 +407,7 @@ def test_sweep_blocks_are_read_only(n):
 @pytest.mark.parametrize("n", [1, 4, 5, 6, 7])
 def test_tabled_columns_equal_column_index(n):
     """The line view's column counts equal bincounts of ``column_index``
-    over the digits of every sweep block (n = 7 sweeps in two blocks, and
+    over the digits of every sweep block (n = 7 sweeps in six blocks, and
     its columns sum six rows of 6^6 profiles)."""
     table = ScfRule("plurality").as_table(n)
     space = TableSpace(table)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votelab import orders
+from votelab import _tables, orders
 from votelab._tables import digits_index, index_digits
 from votelab.orders import (
-    SWEEP_CHUNK,
     LinearOrder,
     Profile,
+    column_popcounts,
     join_pair,
     order_from_index,
     order_to_index,
@@ -186,18 +186,22 @@ def test_profile_chunks_cover_everything():
     assert seen == list(range(216))
 
 
-@pytest.mark.parametrize("n,m", [*((n, 3) for n in range(1, 8)), (3, 4), (4, 4), (2, 6)])
+@pytest.mark.parametrize("n,m", [*((n, 3) for n in range(1, 8)), (3, 4), (4, 4), (2, 6),
+                                 (17, 2)])
 def test_sweep_blocks_equal_decoded_digits(n, m):
     """Blocks read from the digit table tile the index range in order, each
-    equal to decoding its indices, read-only and within SWEEP_CHUNK."""
+    equal to decoding its indices, read-only and within ``_tables.BLOCK``.
+    The resident digit table is no wider than one block: at m = 2 and
+    n = 17 it holds 16 voters' digits (8 MiB), not 17."""
     lo_expected, blocks = 0, 0
     for lo, hi, digits in profile_chunks(n, m):
-        assert lo == lo_expected and 0 < hi - lo <= SWEEP_CHUNK
+        assert lo == lo_expected and 0 < hi - lo <= _tables.BLOCK
         assert np.array_equal(digits, profile_digits(np.arange(lo, hi), n, m))
         assert not digits.flags.writeable
         lo_expected, blocks = hi, blocks + 1
     assert lo_expected == factorial(m) ** n
-    assert (blocks > 1) == (factorial(m) ** n > SWEEP_CHUNK)
+    assert (blocks > 1) == (factorial(m) ** n > _tables.BLOCK)
+    assert orders._DIGIT_TABLES[m].shape[1] <= _tables.BLOCK
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,3 +225,8 @@ def test_order_round_trip_m4(k1, k2):
 def test_voter_bits_refuses_voters_outside_the_profile(i):
     with pytest.raises(ValueError, match=f"voter {i} out of range for n=3"):
         voter_bits(i, 3)
+
+
+def test_column_popcounts_count_each_columns_voters():
+    for n in range(13):
+        assert column_popcounts(n).tolist() == [bin(z).count("1") for z in range(1 << n)]

@@ -24,7 +24,7 @@ from votelab.rules import (
     zoo_rules,
 )
 from votelab.sampling import exact_feasible
-from votelab.tallies import _TALLY_RULES, _decision_table, _field_sums
+from votelab.tallies import _TALLY_RULES, _decision_table
 from votelab.welfare import random_iia_gswf, scf_from_gswf
 
 
@@ -302,17 +302,31 @@ def test_decision_table_matches_unpacked_tallies(m, n):
     for name in TALLY_RULES:
         word, decision = _decision_table(name, m, n)
         fields_of, decide = _TALLY_RULES[name]
-        unpacked = decide(_field_sums(fields_of(m), digits), m, n)
+        unpacked = decide(_tables.voter_fields(fields_of(m), digits), m, n)
         assert np.array_equal(decision[word[digits].sum(0)], unpacked), name
 
 
 def test_field_sums_match_plain_sum_over_words():
+    """``voter_fields`` equals sum_v fields[digits[v]] << shift·v in Python
+    ints: shift 0 (tallies) and 1 (column indices), one field (nothing
+    packed) to 15, at n = 1 to 3000 voters.  The fields pack into one to
+    eight words; the first two profiles cast every field's largest and
+    smallest value, so each field's top bit is read too."""
     rng = np.random.default_rng(3)
-    fields = rng.integers(0, 9, size=(24, 11))  # 15-bit sums: four per word
+    fields = rng.integers(0, 9, size=(24, 11))  # 15-bit sums at n = 3000: four per word
     digits = rng.integers(0, 24, size=(3000, 50))
-    assert np.array_equal(_field_sums(fields, digits), fields[digits].sum(0).T)
-    single = fields[:, :1]  # one field: a plain voter sum, nothing packed
-    assert np.array_equal(_field_sums(single, digits), single[digits].sum(0).T)
+    assert np.array_equal(_tables.voter_fields(fields, digits), fields[digits].sum(0).T)
+    for shift, top in ((0, 9), (1, 4)):
+        for nfields in (1, 3, 5, 15):
+            fields = rng.integers(0, top, size=(6, nfields))
+            fields[0], fields[1] = top - 1, 0
+            for n in (1, 2, 11, 21, 26):
+                digits = rng.integers(0, 6, size=(n, 40))
+                digits[:, :2] = [0, 1]
+                expected = [[sum(int(fields[digits[v, s], f]) << shift * v for v in range(n))
+                             for s in range(digits.shape[1])] for f in range(nfields)]
+                got = _tables.voter_fields(fields, digits, shift)
+                assert got.dtype == np.int64 and got.tolist() == expected, (shift, nfields, n)
 
 
 # --- decoded_winners against one rule evaluation per decoding -----------

@@ -450,13 +450,16 @@ def test_dist_tr3_equals_the_scan_of_every_profile(n):
 
 @pytest.mark.parametrize("block", [1, 7, 36, 500])
 def test_dist_tr3_does_not_depend_on_the_block_size(monkeypatch, block):
-    from votelab import lines
-    monkeypatch.setattr(lines, "BLOCK", block)
+    """dist_tr3's line reads and composition's exact joint sweep (720
+    profiles at n = 1) give the values of the default block size."""
+    joint = check_composition(random_odd_g(1, 0)).joint
+    monkeypatch.setattr(_tables, "BLOCK", block)
     for n, kind, seed, value, label, _, _ in DIST_TR3_FROZEN[10:20]:
         G = (random_iia_gswf(n, 3, seed) if kind == "iia"
              else neutral_tensor(random_odd_g(n, seed), 3))
         got, member = dist_tr3(G)
         assert (got, member.label) == (Fraction(*value), label)
+    assert check_composition(random_odd_g(1, 0)).joint == joint
 
 
 def test_gswf_engines_read_outcomes_through_wins(monkeypatch):

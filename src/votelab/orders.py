@@ -1,7 +1,7 @@
 """Canonical encodings of rankings and profiles, and the array kernels that
 read profiles as digit blocks: profile indices, the exact sweep over all
-profiles (read from one resident digit table per m, in blocks of
-``_tables.BLOCK`` profiles), pairwise column indices (one
+profiles (in blocks of ``_tables.BLOCK`` profiles, each decoding only
+its period indices), pairwise column indices (one
 ``_tables.voter_fields`` sum) and their popcounts, and the m=3 split of a
 profile into one pair's column and the third alternative's positions
 (``split_pair``, inverted by ``join_pair``).
@@ -140,49 +140,26 @@ def profile_digits(idx, n: int, m: int = 3) -> np.ndarray:
     return _tables.index_digits(idx, factorial(m), n)
 
 
-_DIGIT_TABLES: dict[int, np.ndarray] = {}  # m -> the digit table of m
-
-
-def _digit_table(m: int, k: int) -> np.ndarray:
-    """A read-only table whose first k rows and (m!)^k columns are the
-    digits of the first (m!)^k profiles of k voters.  Row v repeats with
-    period (m!)^(v+1), so the low k digits of any profile index j are
-    column j mod (m!)^k.  One table is kept per m, rebuilt when a sweep
-    needs more voters than it holds."""
-    table = _DIGIT_TABLES.get(m)
-    if table is None or len(table) < k:
-        base = factorial(m)
-        table = np.empty((k, base ** k), np.int64)
-        for v, row in enumerate(table):  # digit v steps every base^v profiles
-            row.reshape(-1, base, base ** v)[:] = np.arange(base)[:, None]
-        table.setflags(write=False)
-        _DIGIT_TABLES[m] = table
-    return table
-
-
 def profile_chunks(n: int, m: int = 3):
     """Yield (lo, hi, digits) blocks covering all (m!)^n profile indices in
     order, each of at most ``_tables.BLOCK`` profiles; ``digits`` is
     read-only.
 
-    The blocks read the digit table of m instead of decoding indices.  It
-    holds the ``_tables.low_voters`` k whose profiles fit one block, and
-    when k = n that block is a view of the table.  Otherwise a block is a
-    run of whole periods of (m!)^k profiles: its low k rows are the table
-    tiled, and its other rows are constant across each period.
+    A block is a run of whole periods of (m!)^k profiles, k the
+    ``_tables.low_voters`` whose profiles fit one block.  Its low k rows
+    are written by broadcasting, since digit v steps every (m!)^v
+    profiles, and only its period indices are decoded into its other rows,
+    which are constant across each period.  Nothing is kept across sweeps.
     """
     base = factorial(m)
     k = _tables.low_voters(base, n)
     period = base ** k
-    table = _digit_table(m, k)
-    if k == n:
-        yield 0, period, table[:n, :period]
-        return
     periods, per = base ** (n - k), _tables.BLOCK // period
     for first in range(0, periods, per):
         count = min(per, periods - first)
         digits = np.empty((n, count, period), np.int64)
-        digits[:k] = table[:k, None, :period]
+        for v in range(k):
+            digits[v].reshape(count, -1, base, base ** v)[:] = np.arange(base)[:, None]
         digits[k:] = _tables.index_digits(np.arange(first, first + count), base,
                                           n - k)[:, :, None]
         digits = digits.reshape(n, count * period)

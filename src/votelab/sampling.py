@@ -13,8 +13,8 @@ alternatives, and ``count`` makes it in one of two modes:
   which reads the rule's winner table, materialized once per rule and n,
   one voter at a time as lines, so a moved ballot, a voter swap or a
   relabelling is a view, a transpose or a gather of the table.  A count
-  with no rule sweeps the profiles, whose digits it reads from one
-  resident, read-only digit table per m (``orders.profile_chunks``);
+  with no rule sweeps the profiles in blocks that decode only their
+  period indices (``orders.profile_chunks``);
 - sampled mode splits the samples into fixed-size chunks; chunk k draws
   from ``default_rng([seed, k])`` and counts are integer sums, so the
   result is the same for any worker count and schedule.  A chunk's draws

@@ -211,8 +211,8 @@ def test_table_counts_do_not_depend_on_the_block_size(monkeypatch, block):
     """Reads cut into blocks of any size, down to one entry, whether a block
     holds several leading rows, part of one, or a run of trailing columns,
     give the counts of one whole-table block.  Sweeps that materialize a
-    table, in blocks of part of the digit table's period or of a run of
-    periods, give the tables of the default block size."""
+    table, in runs of whole periods down to one profile per block, give
+    the tables of the default block size."""
     tables = [ScfRule("random_table", seed=3).as_table(4),
               ScfRule("random_table", 2, seed=3).as_table(5),
               ScfRule("random_table", 4, seed=3).as_table(2)]

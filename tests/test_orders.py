@@ -1,5 +1,8 @@
 """Ranking, profile, and pair-splitting encodings."""
 
+import os
+import subprocess
+import sys
 from math import factorial
 
 import numpy as np
@@ -164,20 +167,6 @@ def test_index_digits_of_join_pairs_broadcast_input():
         assert np.array_equal(index_digits(t, 3, n), index_digits_divmod(t, 3, n))
 
 
-@pytest.mark.parametrize("m,ks", [(2, (1, 3, 9)), (3, (1, 2, 4)), (4, (1, 2, 3))])
-def test_digit_table_equals_decoded_indices(monkeypatch, m, ks):
-    """The broadcast digit table equals decoding every index it covers, is
-    read-only, and is rebuilt when a sweep needs more voters."""
-    monkeypatch.setattr(orders, "_DIGIT_TABLES", {})
-    base = factorial(m)
-    for k in ks:
-        table = orders._digit_table(m, k)
-        assert table.shape == (k, base ** k) and table.dtype == np.int64
-        assert np.array_equal(table, index_digits(np.arange(base ** k), base, k))
-        assert not table.flags.writeable
-    assert orders._digit_table(m, ks[0]) is table
-
-
 def test_profile_chunks_cover_everything():
     seen = []
     for lo, hi, digits in profile_chunks(3):
@@ -187,21 +176,48 @@ def test_profile_chunks_cover_everything():
 
 
 @pytest.mark.parametrize("n,m", [*((n, 3) for n in range(1, 8)), (3, 4), (4, 4), (2, 6),
-                                 (17, 2)])
+                                 (1, 2), (3, 2), (9, 2), (17, 2), (1, 4), (2, 4)])
 def test_sweep_blocks_equal_decoded_digits(n, m):
-    """Blocks read from the digit table tile the index range in order, each
-    equal to decoding its indices, read-only and within ``_tables.BLOCK``.
-    The resident digit table is no wider than one block: at m = 2 and
-    n = 17 it holds 16 voters' digits (8 MiB), not 17."""
+    """Sweep blocks tile the index range in order, each equal to decoding
+    its indices, read-only and within ``_tables.BLOCK``."""
     lo_expected, blocks = 0, 0
     for lo, hi, digits in profile_chunks(n, m):
         assert lo == lo_expected and 0 < hi - lo <= _tables.BLOCK
+        assert digits.dtype == np.int64
         assert np.array_equal(digits, profile_digits(np.arange(lo, hi), n, m))
         assert not digits.flags.writeable
         lo_expected, blocks = hi, blocks + 1
     assert lo_expected == factorial(m) ** n
     assert (blocks > 1) == (factorial(m) ** n > _tables.BLOCK)
-    assert orders._DIGIT_TABLES[m].shape[1] <= _tables.BLOCK
+
+
+_SWEEP_MEMORY = """
+import tracemalloc
+from votelab.orders import profile_chunks
+tracemalloc.start()
+for n, m in ((17, 2), (7, 3)):
+    tracemalloc.reset_peak()
+    widest = 0
+    for lo, hi, digits in profile_chunks(n, m):
+        widest = max(widest, digits.nbytes)
+        del digits
+    print(n, m, widest, *tracemalloc.get_traced_memory())
+"""
+
+
+def test_sweep_keeps_no_memory():
+    """A full sweep keeps nothing once it ends, and a consumer that drops
+    each block holds at most two blocks of digits at once (the one yielded
+    and the one being built).  Run in a fresh interpreter, so that no
+    earlier test has filled any cache."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(orders.__file__))}
+    out = subprocess.run([sys.executable, "-c", _SWEEP_MEMORY], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    sweeps = [tuple(map(int, line.split())) for line in out if line]
+    assert [s[:2] for s in sweeps] == [(17, 2), (7, 3)]
+    for n, m, widest, current, peak in sweeps:
+        assert current < 64 << 10, (n, m, current)
+        assert peak <= 1.1 * 2 * widest, (n, m, peak, widest)
 
 
 @settings(max_examples=60, deadline=None)

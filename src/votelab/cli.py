@@ -17,6 +17,7 @@ optional integer argument after a colon, or paths to table files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -213,6 +214,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="votelab")
     sub = top.add_subparsers(dest="command", required=True)

@@ -11,7 +11,9 @@ a rule outside the tally engine from such reads, with the count methods of
 Every read runs in blocks of at most ``_tables.BLOCK`` table entries, the
 block size of the exact sweep too, cut on the leading axis, or on the
 trailing one where a single leading row is larger, so a count holds little
-beyond the table itself.
+beyond the table itself.  ``columns`` reads a stack of K tables of one n,
+shape (K, 6^n), and one of its blocks may span several tables; a single
+table is a stack of one.
 """
 
 from __future__ import annotations
@@ -157,17 +159,28 @@ class TableSpace:
 
     def columns(self, a, b) -> np.ndarray:
         """``metrics.column_stats``' counts (m = 3): per column z of the pair
-        (a, b), the profiles electing a, then per column those electing b.
-        Each block of rows sums its low voters' ballots by their pair bit,
-        and the rows' sums then sum the high voters' ballots."""
-        n, w = self.n, _tables.low_voters(6, self.n)
-        order = np.argsort(_tables.pair_bit(3, a, b), kind="stable")
-        rows = self.outputs.reshape(-1, 6 ** w)
-        per = np.empty((2, len(rows), 1 << w), np.min_scalar_type(3 ** w))  # [a or b, row, low z]
-        step = max(1, _tables.BLOCK // rows.shape[1])
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            sides = np.stack([block == a, block == b], 1).reshape(2 * len(block), -1)
-            per[:, lo:lo + len(block)] = _by_bit(sides, order, w, 0).reshape(
-                len(block), 2, -1).swapaxes(0, 1)
-        return _by_bit(per.reshape(2, -1), order, n - w, w).reshape(-1).astype(np.int64)
+        (a, b), the profiles electing a, then per column those electing b;
+        ``columns`` of the table as a stack of one."""
+        return columns(self.outputs[None], self.n, a, b)[0]
+
+
+def columns(stack, n: int, a, b) -> np.ndarray:
+    """Per table of the (K, 6^n) stack of winner tables of n voters (m = 3)
+    and per column z of the pair (a, b), the profiles electing a, then per
+    column those electing b; shape (K, 2^(n+1)), int64.  The stack is read
+    as rows of the 6^w profiles of its low w voters, in blocks of whole
+    rows: several tables' rows where a table is smaller than a block.  Each
+    block sums its low voters' ballots by their pair bit, and the rows'
+    sums then sum each table's high voters' ballots."""
+    w = _tables.low_voters(6, n)
+    order = np.argsort(_tables.pair_bit(3, a, b), kind="stable")
+    rows = stack.reshape(-1, 6 ** w)
+    per = np.empty((2, len(rows), 1 << w), np.min_scalar_type(3 ** w))  # [a or b, row, low z]
+    step = max(1, _tables.BLOCK // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        sides = np.stack([block == a, block == b], 1).reshape(2 * len(block), -1)
+        per[:, lo:lo + len(block)] = _by_bit(sides, order, w, 0).reshape(
+            len(block), 2, -1).swapaxes(0, 1)
+    counts = _by_bit(per.reshape(2 * len(stack), -1), order, n - w, w)  # [a or b, table]
+    return counts.reshape(2, len(stack), -1).swapaxes(0, 1).reshape(len(stack), -1).astype(np.int64)

@@ -129,20 +129,28 @@ class ColumnStats:
     def completions(self) -> int:
         return 3 ** self.n
 
-    def mab_report(self) -> MetricReport:
-        """Exact ``mab``: the mean over columns z of
-        count_a[z] * count_b[z] / 9^n."""
+    @property
+    def mab_sum(self) -> int:
+        """sum_z count_a[z] * count_b[z], which is 2^n 9^n ``mab``."""
         w = (63 - self.n) // 2  # w-bit limbs: each limb product summed over 2^n columns is < 2^63
         shifts = np.arange(0, (3 ** self.n).bit_length(), w)[:, None]  # counts are <= 3^n
         a, b = ((c >> shifts) & ((1 << w) - 1) for c in (self.count_a, self.count_b))
-        num = sum(int(v) << w * (i + j) for (i, j), v in np.ndenumerate(a @ b.T))
-        return exact_report("mab", (self.a, self.b), num, 2 ** self.n * 9 ** self.n)
+        return sum(int(v) << w * (i + j) for (i, j), v in np.ndenumerate(a @ b.T))
+
+    @property
+    def nab_sum(self) -> int:
+        """sum_z min(count_a[z], count_b[z]), which is 2^n 3^n ``nab``."""
+        return int(np.minimum(self.count_a, self.count_b).sum())
+
+    def mab_report(self) -> MetricReport:
+        """Exact ``mab``: the mean over columns z of
+        count_a[z] * count_b[z] / 9^n."""
+        return exact_report("mab", (self.a, self.b), self.mab_sum, 2 ** self.n * 9 ** self.n)
 
     def nab_report(self) -> MetricReport:
         """Exact ``nab``: the mean over columns z of
         min(count_a[z], count_b[z]) / 3^n."""
-        num = int(np.minimum(self.count_a, self.count_b).sum())
-        return exact_report("nab", (self.a, self.b), num, 2 ** self.n * 3 ** self.n)
+        return exact_report("nab", (self.a, self.b), self.nab_sum, 2 ** self.n * 3 ** self.n)
 
 
 def _check_pairs(scf, pairs, what):
@@ -316,11 +324,19 @@ def _sampled_nab(scf, pairs, n, samples, seed, workers) -> list[MetricReport]:
     return rows
 
 
-def _pair_split(scf, pairs, n, what, mode, samples, seed):
-    """(n, each pair's ``column_stats`` in exact mode, None in sampled)."""
+def pair_mode(scf, pairs, n, what, mode, samples, seed) -> tuple[int, str]:
+    """(n, mode) of the pair metric ``what`` of ``scf`` at the listed pairs:
+    n resolved, the rule and pairs checked, and the mode picked, each
+    refusal naming ``what``."""
     n = resolve_n(scf, n)
     _check_pairs(scf, pairs, what)
-    if sampling.pick_mode(mode, n, 3, samples, seed, scf=scf) == "exact":
+    return n, sampling.pick_mode(mode, n, 3, samples, seed, scf=scf)
+
+
+def _pair_split(scf, pairs, n, what, mode, samples, seed):
+    """(n, each pair's ``column_stats`` in exact mode, None in sampled)."""
+    n, mode = pair_mode(scf, pairs, n, what, mode, samples, seed)
+    if mode == "exact":
         return n, [column_stats(scf, a, b, n) for a, b in pairs]
     return n, None
 

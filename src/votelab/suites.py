@@ -7,9 +7,12 @@ points); ``check`` takes a block of descriptors, rebuilds their instances
 and re-checks one family of inequalities or identities on each, returning
 one verdict per descriptor.  Most checks take the block one instance at a
 time; ``border`` and ``shifting`` group it by dimension and check each
-group as one stack of sets.  ``run_suite`` feeds the corpus to the check in
-blocks of ``BLOCK`` and reports the first failing descriptor in corpus
-order; ``replay`` runs that same check on a serialized one, a block of one.
+group as one stack of sets, and ``cauchy`` stacks the winner tables of its
+rules outside the tally engine by n, so that each read counts one pair's
+columns of every stacked table.  ``run_suite`` feeds the corpus to the
+check in blocks of ``BLOCK`` and reports the first failing descriptor in
+corpus order; ``replay`` runs that same check on a serialized one, a block
+of one.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby, islice
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import lattice, sampling, welfare
-from .metrics import mab, manipulation_power_total, pair_reports
+from . import _tables, lattice, lines, sampling, tallies, welfare
+from .metrics import column_stats, mab, manipulation_power_total, pair_mode
 from .rules import ScfRule, nameable_params, zoo_rules
 from .welfare import PAIRS3
 
@@ -223,11 +227,47 @@ def _shift_verdict(size_s, size_t, before, after, moved) -> tuple[bool, dict]:
     return True, {}
 
 
-def _check_cauchy(desc) -> tuple[bool, dict]:
-    rows = pair_reports(build_scf(desc["scf"]), desc["n"], mode="exact")
-    for (a, b), mr, nr in zip(PAIRS3, rows[:3], rows[3:]):
-        if nr.fraction ** 2 > mr.fraction:
-            return False, {"pair": [a, b], "nab": str(nr.fraction), "mab": str(mr.fraction)}
+def _check_cauchy(block) -> list[tuple[bool, dict]]:
+    """nab^2 <= mab for the three pairs of each rule, exact.  A tally rule
+    counts its columns on the tally engine (``column_stats``); every other
+    rule's winner table joins a stack of the block's tables of its n, at
+    most ``_tables.BLOCK`` entries (or one table), and each read of a stack
+    counts one pair's columns of all its tables."""
+    out: list = [None] * len(block)
+    tabled = defaultdict(list)  # n -> positions of the rules read as tables
+    for k, desc in enumerate(block):
+        scf = build_scf(desc["scf"])
+        n, _ = pair_mode(scf, PAIRS3, desc["n"], "each pair metric", "exact", None, None)
+        if n <= tallies.exact_reach(scf):
+            stats = [column_stats(scf, a, b, n) for a, b in PAIRS3]
+            out[k] = _cauchy_verdict(n, [s.nab_sum for s in stats], [s.mab_sum for s in stats])
+        else:
+            tabled[n].append(k)
+    for n, rows in tabled.items():
+        per = max(1, _tables.BLOCK // 6 ** n)
+        for lo in range(0, len(rows), per):
+            part = rows[lo:lo + per]
+            # rules built afresh, so that no table outlives its stack
+            tables = [build_scf(block[k]["scf"]).as_table(n).outputs for k in part]
+            stack = tables[0][None] if len(tables) == 1 else np.stack(tables)
+            counts = np.stack([lines.columns(stack, n, a, b) for a, b in PAIRS3], 1)
+            side_a, side_b = counts[..., :1 << n], counts[..., 1 << n:]  # [table, pair, z]
+            mins = np.minimum(side_a, side_b).sum(-1).tolist()
+            products = (side_a * side_b).sum(-1).tolist()  # < 2^40 at the budget's n <= 10
+            for k, *sums in zip(part, mins, products):
+                out[k] = _cauchy_verdict(n, *sums)
+    return out
+
+
+def _cauchy_verdict(n, mins, products) -> tuple[bool, dict]:
+    """nab^2 <= mab for each pair of ``PAIRS3``, from the pair's column
+    sums: ``mins``, sum_z min(count_a, count_b) = 6^n nab, and
+    ``products``, sum_z count_a count_b = 2^n 9^n mab; in integers,
+    mins^2 <= 2^n products.  A failure names the first failing pair."""
+    for (a, b), low, both in zip(PAIRS3, mins, products):
+        if low * low > both << n:
+            return False, {"pair": [a, b], "nab": str(Fraction(low, 6 ** n)),
+                           "mab": str(Fraction(both, 2 ** n * 9 ** n))}
     return True, {}
 
 
@@ -299,7 +339,7 @@ SUITES = {
         _shifting_descs, _check_shift, 2000, 4,
         "monotone rearrangement preserves size, yields monotone sets, never grows borders"),
     "cauchy": SuiteSpec(
-        _scf_descs, _each(_check_cauchy), 200, 3,
+        _scf_descs, _check_cauchy, 200, 3,
         "squared minority preference is at most pairwise manipulability", 3),
     "reduction-chain": SuiteSpec(
         _scf_descs, _each(_check_chain), 50, 3,

@@ -153,31 +153,44 @@ def restrict_gswf(G, subset) -> GswfIia:
 # reader (sampled no-GCW counts, check_composition's joint sweep,
 # gcw_winner_at, the gswf_winner rule) reads pairwise outcomes profile by
 # profile through ``_wins``, which sums the columns of all the pairs it
-# needs at once in ``_tables.voter_fields``: each ranking's bits on the
+# needs (both blocks' in the joint sweep) at once in
+# ``_tables.voter_fields``: each ranking's bits on the
 # pairs are packed into int64 words, so one gather per voter and word
 # assembles every pair's column index, and one masked shift then reads each
 # pair's out of its word.
 
-def _wins(G: GswfIia, digits, alts) -> np.ndarray:
-    """Pairwise victories of each of the increasing alternatives ``alts``
-    over the others in ``alts``; shape (len(alts), S).  Only the pairs
-    inside ``alts`` are evaluated, their columns read in one sum."""
-    alts = list(alts)
-    i, j = np.triu_indices(len(alts), 1)
-    a, b = np.take(alts, i), np.take(alts, j)
+def _wins(G: GswfIia, digits, *blocks) -> np.ndarray:
+    """Pairwise victories of each alternative of the blocks, each a list of
+    increasing alternatives, over the others in its block; shape (number of
+    listed alternatives, S), the blocks' rows in turn.  Only the pairs
+    inside a block are evaluated, all blocks' columns read in one sum."""
+    pairs, first = [], 0  # (row of a, row of b, a, b)
+    for alts in blocks:
+        alts = list(alts)
+        i, j = np.triu_indices(len(alts), 1)
+        pairs += [(first + p, first + q, alts[p], alts[q]) for p, q in zip(i, j)]
+        first += len(alts)
+    _, _, a, b = np.array(pairs, np.intp).reshape(-1, 4).T
     columns = _tables.voter_fields(_tables.prefers(G.m)[:, a, b], digits, 1)
     slot = _tables.pair_slot(G.m)
-    wins = np.zeros((len(alts), digits.shape[1]), np.int8)
-    for p, z in enumerate(columns):
-        bits = G.tables[slot[alts[i[p]], alts[j[p]]]][z]
-        wins[i[p]] += bits
-        wins[j[p]] += ~bits
+    wins = np.zeros((first, digits.shape[1]), np.int8)
+    for (row_a, row_b, x, y), z in zip(pairs, columns):
+        bits = G.tables[slot[x, y]][z]
+        wins[row_a] += bits
+        wins[row_b] += ~bits
     return wins
 
 
-def _no_gcw(G: GswfIia, digits, alts) -> np.ndarray:
-    """True where no alternative of ``alts`` beats every other in ``alts``."""
-    return _wins(G, digits, alts).max(0) < len(alts) - 1
+def _no_gcw(G: GswfIia, digits, *blocks) -> np.ndarray:
+    """True where no block has an alternative that beats every other in
+    the block."""
+    wins = _wins(G, digits, *blocks)
+    out = np.ones(digits.shape[1], bool)
+    first = 0
+    for alts in blocks:
+        out &= wins[first:first + len(alts)].max(0) < len(alts) - 1
+        first += len(alts)
+    return out
 
 
 def _beats_all_count(G: GswfIia, a: int) -> int:
@@ -430,8 +443,7 @@ def check_composition(g, *, mode="auto", samples=None, seed=None,
                  workers=workers)
 
     def tally(digits):
-        both = _no_gcw(tensor, digits, range(3)) & _no_gcw(tensor, digits, range(3, 6))
-        return [both.sum()]
+        return [_no_gcw(tensor, digits, range(3), range(3, 6)).sum()]
 
     (count,), trials, mode = sampling.count(tally, 1, tensor.n, 6, mode=mode,
                                             samples=samples, seed=seed, workers=workers)

@@ -37,7 +37,11 @@ engine it checks:
 * ``border_check_by_instance`` and ``shift_check_by_instance``: the
   ``border`` and ``shifting`` suite checks one descriptor at a time on
   those per-direction borders and shifts, where the suites check a block's
-  sets as stacks, one dimension at a time.
+  sets as stacks, one dimension at a time;
+* ``cauchy_check_by_instance``: the ``cauchy`` suite's check of one rule
+  on the exact Fractions of its ``pair_reports``, where the suite reads
+  the block's winner tables of one n as stacks and compares integer
+  column sums.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import numpy as np
 
 from votelab import _tables, sampling
 from votelab.lattice import EDGE_STEPS, EdgeBorder, TernarySet
+from votelab.metrics import pair_reports
 from votelab.orders import (LinearOrder, Profile, column_index, join_pair,
                             order_to_index, profile_digits)
 from votelab.rules import BudgetError
@@ -449,4 +454,18 @@ def shift_check_by_instance(desc, shift=shift_monotone_by_lines,
     if moved > sum(before):
         return False, {"reason": "moved more cells than the border size",
                        "moved": moved, "border": sum(before)}
+    return True, {}
+
+
+def cauchy_check_by_instance(desc, bump=lambda desc, pair: 0):
+    """The ``cauchy`` suite's (holds, detail) of one descriptor: each pair's
+    nab, raised by ``bump(desc, pair)``, squared against its mab, on the
+    exact reports of ``pair_reports``; a failure names the first failing
+    pair."""
+    from votelab.suites import build_scf
+    rows = pair_reports(build_scf(desc["scf"]), desc["n"], mode="exact")
+    for (a, b), mr, nr in zip(PAIRS3, rows[:3], rows[3:]):
+        nab = nr.fraction + bump(desc, (a, b))
+        if nab ** 2 > mr.fraction:
+            return False, {"pair": [a, b], "nab": str(nab), "mab": str(mr.fraction)}
     return True, {}

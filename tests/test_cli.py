@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from votelab import lines, orders, rules, sampling, suites, tallies
+from votelab import cli, lines, orders, rules, sampling, suites, tallies
 from votelab.cli import main
 from votelab.fileio import read_gswf, read_scf
 from votelab.rules import ScfRule
@@ -307,6 +307,21 @@ def test_replay_of_a_column_table_past_the_voter_bound_exits_2(capsys, tmp_path,
     code, out, err = run(capsys, "verify", "--replay", str(path))
     assert code == 2 and out == ""
     assert "takes at most 26 voters, got n=40" in err
+
+
+@pytest.mark.parametrize("scf,n,code,err", [
+    ({"name": "borda", "m": 3, "params": {}}, 15, 0, ""),
+    ({"name": "random_table", "m": 3, "params": {"seed": 1}}, 13, 2,
+     "error: exact enumeration at n=13, m=3 exceeds the budget; rerun with samples "
+     "and a seed\n"),
+])
+def test_cauchy_replay_past_the_enumeration_budget(capsys, tmp_path, scf, n, code, err):
+    """Past the budget a tally rule's replay runs on the tally engine, and a
+    table rule's refuses before any table is built."""
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps({"suite": "cauchy", "n": n, "scf": scf}))
+    assert run(capsys, "verify", "--replay", str(path)) == \
+        (code, "replay cauchy: holds\n" if code == 0 else "", err)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -662,3 +677,16 @@ def test_mutually_exclusive_modes(capsys):
         main(["metrics", "--scf", "plurality", "--n", "2", "--exact",
               "--samples", "100"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process, and a flag given to one call
+    leaves the next call's default as it was."""
+    argv = ("metrics", "--scf", "plurality", "--n", "2", "--samples", "100")
+    seeds = []
+    for extra in (("--seed", "5"), ()):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        seeds.append({row["seed"] for row in json.loads(out) if row["mode"] == "sampled"})
+    assert seeds == [{"5"}, {"0"}]
+    assert cli._build_parser() is cli._build_parser()

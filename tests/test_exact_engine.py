@@ -18,7 +18,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from votelab import _tables, rules, sampling, tallies
+from votelab import _tables, lines, rules, sampling, tallies
 from votelab.lines import TableSpace
 from votelab.metrics import (column_stats, manipulation_power, manipulation_power_total,
                              manipulation_reports)
@@ -404,6 +404,18 @@ def test_sweep_blocks_are_read_only(n):
                        space_tally=into_table)
 
 
+def columns_by_index(outputs, n, a, b) -> np.ndarray:
+    """The (a, b) column counts of a winner table of n voters, bincounts of
+    ``column_index`` over the digits of every sweep block."""
+    want = np.zeros(2 << n, np.int64)
+    for lo, hi, digits in profile_chunks(n):
+        z = column_index(digits, a, b)
+        winners = outputs[lo:hi]
+        want += np.concatenate([np.bincount(z[winners == side], minlength=1 << n)
+                                for side in (a, b)])
+    return want
+
+
 @pytest.mark.parametrize("n", [1, 4, 5, 6, 7])
 def test_tabled_columns_equal_column_index(n):
     """The line view's column counts equal bincounts of ``column_index``
@@ -411,14 +423,29 @@ def test_tabled_columns_equal_column_index(n):
     its columns sum six rows of 6^6 profiles)."""
     table = ScfRule("plurality").as_table(n)
     space = TableSpace(table)
-    blocks = list(profile_chunks(n))
-    assert (len(blocks) > 1) == (n == 7)
+    assert (len(list(profile_chunks(n))) > 1) == (n == 7)
     for a, b in PAIRS3:
-        want = np.zeros(2 << n, np.int64)
-        for lo, hi, digits in blocks:
-            z = column_index(digits, a, b)
-            winners = table.outputs[lo:hi]
-            want += np.concatenate([np.bincount(z[winners == side], minlength=1 << n)
-                                    for side in (a, b)])
         got = space.columns(a, b)
+        want = columns_by_index(table.outputs, n, a, b)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_stacked_columns_equal_per_table_columns(monkeypatch, n):
+    """The column counts of a stack of random tables equal each table's
+    own line-view counts and the ``column_index`` bincounts, at the default
+    block size and at blocks of four rows of 6^(n-1) entries, which cut
+    each six-row table in the middle and so span two tables' rows."""
+    tables = [ScfRule("random_table", seed=40 + k).as_table(n).outputs
+              for k in range(5 if n < 7 else 2)]
+    want = [[columns_by_index(t, n, a, b) for t in tables] for a, b in PAIRS3]
+    alone = [[TableSpace(rules.ScfTable(n, 3, t)).columns(a, b) for t in tables]
+             for a, b in PAIRS3]
+    assert np.array_equal(alone, want)
+    for block in (_tables.BLOCK, 4 * 6 ** (n - 1)):
+        monkeypatch.setattr(_tables, "BLOCK", block)
+        for k in (1, 2, len(tables)):
+            stack = np.stack(tables[:k])
+            for (a, b), per_table in zip(PAIRS3, want):
+                got = lines.columns(stack, n, a, b)
+                assert got.dtype == np.int64 and np.array_equal(got, per_table[:k]), (block, k)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from oracles import (border_check_by_instance, border_counts_by_direction,
-                     shift_check_by_instance, shift_monotone_by_lines)
-from votelab import lattice, suites
+                     cauchy_check_by_instance, shift_check_by_instance,
+                     shift_monotone_by_lines)
+from votelab import _tables, lattice, suites
+from votelab.metrics import column_stats
 from votelab.rules import BudgetError
 from votelab.suites import (
     SUITES,
@@ -20,6 +22,7 @@ from votelab.suites import (
     scf_corpus,
     scf_descriptor,
 )
+from votelab.welfare import PAIRS3
 
 
 def test_unknown_suite_rejected():
@@ -360,3 +363,89 @@ def test_border_counterexample_is_the_first_in_corpus_order(monkeypatch):
     want = border_check_by_instance(descs[first], borders=borders)
     assert want[0] is False and rep.passes == rep.instances - 2
     assert rep.counterexample == {"suite": "border", **descs[first], **want[1]}
+
+
+# --- the stacked cauchy check ---------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_stacked_cauchy_equals_the_per_instance_oracle(n, seed):
+    """Each rule's verdict and detail, checked in one block and as a stack
+    of one, equal the per-instance reference's.  Up to n = 6 a block's
+    tables share stacks; at n = 7 a table exceeds one read block."""
+    descs = list(SUITES["cauchy"].descs(12 if n < 7 else 2, n, seed, None))
+    want = [cauchy_check_by_instance(d) for d in descs]
+    assert SUITES["cauchy"].check(descs) == want
+    assert [SUITES["cauchy"].check([d])[0] for d in descs] == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 500])
+def test_stacked_cauchy_does_not_depend_on_the_block_size(monkeypatch, block):
+    """Read blocks of 1, 7 and 500 table entries (so stacks of one table,
+    or of 2 to 83 tables with blocks of 500) give the reference's verdicts,
+    on a block that mixes n = 1, 2, 3 in shuffled order and in a suite run
+    of 16-descriptor blocks."""
+    descs = [d for n in (1, 2, 3) for d in SUITES["cauchy"].descs(3, n, block, None)]
+    descs = [descs[k] for k in np.random.default_rng(block).permutation(len(descs))]
+    want = [cauchy_check_by_instance(d) for d in descs]
+    monkeypatch.setattr(_tables, "BLOCK", block)
+    monkeypatch.setattr(suites, "BLOCK", 16)
+    assert SUITES["cauchy"].check(descs) == want
+    rep = run_suite("cauchy", n=3, trials=24, seed=block)
+    assert (rep.instances, rep.passes, rep.counterexample) == (36, 36, None)
+
+
+def _sums(desc) -> tuple:
+    """A descriptor's n and the per-pair column sums behind nab and mab of
+    its rule, the arguments of the cauchy verdict."""
+    scf, n = build_scf(desc["scf"]), desc["n"]
+    stats = [column_stats(scf, a, b, n) for a, b in PAIRS3]
+    return n, tuple(s.nab_sum for s in stats), tuple(s.mab_sum for s in stats)
+
+
+def _force_cauchy(monkeypatch, descs, forced):
+    """Raise the nab sum of each pair in ``forced[k]`` by 6^n for the rule
+    of ``descs[k]``, in the verdict both the stacked and the tally path
+    reach, so that its nab exceeds 1 and the pair fails; returns the
+    reference's matching bump, 1 on the pair's nab."""
+    keys = [_sums(d) for d in descs]
+    by_key = {keys[k]: pairs for k, pairs in forced.items()}
+    assert all(keys.count(keys[k]) == 1 for k in forced)
+    real = suites._cauchy_verdict
+
+    def verdict(n, mins, products):
+        pairs = by_key.get((n, tuple(mins), tuple(products)), ())
+        return real(n, [low + 6 ** n * (pair in pairs) for pair, low in zip(PAIRS3, mins)],
+                    products)
+
+    monkeypatch.setattr(suites, "_cauchy_verdict", verdict)
+    bumps = {json.dumps(descs[k], sort_keys=True): pairs for k, pairs in forced.items()}
+    return lambda desc, pair: int(pair in bumps.get(json.dumps(desc, sort_keys=True), ()))
+
+
+def test_cauchy_counterexample_is_the_first_in_corpus_order(monkeypatch):
+    """Failures forced on borda (position 10, a tally rule) and on random
+    tables at positions 14 and 20, in 16-descriptor blocks: the
+    counterexample is borda with its first failing pair, (0, 2), and the
+    per-instance check's nab and mab strings; with borda's forced pairs
+    dropped it is position 14, a stacked table.  Checked in reverse
+    order, where position 14 precedes borda in its block, every verdict
+    equals the reference's."""
+    monkeypatch.setattr(suites, "BLOCK", 16)
+    descs = list(SUITES["cauchy"].descs(40, 3, 0, None))
+    assert descs[10]["scf"]["name"] == "borda"
+    assert {descs[k]["scf"]["name"] for k in (14, 20)} == {"random_table"}
+    for forced, first in (({10: [(1, 2), (0, 2)], 14: [(0, 1)], 20: [(0, 1)]}, 10),
+                          ({14: [(1, 2)], 20: [(0, 1)]}, 14)):
+        bump = _force_cauchy(monkeypatch, descs, forced)
+        rep = run_suite("cauchy", trials=40, n=3, seed=0)
+        assert rep.passes == rep.instances - len(forced)
+        want = cauchy_check_by_instance(descs[first], bump)
+        assert want[0] is False and want[1]["pair"] == list(min(forced[first]))
+        assert rep.counterexample == {"suite": "cauchy", **descs[first], **want[1]}
+        assert list(rep.counterexample) == ["suite", "n", "scf", "pair", "nab", "mab"]
+        backwards = descs[20::-1]
+        assert SUITES["cauchy"].check(backwards) == \
+            [cauchy_check_by_instance(d, bump) for d in backwards]
+        monkeypatch.undo()
+        monkeypatch.setattr(suites, "BLOCK", 16)

@@ -258,17 +258,21 @@ def _random_gswf_by_bits(n, m, seed) -> GswfIia:
                                  (3, MAX_COLUMN_VOTERS)])
 def test_packed_wins_equal_per_pair_columns(m, n):
     """_wins packs floor(63 / n) pairs to a word.  Its wins equal those of one
-    column_index read per pair where every pair fits one word (n = 1), where
-    a word's last pair reaches bit 62 ((3, 21) and the first of three words
-    at (6, 9)), and where the pairs take two words ((6, 5), (4, 11), (3, 22),
-    (3, 26)).  Each profile block holds random profiles, one where every
-    voter casts ranking 0 (every column all ones) and one where every voter
-    casts its reverse."""
+    column_index read per pair, also for two blocks read at once (m = 6),
+    where every pair fits one word (n = 1), where a word's last pair reaches
+    bit 62 ((3, 21) and the first of three words at (6, 9)), and where the
+    pairs take two words ((6, 5), (4, 11), (3, 22), (3, 26)).  Each profile
+    block holds random profiles, one where every voter casts ranking 0
+    (every column all ones) and one where every voter casts its reverse."""
     G = _random_gswf_by_bits(n, m, 60 + n)
     digits = np.random.default_rng(n).integers(0, factorial(m), size=(n, 64))
     digits[:, :2] = [0, factorial(m) - 1]
     for alts in {tuple(range(m)), (0, m - 1), (0, 1, m - 1)}:
         assert np.array_equal(_wins(G, digits, alts), wins_by_pairs(G, digits, alts)), alts
+    if m == 6:  # check_composition's two blocks, their pairs read in one sum
+        blocks = ((0, 1, 2), (3, 4, 5))
+        assert np.array_equal(_wins(G, digits, *blocks),
+                              np.concatenate([wins_by_pairs(G, digits, b) for b in blocks]))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -467,9 +471,9 @@ def test_gswf_engines_read_outcomes_through_wins(monkeypatch):
     calls = []
     original = welfare._wins
 
-    def counting(G, digits, alts):
-        calls.append(tuple(alts))
-        return original(G, digits, alts)
+    def counting(G, digits, *blocks):
+        calls.append(tuple(map(tuple, blocks)))
+        return original(G, digits, *blocks)
 
     monkeypatch.setattr(welfare, "_wins", counting)
     G = random_iia_gswf(2, 3, 4)
@@ -478,14 +482,15 @@ def test_gswf_engines_read_outcomes_through_wins(monkeypatch):
         engine(G)  # exact: pairwise columns only, no profile sweep
         assert calls == [], engine.__name__
         engine(G, mode="sampled", samples=100, seed=0)
-        assert calls == [(0, 1, 2)], engine.__name__
+        assert calls == [((0, 1, 2),)], engine.__name__
     calls.clear()
     dist_tr3(G)  # reads its outcome codes as lines of one table, not profile by profile
     assert calls == []
     calls.clear()
     check_composition(random_odd_g(1, 0))
-    # the blocks' shared ngcw reads columns; the joint sweep reads both blocks
-    assert calls == [(0, 1, 2), (3, 4, 5)]
+    # the blocks' shared ngcw reads columns; the joint sweep reads both
+    # blocks' pairs in one read of its one chunk
+    assert calls == [((0, 1, 2), (3, 4, 5))]
 
 
 def test_dist_tr3_is_zero_on_family_members():
